@@ -188,7 +188,7 @@ def verify(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     found: list = []
 
     def visit(v: ProductVisit) -> VisitAction:
-        observed[v.path.final_location].append(v.path.final_state)
+        observed[v.location].append(v.state)
         if v.accepted(0):
             found.append(v.path)
             return VisitAction.STOP
@@ -573,11 +573,11 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
     """
     inputs = list(test)
     consumed = 0
-    path = ConcretePath.initial(program)
+    steps = [PathStep(EMPTY_STATE, program.initial, None)]
     status = STATUS_COMPLETED
     for _ in range(max_steps):
-        state = path.final_state
-        outgoing = program.edges_from(path.final_location)
+        state = steps[-1].state
+        outgoing = program.edges_from(steps[-1].location)
         if not outgoing:
             status = STATUS_COMPLETED
             break
@@ -602,9 +602,10 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
         edge, post, used_input = taken
         if used_input:
             consumed += 1
-        path = path.extended(PathStep(post, edge.target, edge))
+        steps.append(PathStep(post, edge.target, edge))
     else:
         status = STATUS_STEP_LIMIT
+    path = ConcretePath(tuple(steps))
     violation = None
     if prop is not None:
         violation = match_path(prop, path).accepted

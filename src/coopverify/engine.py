@@ -16,6 +16,27 @@ under path extension).  Each judgment is a thin visitor over this product:
 * ``check_test_covers`` - some complete path must be covered by the
   test-case automaton while reaching a test goal.
 
+The explorer is a depth-first reachability search over product
+configurations, not over path prefixes.  A configuration (location, data
+state, frontiers, final entries) is explored when the depth-first order
+first reaches it, and again only when a later prefix reaches it at a
+smaller depth, whose extensions get further before the step bound; any
+other prefix reaching it is skipped.  So each configuration is explored at
+its smallest depth, and usually once.  Everything a configuration can lead
+to is a function of the configuration alone, so a skipped prefix would only
+have explored the same successors again, no nearer the bound.  Hence:
+
+* revisiting a configuration on a cycle is not a truncation, so a loop whose
+  configuration repeats ends ``holds, exhausted`` rather than ``unknown``;
+* truncation is reported only when an extendable configuration is explored
+  at depth ``max_steps``;
+* every configuration reachable within the step bound is still explored;
+  when a search over every prefix would truncate nothing, the first prefix
+  found in depth-first order is the same one, so the evidence, the states
+  observed per location and the generated test suites are unchanged.  Where
+  that search would run around a cycle up to the step bound, this one may
+  find a shorter evidence path or finish exhausted instead.
+
 Verdicts are relative to the analysis configuration (finite input domain,
 step bound); ``holds`` is only reported when no truncation could have hidden
 a counterexample.  :func:`brute_force_oracle` re-decides path sets by naive
@@ -25,7 +46,7 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -40,8 +61,10 @@ from .errors import InvalidArtifact, OracleBudgetExceeded
 from .kinds import build_test_case_automaton, validate_kind
 from .lang import (
     EMPTY_STATE,
+    ConcreteDataState,
     ConcretePath,
     ControlFlowAutomaton,
+    InputOp,
     PathStep,
     enumerate_paths,
     successors,
@@ -137,18 +160,31 @@ class VisitAction(Enum):
 class ProductVisit:
     """One explored product configuration, handed to judgment visitors.
 
-    ``frontiers[i]`` is the i-th automaton's reachable-state set on this
-    prefix; ``final_entries[i]`` the final states it has entered anywhere
-    along the prefix (nonempty means the automaton accepts).  ``is_maximal``
-    marks program paths that cannot be extended; ``truncated`` marks prefixes
-    abandoned at the step bound although extendable.
+    The configuration is the program ``location`` and data ``state`` plus,
+    per automaton, ``frontiers[i]`` (its reachable-state set) and
+    ``final_entries[i]`` (the final states it has entered anywhere along the
+    prefix; nonempty means the automaton accepts).  ``depth`` is the length
+    of the prefix it was reached by.  ``is_maximal`` marks program paths that
+    cannot be extended; ``truncated`` marks configurations abandoned at the
+    step bound although extendable.
+
+    ``path`` builds that prefix from the explorer's trail on demand.  The
+    trail moves on once the visitor returns, so read ``path`` during the
+    visit, and only where the prefix itself is needed.
     """
 
-    path: ConcretePath
+    location: int
+    state: ConcreteDataState
+    depth: int
     frontiers: tuple
     final_entries: tuple
     is_maximal: bool
     truncated: bool
+    _trail: list = field(repr=False, compare=False)
+
+    @property
+    def path(self) -> ConcretePath:
+        return ConcretePath(tuple(self._trail[: self.depth + 1]))
 
     def accepted(self, index: int) -> bool:
         return bool(self.final_entries[index])
@@ -157,32 +193,68 @@ class ProductVisit:
 Visitor = Callable[[ProductVisit], VisitAction]
 
 
+def _meeting_locations(program: ControlFlowAutomaton) -> frozenset:
+    """Locations where two different prefixes can reach one configuration.
+
+    These are the initial location, locations with two or more incoming
+    edges, and targets of input edges.  Elsewhere a configuration has one
+    predecessor location and one deterministic operation into it, and every
+    cycle passes through one of these locations.
+    """
+    incoming: dict = {}
+    inputs = set()
+    for edge in program.edges:
+        incoming[edge.target] = incoming.get(edge.target, 0) + 1
+        if isinstance(edge.op, InputOp):
+            inputs.add(edge.target)
+    joins = {location for location, count in incoming.items() if count >= 2}
+    return frozenset(joins | inputs | {program.initial})
+
+
 def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton],
                 config: AnalysisConfig, visit: Visitor) -> bool:
     """Depth-first bounded exploration of program x automata.
 
-    Visits every reachable product configuration once per path prefix, in
-    deterministic order (per program location: edge order, input values
-    ascending).  The visitor steers: PRUNE abandons the prefix's extensions,
-    STOP abandons the whole exploration.  Returns whether any visited prefix
-    was truncated by the step bound.
+    Explores every product configuration reachable within the step bound,
+    each at the smallest depth at which the depth-first order reaches it
+    (see the module docstring), in deterministic order (per program
+    location: edge order, input values ascending).  A prefix reaching a
+    configuration already explored at no greater depth is skipped without a
+    visit.  Only configurations at ``_meeting_locations`` are recorded, which
+    keeps the record small where prefixes never meet.  The visitor steers:
+    PRUNE abandons the configuration's extensions, STOP abandons the whole
+    exploration.  A skipped prefix is taken to steer as the configuration's
+    earlier visit did, so a visitor's answer must depend on the
+    configuration alone.  Returns whether any configuration was truncated
+    by the step bound.
     """
+    meeting = _meeting_locations(program)
+    explored_at: dict = {}  # configuration key at a meeting location -> depth
+    interned: dict = {}  # frontier and final-entry sets stored in keys
     pairs = [initial_frontier(a, EMPTY_STATE) for a in automata]
-    root = (
-        ConcretePath.initial(program),
-        tuple(fr for fr, _ in pairs),
-        tuple(en for _, en in pairs),
-    )
+    trail: list = []  # the steps of the prefix reaching the current configuration
+    stack = [(0, PathStep(EMPTY_STATE, program.initial, None),
+              tuple(fr for fr, _ in pairs), tuple(en for _, en in pairs))]
     saw_truncation = False
-    stack = [root]
     while stack:
-        path, frontiers, entries = stack.pop()
-        last = path.steps[-1]
-        succ = successors(program, last.state, last.location, config.input_domain)
-        truncated = bool(succ) and path.length >= config.max_steps
+        depth, step, frontiers, entries = stack.pop()
+        location, state = step.location, step.state
+        if location in meeting:
+            # flat, each set interned: a frontier that many configurations
+            # share is stored once
+            key = (location, state, *map(interned.setdefault, frontiers, frontiers),
+                   *map(interned.setdefault, entries, entries))
+            if explored_at.get(key, depth + 1) <= depth:
+                continue  # explored already, no farther from the step bound
+            explored_at[key] = depth
+        del trail[depth:]
+        trail.append(step)
+        succ = successors(program, state, location, config.input_domain)
+        truncated = bool(succ) and depth >= config.max_steps
         if truncated:
             saw_truncation = True
-        action = visit(ProductVisit(path, frontiers, entries, not succ, truncated))
+        action = visit(ProductVisit(location, state, depth, frontiers, entries,
+                                    not succ, truncated, trail))
         if action is VisitAction.STOP:
             return saw_truncation
         if action is VisitAction.PRUNE or truncated:
@@ -191,7 +263,8 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
             stepped = [step_frontier(a, fr, edge, post)
                        for a, fr in zip(automata, frontiers)]
             stack.append((
-                path.extended(PathStep(post, edge.target, edge)),
+                depth + 1,
+                PathStep(post, edge.target, edge),
                 tuple(fr for fr, _ in stepped),
                 tuple(en | new if new else en
                       for (_, new), en in zip(stepped, entries)),

@@ -191,7 +191,10 @@ class ConcreteDataState(Mapping):
     def bind(self, name: str, value: int) -> "ConcreteDataState":
         new = dict(self._bindings)
         new[name] = value
-        return ConcreteDataState(new)
+        state = object.__new__(ConcreteDataState)  # takes ``new`` over without a second copy
+        object.__setattr__(state, "_bindings", new)
+        object.__setattr__(state, "_hash", None)
+        return state
 
     def as_dict(self) -> dict:
         return dict(self._bindings)
@@ -342,18 +345,21 @@ def enumerate_paths(cfa: ControlFlowAutomaton, domain: Interval,
     """
     paths = []
     truncated = False
-    stack = [ConcretePath.initial(cfa)]
+    trail: list = []  # the steps of the current prefix, cut back on backtrack
+    stack = [(0, PathStep(EMPTY_STATE, cfa.initial, None))]
     while stack:
-        path = stack.pop()
-        succs = successors(cfa, path.final_state, path.final_location, domain)
+        depth, step = stack.pop()
+        del trail[depth:]
+        trail.append(step)
+        succs = successors(cfa, step.state, step.location, domain)
         if not succs:
-            paths.append(path)
+            paths.append(ConcretePath(tuple(trail)))
             continue
-        if path.length >= max_steps:
+        if depth >= max_steps:
             truncated = True
             continue
         for edge, post in reversed(succs):
-            stack.append(path.extended(PathStep(post, edge.target, edge)))
+            stack.append((depth + 1, PathStep(post, edge.target, edge)))
     return EnumerationResult(tuple(paths), truncated)
 
 

@@ -6,21 +6,24 @@ import pytest
 
 import corpus
 import generators
+from coopverify.actors import Result, verify
 from coopverify.automata import match_path, parse_automaton
 from coopverify.engine import (
     AnalysisConfig,
     DEFAULT_CONFIG,
     Verdict,
+    VisitAction,
     brute_force_oracle,
     check_condition_correct,
     check_correctness_witness,
     check_fulfills,
     check_test_covers,
     check_violation_witness,
+    run_product,
 )
 from coopverify.errors import InvalidArtifact, OracleBudgetExceeded
 from coopverify.kinds import build_test_case_automaton
-from coopverify.lang import enumerate_paths
+from coopverify.lang import enumerate_paths, parse_program
 from coopverify.predicates import Interval
 
 CFG4 = corpus.CFG4
@@ -320,3 +323,93 @@ class TestJudgmentProperties:
                             from coopverify.automata import FinalEntry
                             expected.add(FinalEntry(transition, state))
             assert covered == frozenset(expected)
+
+
+def _edge_property(op_text: str) -> str:
+    return ("automaton on_edge kind=property\nstate q0 init\nstate qe final\n"
+            f'trans q0 -> qe on (*, "{op_text}", *)\ntrans q0 -> q0 otherwise\n')
+
+
+class TestConfigurationExploration:
+    """The explorer visits configurations, not path prefixes."""
+
+    # c == 0 reaches the join at location 6 after five steps, c == 1 after
+    # three, with the same data state {c: 5}; depth-first order takes c == 0
+    # first.  The property accepts one step after the join.
+    LONG_THEN_SHORT = """\
+int c = input();
+if (c == 0) {
+  c = 5;
+  c = 5;
+  c = 5;
+} else {
+  c = 5;
+}
+int e = 1;
+"""
+
+    def test_01_join_reexplored_at_smaller_depth(self):
+        """With max_steps 5 the violation is reachable only through the
+        shorter prefix, which reaches the join after the longer one did."""
+        program = parse_program(self.LONG_THEN_SHORT)
+        prop = parse_automaton(_edge_property("int e = 1"))
+        config = AnalysisConfig(Interval(0, 1), 5)
+        judgment = check_fulfills(program, prop, config)
+        assert judgment.verdict is Verdict.VIOLATED
+        assert judgment.evidence.inputs() == (1,)
+        assert judgment.evidence.length == 4
+        bundle = verify(program, prop, config)
+        assert bundle.result is Result.FALSE
+        assert bundle.judgment.evidence == judgment.evidence
+
+    def test_02_repeating_loop_configuration_is_exhausted(self):
+        """Revisiting a configuration on a cycle is not a truncation."""
+        program = parse_program("int t = 0;\nwhile (t < 1) {\n  t = 0;\n}\n")
+        prop = parse_automaton(_edge_property("!(t < 1)"))
+        judgment = check_fulfills(program, prop, CFG2)
+        assert judgment.verdict is Verdict.HOLDS
+        assert judgment.exhausted
+        bundle = verify(program, prop, CFG2)
+        assert bundle.result is Result.TRUE
+        assert bundle.judgment.exhausted
+
+    def test_03_acceptance_inside_repeating_loop_is_found(self):
+        program = parse_program("int t = 0;\nwhile (t < 1) {\n  t = 0;\n}\n")
+        prop = parse_automaton(_edge_property("t = 0"))
+        judgment = check_fulfills(program, prop, CFG2)
+        assert judgment.verdict is Verdict.VIOLATED
+        assert judgment.exhausted
+        assert judgment.evidence.length == 3
+        assert verify(program, prop, CFG2).result is Result.FALSE
+
+    def test_04_visits_grow_with_configurations_not_paths(self):
+        """Four inputs over |D| = 11 give 14641 complete paths but only 136
+        distinct (location, data state) pairs; the visitor is called at most
+        twice per distinct configuration."""
+        program = parse_program(
+            "int i = 0;\nint v = 0;\nwhile (i < 4) {\n  v = input();\n  i++;\n}\n")
+        prop = parse_automaton(
+            "automaton never kind=property\nstate q0 init\nstate qe final\n"
+            'trans q0 -> qe on (*, "i++", *) assume i > 4\ntrans q0 -> q0 otherwise\n')
+        config = AnalysisConfig(Interval(-5, 5), 500)
+        calls = []
+        keys = set()
+
+        def counting_visit(v):
+            calls.append(v.depth)
+            keys.add((v.location, v.state, v.frontiers, v.final_entries))
+            return VisitAction.CONTINUE
+
+        assert run_product(program, (prop,), config, counting_visit) is False
+        assert len({(location, state) for location, state, _, _ in keys}) == 136
+        assert len(calls) <= 2 * len(keys)
+        assert max(calls) == 2 + 4 * 3 + 1  # declarations, four rounds, loop exit
+
+    def test_05_visit_path_matches_configuration(self, p_prime):
+        def check(v):
+            path = v.path
+            assert (path.length, path.final_location, path.final_state) \
+                == (v.depth, v.location, v.state)
+            return VisitAction.CONTINUE
+
+        run_product(p_prime, (corpus.prop(),), CFG2, check)
