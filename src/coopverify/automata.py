@@ -28,6 +28,7 @@ matcher is tested against.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -55,6 +56,7 @@ class AutomatonKind(Enum):
 
 
 INPUT_TEMPLATE_TEXT = "chi = input()"
+_INPUT_TEMPLATE_NORM = normalize_text(INPUT_TEMPLATE_TEXT)
 
 
 @dataclass(frozen=True)
@@ -70,21 +72,28 @@ class EdgePattern:
     source: Optional[int]
     op_text: Optional[str]
     target: Optional[int]
+    # op_text without whitespace, computed once; interned because the
+    # patterns of a long witness share a few distinct edge texts
+    norm_text: Optional[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        norm = None if self.op_text is None else sys.intern(normalize_text(self.op_text))
+        object.__setattr__(self, "norm_text", norm)
 
     @property
     def is_input_template(self) -> bool:
-        return self.op_text is not None and normalize_text(self.op_text) == "chi=input()"
+        return self.norm_text == _INPUT_TEMPLATE_NORM
 
     def matches(self, edge: CFAEdge) -> bool:
         if self.source is not None and self.source != edge.match_src:
             return False
         if self.target is not None and self.target != edge.match_tgt:
             return False
-        if self.op_text is None:
+        if self.norm_text is None:
             return True
-        if self.is_input_template:
+        if self.norm_text == _INPUT_TEMPLATE_NORM:
             return isinstance(edge.op, InputOp)
-        return normalize_text(self.op_text) == normalize_text(edge.op.text)
+        return self.norm_text == edge.norm_text
 
     def __str__(self) -> str:
         src = "*" if self.source is None else str(self.source)
@@ -122,7 +131,8 @@ class ArtifactAutomaton:
     finals: frozenset
     invariants: dict  # only non-trivial entries
     transitions: tuple
-    _by_source: dict = field(init=False, repr=False, compare=False, default=None)
+    # state -> (explicit transitions, otherwise transition or None)
+    _moves: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         declared = set(self.states)
@@ -133,32 +143,32 @@ class ArtifactAutomaton:
         for state in self.invariants:
             if state not in declared:
                 raise ValueError(f"invariant on undeclared state {state!r}")
-        by_source: dict = {}
-        otherwise_seen = set()
+        explicit: dict = {}
+        otherwise: dict = {}
         for t in self.transitions:
             if t.source not in declared or t.target not in declared:
                 raise ValueError(f"transition {t} uses an undeclared state")
-            if t.otherwise:
-                if t.source in otherwise_seen:
-                    raise DuplicateOtherwise(f"state {t.source!r} has two otherwise transitions")
-                otherwise_seen.add(t.source)
-            by_source.setdefault(t.source, []).append(t)
-        object.__setattr__(self, "_by_source", by_source)
+            if not t.otherwise:
+                explicit.setdefault(t.source, []).append(t)
+            elif t.source in otherwise:
+                raise DuplicateOtherwise(f"state {t.source!r} has two otherwise transitions")
+            else:
+                otherwise[t.source] = t
+        moves = {q: (tuple(explicit.get(q, ())), otherwise.get(q))
+                 for q in explicit.keys() | otherwise.keys()}
+        object.__setattr__(self, "_moves", moves)
 
     def invariant(self, state: str) -> Predicate:
         return self.invariants.get(state, TRUE)
 
-    def transitions_from(self, state: str) -> list:
-        return self._by_source.get(state, [])
-
-    def explicit_from(self, state: str) -> list:
-        return [t for t in self.transitions_from(state) if not t.otherwise]
+    def explicit_from(self, state: str) -> tuple:
+        return self._moves.get(state, _NO_MOVES)[0]
 
     def otherwise_at(self, state: str) -> Optional[Transition]:
-        for t in self.transitions_from(state):
-            if t.otherwise:
-                return t
-        return None
+        return self._moves.get(state, _NO_MOVES)[1]
+
+
+_NO_MOVES = ((), None)
 
 
 def make_automaton(
@@ -195,6 +205,11 @@ def _explicit_fires(transition: Transition, edge: CFAEdge, state_after) -> bool:
     return evaluate(transition.assumption, state_after, chi=_chi_binding(transition, edge))
 
 
+def _otherwise_may_consume(aut: ArtifactAutomaton, edge: CFAEdge) -> bool:
+    # test cases must match input edges explicitly, or the run dies
+    return not (aut.kind is AutomatonKind.TEST_CASE and isinstance(edge.op, InputOp))
+
+
 def otherwise_expansion(aut: ArtifactAutomaton, state: str, program_edge: CFAEdge,
                         state_after) -> bool:
     """Enabledness of the otherwise transition at ``state``.
@@ -204,19 +219,20 @@ def otherwise_expansion(aut: ArtifactAutomaton, state: str, program_edge: CFAEdg
     automata, input edges are never consumed by otherwise: they must be
     matched explicitly or the run dies.
     """
-    if aut.kind is AutomatonKind.TEST_CASE and isinstance(program_edge.op, InputOp):
-        return False
-    for t in aut.explicit_from(state):
-        if _explicit_fires(t, program_edge, state_after):
-            return False
-    return True
+    return _otherwise_may_consume(aut, program_edge) and not any(
+        _explicit_fires(t, program_edge, state_after) for t in aut.explicit_from(state))
 
 
 def _enabled_from(aut: ArtifactAutomaton, state: str, edge: CFAEdge, state_after) -> list:
-    """Transitions a run in ``state`` may take on (edge, post-state)."""
-    enabled = [t for t in aut.explicit_from(state) if _explicit_fires(t, edge, state_after)]
-    ow = aut.otherwise_at(state)
-    if ow is not None and otherwise_expansion(aut, state, edge, state_after):
+    """Transitions a run in ``state`` may take on (edge, post-state).
+
+    Each explicit transition is matched and its assumption evaluated once;
+    the otherwise transition is enabled exactly when none of them fires,
+    as :func:`otherwise_expansion` decides it.
+    """
+    explicit, ow = aut._moves.get(state, _NO_MOVES)
+    enabled = [t for t in explicit if _explicit_fires(t, edge, state_after)]
+    if ow is not None and not enabled and _otherwise_may_consume(aut, edge):
         enabled.append(ow)
     return enabled
 

@@ -3,7 +3,8 @@
 One subcommand per actor plus ``parse`` and ``check-kind`` for artifact
 inspection.  Exit codes: 0 the judgment holds / result true / test covers,
 1 violated / false / not covered, 2 unknown, 64 usage error, 65 unreadable
-or invalid input artifact.  ``--format json`` emits one stable object:
+or invalid input artifact (including one nested too deeply to process),
+70 internal error.  ``--format json`` emits one stable object:
 ``command``, ``verdict``, ``exhausted``, ``config``, ``files``,
 ``wall_time_s``, ``details``.
 """
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -509,6 +511,16 @@ def main(argv=None) -> int:
     except (CoopVerifyError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 65
+    except RecursionError:
+        # parsers and evaluators recurse over the input's expression trees
+        print("error: input nested too deeply to process", file=sys.stderr)
+        return 65
+    except Exception as err:  # a fault of coopverify itself, never a verdict
+        detail = " ".join(str(err).split())
+        where = traceback.extract_tb(err.__traceback__)[-1]
+        print(f"internal error: {type(err).__name__}: {detail} "
+              f"(at {os.path.basename(where.filename)}:{where.lineno})", file=sys.stderr)
+        return 70
     _emit(report, args.format, time.monotonic() - start)
     return report.exit_code
 

@@ -24,6 +24,7 @@ existing one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ParseError, UndefinedVariable, UseBeforeDef
@@ -37,6 +38,7 @@ from .predicates import (
     evaluate,
     expr_text,
     mentions_template,
+    normalize_text,
     parse_arith,
     parse_pred,
     pred_text,
@@ -132,6 +134,11 @@ class CFAEdge:
     @property
     def match_tgt(self) -> int:
         return self.target if self.match_target is None else self.match_target
+
+    @cached_property
+    def norm_text(self) -> str:
+        """The operation text without whitespace, as edge patterns match it."""
+        return normalize_text(self.op.text)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 
 import corpus
 import generators
+from coopverify import automata
 from coopverify.automata import (
     ANY_EDGE,
     ArtifactAutomaton,
@@ -59,6 +60,32 @@ class TestEdgePattern:
         assert EdgePattern(None, "chi = input()", None).is_input_template
         assert not EdgePattern(None, "int x = input()", None).is_input_template
         assert not ANY_EDGE.is_input_template
+
+    def test_05_spacing_does_not_change_what_matches(self, p):
+        def matched(pattern):
+            return [pattern.matches(e) for e in p.edges]
+
+        canonical = matched(EdgePattern(None, "a < x", None))
+        assert canonical.count(True) == 1
+        for text in ("a<x", "  a <  x ", "a\t<\nx"):
+            assert matched(EdgePattern(None, text, None)) == canonical
+        template = EdgePattern(None, "chi=input()", None)
+        assert template.is_input_template
+        assert matched(template) == matched(EdgePattern(None, "chi = input()", None))
+        assert matched(template).count(True) == 1
+
+    def test_06_spacing_still_distinguishes_patterns(self):
+        """Matching ignores whitespace; equality, hashing and printing keep
+        the text as written."""
+        tight, loose = EdgePattern(3, "a<x", 4), EdgePattern(3, "  a <  x ", 4)
+        assert tight != loose
+        assert tight == EdgePattern(3, "a<x", 4)
+        assert hash(tight) == hash((3, "a<x", 4))
+        assert hash(loose) == hash((3, "  a <  x ", 4))
+        assert len({tight, loose, EdgePattern(3, "a<x", 4)}) == 2
+        assert str(loose) == '(3, "  a <  x ", 4)'
+        assert str(ANY_EDGE) == "(*, *, *)"
+        assert repr(loose) == "EdgePattern(source=3, op_text='  a <  x ', target=4)"
 
 
 class TestOtherwiseExpansion:
@@ -170,6 +197,79 @@ class TestFrontiers:
         assert entries == frozenset()
 
 
+# Two explicit transitions and an otherwise transition leave q0.
+TWO_GUARDS = """\
+automaton two_guards kind=property
+state q0 init
+state qa inv: a >= 0
+state qe final
+trans q0 -> qe on (3, "!(a < x)", 6) assume a != b
+trans q0 -> qa on (*, "!(a<x)", *) assume a > 5
+trans q0 -> q0 otherwise
+trans qa -> qa otherwise
+"""
+
+
+class TestSinglePass:
+    """Each step evaluates every matching explicit transition's assumption
+    once, plus the invariant of each target entered; deciding the otherwise
+    transition evaluates nothing further."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        seen = []
+        real = automata.evaluate
+
+        def counting(pred, state, chi=None):
+            seen.append(pred)
+            return real(pred, state, chi=chi)
+
+        monkeypatch.setattr(automata, "evaluate", counting)
+        return seen
+
+    def exit_edge(self, p):
+        return [e for e in p.edges if e.source == 3 and e.target == 6][0]
+
+    def test_01_otherwise_fires_without_reevaluation(self, p, evaluated):
+        aut = parse_automaton(TWO_GUARDS)
+        guards = [t.assumption for t in aut.explicit_from("q0")]
+        succ, _ = step_frontier(aut, frozenset({"q0"}), self.exit_edge(p),
+                                ConcreteDataState({"a": 0, "b": 0, "x": 0}))
+        assert succ == frozenset({"q0"})
+        assert evaluated == guards + [aut.invariant("q0")]
+
+    def test_02_explicit_fires_once(self, p, evaluated):
+        aut = parse_automaton(TWO_GUARDS)
+        guards = [t.assumption for t in aut.explicit_from("q0")]
+        succ, entries = step_frontier(aut, frozenset({"q0"}), self.exit_edge(p),
+                                      ConcreteDataState({"a": 7, "b": 6, "x": 7}))
+        assert succ == frozenset({"qa", "qe"})
+        assert {e.state for e in entries} == {"qe"}
+        assert evaluated == guards + [aut.invariant("qe"), aut.invariant("qa")]
+
+    def test_03_unmatched_edge_evaluates_only_the_invariant(self, p, evaluated):
+        aut = parse_automaton(TWO_GUARDS)
+        body_edge = [e for e in p.edges if e.op.text == "a++"][0]
+        succ, _ = step_frontier(aut, frozenset({"q0"}), body_edge,
+                                ConcreteDataState({"a": 1, "b": 0, "x": 2}))
+        assert succ == frozenset({"q0"})
+        assert evaluated == [aut.invariant("q0")]
+
+    def test_04_test_case_input_edge_never_takes_otherwise(self, p, evaluated):
+        test_case = build_test_case_automaton([4])
+        (chain,) = test_case.explicit_from("q0")
+        input_edge = p.edges[0]
+        succ, _ = step_frontier(test_case, frozenset({"q0", "q1"}), input_edge,
+                                ConcreteDataState({"x": 5}))
+        assert succ == frozenset()
+        assert evaluated == [chain.assumption]
+        evaluated.clear()
+        succ, _ = step_frontier(test_case, frozenset({"q0"}), input_edge,
+                                ConcreteDataState({"x": 4}))
+        assert succ == frozenset({"q1"})
+        assert evaluated == [chain.assumption, test_case.invariant("q1")]
+
+
 class TestAutFormat:
     def test_01_property_sample_shape(self):
         prop = corpus.prop()
@@ -223,6 +323,17 @@ class TestAutFormat:
         wit = corpus.witness_correct()
         assert "s3" in wit.invariants
         assert wit.invariant("s0") == TRUE
+
+    def test_10_serialize_reproduces_the_samples(self):
+        """The samples are written in canonical form, so serializing one
+        gives back its own lines, comments and blank lines aside."""
+        names = sorted(path.name for path in corpus.SAMPLES.glob("*.aut"))
+        assert len(names) == 5
+        for name in names:
+            text = corpus.sample_text(name)
+            lines = [line.strip() for line in text.splitlines()
+                     if line.strip() and not line.strip().startswith("#")]
+            assert serialize_automaton(parse_automaton(text)) == "\n".join(lines) + "\n"
 
 
 def verdict_triple(v):

@@ -5,6 +5,7 @@ import json
 import corpus
 from coopverify import (
     AutomatonKind,
+    actors,
     parse_automaton,
     parse_cfa,
     validate_kind,
@@ -326,6 +327,41 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "verify", "--program", sample("p.imp"),
                                "--property", sample("cond.aut"))
         assert code == 65
+
+    def test_07_deeply_nested_parentheses(self, capsys, tmp_path):
+        deep = tmp_path / "deep.imp"
+        deep.write_text("int x = " + "(" * 1500 + "1" + ")" * 1500 + ";\n")
+        code, _, err = run_cli(capsys, "parse", "--program", str(deep))
+        assert code == 65
+        assert err.startswith("error: ") and "nested too deeply" in err
+        assert err.count("\n") == 1
+
+    def test_08_long_sum_nests_deeply_when_evaluated(self, capsys, tmp_path):
+        sum_text = " + ".join(["x"] * 3000)
+        prop = tmp_path / "deep.aut"
+        prop.write_text("automaton deep kind=property\n"
+                        "state q0 init\nstate qe final\n"
+                        "trans q0 -> q0 otherwise\n"
+                        f"trans q0 -> qe on (*, *, *) assume {sum_text} < 0\n")
+        parse_automaton(prop.read_text())
+        program = tmp_path / "x.imp"
+        program.write_text("int x = 1;\n")
+        code, _, err = run_cli(capsys, "verify", "--program", str(program),
+                               "--property", str(prop))
+        assert code == 65
+        assert err.startswith("error: ") and "nested too deeply" in err
+        assert err.count("\n") == 1
+
+    def test_09_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no such\nthing")
+        monkeypatch.setattr(actors, "verify", broken)
+        code, out, err = run_cli(capsys, "verify", "--program", sample("p.imp"),
+                                 "--property", sample("prop.aut"))
+        assert code == 70
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError: no such thing (at test_cli.py:")
+        assert err.count("\n") == 1
 
 
 class TestSampleFiles:
