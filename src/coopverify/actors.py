@@ -24,7 +24,6 @@ from .automata import (
     ArtifactAutomaton,
     AutomatonKind,
     EdgePattern,
-    FinalEntry,
     Transition,
     make_automaton,
     match_path,
@@ -36,8 +35,11 @@ from .engine import (
     ProductVisit,
     Verdict,
     VisitAction,
+    _property_accepts,
+    _search,
+    _uncovered_or_accepted,
+    _verdict,
     check_correctness_witness,
-    check_test_covers,
     check_violation_witness,
     require_valid_kind,
     run_product,
@@ -51,8 +53,6 @@ from .lang import (
     ControlFlowAutomaton,
     EMPTY_STATE,
     InputOp,
-    Assume,
-    Assignment,
     PathStep,
     assume_op,
     make_cfa,
@@ -70,7 +70,6 @@ from .predicates import (
     Var,
     conjoin,
     disjoin,
-    evaluate,
     substitute_template,
 )
 
@@ -95,7 +94,7 @@ class VerdictBundle:
     witness: Optional[ArtifactAutomaton]
     condition: Optional[ArtifactAutomaton]
     config: AnalysisConfig
-    judgment: Optional[Judgment] = None
+    judgment: Judgment
 
 
 # ---------------------------------------------------------------------------
@@ -173,44 +172,42 @@ def correctness_witness_from_observations(program: ControlFlowAutomaton,
 # ---------------------------------------------------------------------------
 # Verifier
 
+def _self_validated(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
+                    witness: ArtifactAutomaton, config: AnalysisConfig) -> ArtifactAutomaton:
+    """The synthesized witness, once its own judgment holds on it."""
+    if witness.kind is AutomatonKind.VIOLATION_WITNESS:
+        judgment = check_violation_witness(program, prop, witness, config)
+    else:
+        judgment = check_correctness_witness(program, prop, witness, config)
+    if judgment.verdict is not Verdict.HOLDS:
+        raise InvalidArtifact(f"synthesized {witness.kind.value.replace('-', ' ')} "
+                              "failed self-validation")
+    return witness
+
+
 def verify(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
            config: AnalysisConfig = DEFAULT_CONFIG) -> VerdictBundle:
     """Decide whether the program fulfills the property, with a witness.
 
-    A single exploration both searches for a property-accepted path and
-    records the data states seen per location.  On violation the evidence
-    path becomes a single-path violation witness; on success the recorded
-    states become correctness-witness invariants.  Both witnesses are
-    re-checked by the corresponding judgment before being returned.
+    Runs the search of :func:`check_fulfills` while recording the data
+    states explored per location.  On violation the evidence path becomes a
+    single-path violation witness; on success the recorded states become
+    correctness-witness invariants.  Either witness is re-checked by its
+    judgment before being returned.
     """
     require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
     observed: dict = defaultdict(list)
-    found: list = []
-
-    def visit(v: ProductVisit) -> VisitAction:
-        observed[v.location].append(v.state)
-        if v.accepted(0):
-            found.append(v.path)
-            return VisitAction.STOP
-        return VisitAction.CONTINUE
-
-    truncated = run_product(program, (prop,), config, visit)
-    if found:
-        witness = violation_witness_from_path(found[0])
-        replay = check_violation_witness(program, prop, witness, config)
-        if replay.verdict is not Verdict.HOLDS:
-            raise InvalidArtifact("synthesized violation witness failed self-validation")
-        judgment = Judgment(Verdict.VIOLATED, found[0], not truncated, config)
-        return VerdictBundle(Result.FALSE, witness, None, config, judgment)
-    if truncated:
-        judgment = Judgment(Verdict.UNKNOWN, None, False, config)
+    evidence, truncated = _search(program, (prop,), config, _property_accepts,
+                                  observed=observed)
+    judgment = _verdict(config, evidence, truncated, universal=True)
+    if judgment.verdict is Verdict.UNKNOWN:
         return VerdictBundle(Result.UNKNOWN, None, None, config, judgment)
-    witness = correctness_witness_from_observations(program, observed)
-    replay = check_correctness_witness(program, prop, witness, config)
-    if replay.verdict is not Verdict.HOLDS:
-        raise InvalidArtifact("synthesized correctness witness failed self-validation")
-    judgment = Judgment(Verdict.HOLDS, None, True, config)
-    return VerdictBundle(Result.TRUE, witness, None, config, judgment)
+    if evidence is not None:
+        result, witness = Result.FALSE, violation_witness_from_path(evidence)
+    else:
+        result, witness = Result.TRUE, correctness_witness_from_observations(program, observed)
+    return VerdictBundle(result, _self_validated(program, prop, witness, config), None,
+                         config, judgment)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +219,10 @@ def validate_result(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     """Confirm a claimed result by checking its witness against the program.
 
     A valid violation witness confirms "false", a valid correctness witness
-    confirms "true"; each confirmation re-derives a fresh witness.  Anything
-    else is unconfirmed and reported as unknown without a witness.
+    confirms "true"; each confirmation re-derives a fresh witness, the
+    latter from the data states seen by its own untruncated search, which
+    are the ones :func:`verify` sees.  Anything else is unconfirmed and
+    reported as unknown without a witness.
     """
     if witness.kind is AutomatonKind.VIOLATION_WITNESS:
         judgment = check_violation_witness(program, prop, witness, config)
@@ -232,10 +231,16 @@ def validate_result(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
             return VerdictBundle(Result.FALSE, rederived, None, config, judgment)
         return VerdictBundle(Result.UNKNOWN, None, None, config, judgment)
     if witness.kind is AutomatonKind.CORRECTNESS_WITNESS:
-        judgment = check_correctness_witness(program, prop, witness, config)
+        require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
+        require_valid_kind(witness, AutomatonKind.CORRECTNESS_WITNESS, program, config)
+        observed: dict = defaultdict(list)
+        judgment = _verdict(config, *_search(program, (prop, witness), config,
+                                             _uncovered_or_accepted, observed=observed),
+                            universal=True)
         if judgment.verdict is Verdict.HOLDS:
-            rederived = verify(program, prop, config)
-            return VerdictBundle(Result.TRUE, rederived.witness, None, config, judgment)
+            rederived = correctness_witness_from_observations(program, observed)
+            return VerdictBundle(Result.TRUE, _self_validated(program, prop, rederived, config),
+                                 None, config, judgment)
         return VerdictBundle(Result.UNKNOWN, None, None, config, judgment)
     raise InvalidArtifact(
         f"expected a violation or correctness witness, got {witness.kind.value}")

@@ -116,26 +116,15 @@ _RESULT_CODES = {"true": 0, "false": 1, "unknown": 2}
 _VERDICT_CODES = {"holds": 0, "violated": 1, "unknown": 2}
 
 
-def _judgment_details(judgment) -> dict:
-    return {"judgment": judgment.to_json_dict()}
-
-
 def _bundle_report(command: str, bundle, config: AnalysisConfig) -> RunReport:
     verdict = bundle.result.value
-    exhausted = bundle.judgment.exhausted if bundle.judgment else None
+    judgment = bundle.judgment
     report = RunReport(command, verdict, _RESULT_CODES[verdict],
-                       exhausted=exhausted, config=config.to_json_dict())
-    lines = [f"verdict: {verdict}"]
-    if exhausted is not None:
-        lines.append(f"exhausted: {'yes' if exhausted else 'no'}")
-    lines.append(f"config: {config}")
-    if bundle.judgment is not None:
-        report.details.update(_judgment_details(bundle.judgment))
-        if bundle.judgment.evidence is not None:
-            lines.append("evidence:")
-            lines.extend(f"  {line}"
-                         for line in str(bundle.judgment.evidence).splitlines())
-    report.text_lines.append("\n".join(lines))
+                       exhausted=judgment.exhausted, config=config.to_json_dict(),
+                       details={"judgment": judgment.to_json_dict()})
+    # the judgment's own report, headed by the program-level result
+    _, rest = judgment.text().split("\n", 1)
+    report.text_lines.append(f"verdict: {verdict}\n{rest}")
     return report
 
 
@@ -143,12 +132,6 @@ def _maybe_write_witness(args, bundle, report: RunReport) -> None:
     if bundle.witness is not None:
         path = _write_file(args, "witness.aut", serialize_automaton(bundle.witness), report)
         report.details["witness_file"] = path
-
-
-def _maybe_write_condition(args, bundle, report: RunReport) -> None:
-    if bundle.condition is not None:
-        path = _write_file(args, "condition.aut", serialize_automaton(bundle.condition), report)
-        report.details["condition_file"] = path
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +198,7 @@ def _cmd_check_condition(args) -> RunReport:
     verdict = judgment.verdict.value
     report = RunReport("check-condition", verdict, _VERDICT_CODES[verdict],
                        exhausted=judgment.exhausted, config=config.to_json_dict(),
-                       details=_judgment_details(judgment))
+                       details={"judgment": judgment.to_json_dict()})
     report.text_lines.append(judgment.text())
     return report
 

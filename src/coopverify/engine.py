@@ -4,7 +4,10 @@ A single synchronous-product explorer drives everything: program
 configurations (data state, location) are extended with one state-frontier
 per observing automaton, plus the set of final states each automaton has
 entered so far (acceptance latches once entered, since acceptance is stable
-under path extension).  Each judgment is a thin visitor over this product:
+under path extension).  Each judgment is a choice of automata, a ``hit``
+predicate on configurations (plus a ``prune`` one where needed) and a
+polarity over one stop-at-first search.  A hit violates a universal judgment
+("no path may") and makes an existential one ("some path must") hold:
 
 * ``check_fulfills`` - no program path may be accepted by the property;
 * ``check_correctness_witness`` - the witness must cover every path and the
@@ -284,26 +287,71 @@ def require_valid_kind(aut: ArtifactAutomaton, kind: AutomatonKind,
                               report)
 
 
+def _search(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton],
+            config: AnalysisConfig, hit: Callable[[ProductVisit], bool],
+            prune: Optional[Callable[[ProductVisit], bool]] = None,
+            observed: Optional[dict] = None) -> tuple:
+    """The prefix reaching the first configuration in depth-first order that
+    satisfies ``hit`` (or None), and whether the step bound truncated the
+    search.  ``prune`` cuts a configuration's extensions; ``observed``, a
+    ``defaultdict(list)``, collects each explored data state per location."""
+    found: list = []
+
+    def visit(v: ProductVisit) -> VisitAction:
+        if observed is not None:
+            observed[v.location].append(v.state)
+        if hit(v):
+            found.append(v.path)
+            return VisitAction.STOP
+        if prune is not None and prune(v):
+            return VisitAction.PRUNE
+        return VisitAction.CONTINUE
+
+    truncated = run_product(program, automata, config, visit)
+    return (found[0] if found else None), truncated
+
+
+def _verdict(config: AnalysisConfig, evidence: Optional[ConcretePath] = None,
+             truncated: bool = False, *, universal: bool) -> Judgment:
+    """The verdict rule of every judgment: a hit (``evidence``) violates a
+    universal judgment, definitively only if nothing was truncated, and makes
+    an existential one hold, definitively regardless.  Without a hit,
+    truncation means unknown and exhaustion the opposite verdict."""
+    if evidence is not None:
+        if universal:
+            return Judgment(Verdict.VIOLATED, evidence, not truncated, config)
+        return Judgment(Verdict.HOLDS, evidence, True, config)
+    if truncated:
+        return Judgment(Verdict.UNKNOWN, None, False, config)
+    return Judgment(Verdict.HOLDS if universal else Verdict.VIOLATED, None, True, config)
+
+
+# Hit and prune predicates; automaton 0 is the property in every product.
+
+def _property_accepts(v: ProductVisit) -> bool:
+    return v.accepted(0)
+
+
+def _uncovered_or_accepted(v: ProductVisit) -> bool:
+    return not v.frontiers[1] or v.accepted(0)
+
+
+def _both_accept(v: ProductVisit) -> bool:
+    return v.accepted(0) and v.accepted(1)
+
+
+def _witness_lost(v: ProductVisit) -> bool:
+    return not v.frontiers[1] and not v.accepted(1)
+
+
 def check_fulfills(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
                    config: AnalysisConfig = DEFAULT_CONFIG) -> Judgment:
     """No program path may be accepted by the property automaton."""
     require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
     if not prop.finals:
-        return Judgment(Verdict.HOLDS, None, True, config)
-    found: list = []
-
-    def visit(v: ProductVisit) -> VisitAction:
-        if v.accepted(0):
-            found.append(v.path)
-            return VisitAction.STOP
-        return VisitAction.CONTINUE
-
-    truncated = run_product(program, (prop,), config, visit)
-    if found:
-        return Judgment(Verdict.VIOLATED, found[0], not truncated, config)
-    if truncated:
-        return Judgment(Verdict.UNKNOWN, None, False, config)
-    return Judgment(Verdict.HOLDS, None, True, config)
+        return _verdict(config, universal=True)
+    return _verdict(config, *_search(program, (prop,), config, _property_accepts),
+                    universal=True)
 
 
 def check_correctness_witness(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
@@ -314,20 +362,8 @@ def check_correctness_witness(program: ControlFlowAutomaton, prop: ArtifactAutom
     prefix."""
     require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
     require_valid_kind(witness, AutomatonKind.CORRECTNESS_WITNESS, program, config)
-    found: list = []
-
-    def visit(v: ProductVisit) -> VisitAction:
-        if not v.frontiers[1] or v.accepted(0):
-            found.append(v.path)
-            return VisitAction.STOP
-        return VisitAction.CONTINUE
-
-    truncated = run_product(program, (prop, witness), config, visit)
-    if found:
-        return Judgment(Verdict.VIOLATED, found[0], not truncated, config)
-    if truncated:
-        return Judgment(Verdict.UNKNOWN, None, False, config)
-    return Judgment(Verdict.HOLDS, None, True, config)
+    return _verdict(config, *_search(program, (prop, witness), config,
+                                     _uncovered_or_accepted), universal=True)
 
 
 def check_violation_witness(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
@@ -344,23 +380,9 @@ def check_violation_witness(program: ControlFlowAutomaton, prop: ArtifactAutomat
     require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
     require_valid_kind(witness, AutomatonKind.VIOLATION_WITNESS, program, config)
     if not prop.finals or not witness.finals:
-        return Judgment(Verdict.VIOLATED, None, True, config)
-    found: list = []
-
-    def visit(v: ProductVisit) -> VisitAction:
-        if v.accepted(0) and v.accepted(1):
-            found.append(v.path)
-            return VisitAction.STOP
-        if not v.frontiers[1] and not v.accepted(1):
-            return VisitAction.PRUNE
-        return VisitAction.CONTINUE
-
-    truncated = run_product(program, (prop, witness), config, visit)
-    if found:
-        return Judgment(Verdict.HOLDS, found[0], True, config)
-    if truncated:
-        return Judgment(Verdict.UNKNOWN, None, False, config)
-    return Judgment(Verdict.VIOLATED, None, True, config)
+        return _verdict(config, universal=False)
+    return _verdict(config, *_search(program, (prop, witness), config, _both_accept,
+                                     prune=_witness_lost), universal=False)
 
 
 def check_condition_correct(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
@@ -371,21 +393,9 @@ def check_condition_correct(program: ControlFlowAutomaton, prop: ArtifactAutomat
     require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
     require_valid_kind(condition, AutomatonKind.CONDITION, program, config)
     if not prop.finals or not condition.finals:
-        return Judgment(Verdict.HOLDS, None, True, config)
-    found: list = []
-
-    def visit(v: ProductVisit) -> VisitAction:
-        if v.accepted(0) and v.accepted(1):
-            found.append(v.path)
-            return VisitAction.STOP
-        return VisitAction.CONTINUE
-
-    truncated = run_product(program, (prop, condition), config, visit)
-    if found:
-        return Judgment(Verdict.VIOLATED, found[0], not truncated, config)
-    if truncated:
-        return Judgment(Verdict.UNKNOWN, None, False, config)
-    return Judgment(Verdict.HOLDS, None, True, config)
+        return _verdict(config, universal=True)
+    return _verdict(config, *_search(program, (prop, condition), config, _both_accept),
+                    universal=True)
 
 
 def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],
@@ -401,7 +411,7 @@ def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],
     require_valid_kind(goals, AutomatonKind.TEST_GOAL, program, config)
     test_case = build_test_case_automaton(test)
     if not goals.finals:
-        return Judgment(Verdict.VIOLATED, None, True, config), frozenset()
+        return _verdict(config, universal=False), frozenset()
     found: list = []
     covered: set = set()
 
@@ -415,11 +425,8 @@ def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],
         return VisitAction.CONTINUE
 
     truncated = run_product(program, (goals, test_case), config, visit)
-    if found:
-        return Judgment(Verdict.HOLDS, found[0], True, config), frozenset(covered)
-    if truncated:
-        return Judgment(Verdict.UNKNOWN, None, False, config), frozenset()
-    return Judgment(Verdict.VIOLATED, None, True, config), frozenset()
+    judgment = _verdict(config, found[0] if found else None, truncated, universal=False)
+    return judgment, frozenset(covered)
 
 
 ORACLE_BUDGET = 1_000_000

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import coopverify.actors as actors_module
+import coopverify.engine as engine_module
 import corpus
 import generators
 from corpus import CFG2, residual_prefixes, uncovered_prefixes
@@ -34,6 +36,7 @@ from coopverify import (
     parse_program,
     pred_text,
     reduce,
+    serialize_automaton,
     validate_kind,
     validate_result,
     verify,
@@ -49,6 +52,7 @@ from coopverify.actors import (
     reduce_with_origin,
 )
 from coopverify.automata import naive_match_path
+from coopverify.engine import Judgment
 from coopverify.lang import replay_path
 
 
@@ -465,3 +469,76 @@ class TestCooperation:
             bundle = verify(program, corpus.prop(), cfg4)
             confirmed = validate_result(program, corpus.prop(), bundle.witness, cfg4)
             assert confirmed.result is expected
+
+
+class TestOneExploration:
+    """verify and validate_result explore through the judgments' search: one
+    product run for the verdict plus one for the witness's self-validation."""
+
+    @staticmethod
+    def _count_runs(monkeypatch) -> list:
+        """Record every call of ``engine.run_product``, through any binding."""
+        calls = []
+        original = engine_module.run_product
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        for module in (engine_module, actors_module):
+            monkeypatch.setattr(module, "run_product", counting)
+        return calls
+
+    def test_01_validating_a_correctness_witness_explores_twice(self, p, cfg4, monkeypatch):
+        witness = verify(p, corpus.prop(), cfg4).witness
+        calls = self._count_runs(monkeypatch)
+        bundle = validate_result(p, corpus.prop(), witness, cfg4)
+        assert bundle.result is Result.TRUE
+        assert len(calls) == 2
+
+    def test_02_verify_explores_twice(self, p, p_prime, cfg4, monkeypatch):
+        calls = self._count_runs(monkeypatch)
+        for program in (p, p_prime):
+            calls.clear()
+            verify(program, corpus.prop(), cfg4)
+            assert len(calls) == 2
+
+    def test_03_rederived_correctness_witness_is_the_verified_one(self, p, cfg4):
+        claimed = verify(p, corpus.prop(), cfg4)
+        echoed = validate_result(p, corpus.prop(), claimed.witness, cfg4)
+        assert serialize_automaton(echoed.witness) == serialize_automaton(claimed.witness)
+        rng = random.Random(4417)
+        goalless = parse_automaton(corpus.GOALLESS_PROPERTY)
+        compared = 0
+        for _ in range(50):
+            program = generators.random_program(rng)
+            for prop in (generators.random_property(rng, program), goalless):
+                claimed = verify(program, prop, CFG2)
+                if claimed.result is not Result.TRUE:
+                    continue
+                echoed = validate_result(program, prop, claimed.witness, CFG2)
+                assert echoed.result is Result.TRUE
+                assert serialize_automaton(echoed.witness) == serialize_automaton(claimed.witness)
+                compared += 1
+        assert compared >= 50
+
+    @pytest.mark.parametrize("check, kind", [
+        ("check_violation_witness", "violation"),
+        ("check_correctness_witness", "correctness"),
+    ])
+    def test_04_failed_self_validation_is_an_invalid_artifact(self, p, p_prime, cfg4,
+                                                              monkeypatch, check, kind):
+        def refuted(program, prop, witness, config):
+            return Judgment(Verdict.VIOLATED, None, True, config)
+
+        monkeypatch.setattr(actors_module, check, refuted)
+        program = p_prime if kind == "violation" else p
+        message = f"synthesized {kind} witness failed self-validation"
+        with pytest.raises(InvalidArtifact) as raised:
+            verify(program, corpus.prop(), cfg4)
+        assert str(raised.value) == message
+        if kind == "correctness":
+            # the witness validate_result re-derives is self-validated too
+            with pytest.raises(InvalidArtifact) as raised:
+                validate_result(p, corpus.prop(), corpus.witness_correct(), cfg4)
+            assert str(raised.value) == message

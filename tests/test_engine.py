@@ -413,3 +413,63 @@ int e = 1;
             return VisitAction.CONTINUE
 
         run_product(p_prime, (corpus.prop(),), CFG2, check)
+
+
+class TestVerdictRule:
+    """One rule turns a hit and the truncation flag into every verdict: a hit
+    violates a universal judgment (definitively only without truncation) and
+    makes an existential one hold (definitively regardless); no hit under
+    truncation is unknown."""
+
+    TIGHT = AnalysisConfig(Interval(-4, 4), 2)
+
+    # Accepts the first read when it is 4; depth-first order reads -4 first,
+    # whose prefix is cut at the step bound before 4 is tried.
+    READS_FOUR = """\
+automaton reads_four kind=property
+state q0 init
+state qe final
+trans q0 -> qe on (0, "int x = input()", 1) assume x == 4
+trans q0 -> q0 otherwise
+"""
+
+    FIRST_READ = """\
+automaton first_read kind=violation-witness
+state w0 init
+state w1 final
+trans w0 -> w1 on (0, "int x = input()", 1)
+"""
+
+    def test_01_no_hit_under_truncation_is_unknown_for_every_judgment(self, p, p_prime):
+        prop = corpus.prop()
+        judgments = [
+            check_fulfills(p, prop, self.TIGHT),
+            check_correctness_witness(p, prop, corpus.witness_correct(), self.TIGHT),
+            check_violation_witness(p_prime, prop, corpus.witness_violation(), self.TIGHT),
+            check_condition_correct(p_prime, prop, corpus.cond(), self.TIGHT),
+        ]
+        covers, goals = check_test_covers(p, (1,), corpus.goals(), self.TIGHT)
+        judgments.append(covers)
+        assert goals == frozenset()
+        for judgment in judgments:
+            assert judgment.verdict is Verdict.UNKNOWN
+            assert not judgment.exhausted
+            assert judgment.evidence is None
+
+    def test_02_existential_hit_despite_truncation_holds_exhausted(self, p):
+        prop = parse_automaton(self.READS_FOUR)
+        witness = parse_automaton(self.FIRST_READ)
+        judgment = check_violation_witness(p, prop, witness, self.TIGHT)
+        assert judgment.verdict is Verdict.HOLDS
+        assert judgment.exhausted
+        assert judgment.evidence.inputs() == (4,)
+
+    def test_03_universal_hit_under_truncation_is_violated_not_exhausted(self, p):
+        prop = parse_automaton(self.READS_FOUR)
+        judgment = check_fulfills(p, prop, self.TIGHT)
+        assert judgment.verdict is Verdict.VIOLATED
+        assert not judgment.exhausted
+        assert judgment.evidence.inputs() == (4,)
+        bundle = verify(p, prop, self.TIGHT)
+        assert bundle.result is Result.FALSE
+        assert bundle.judgment == judgment
