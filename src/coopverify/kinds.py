@@ -52,8 +52,9 @@ class NonBlocking:
     For every non-final state and every program edge, the disjunction of the
     assumptions of the transitions able to consume that edge must hold on
     every data state.  A syntactic complementary pair proves a cell outright;
-    everything else is checked by bounded enumeration, so the best overall
-    answer is then ``bounded-proved``.
+    everything else is checked by bounded enumeration, which compiles the
+    cell's disjunction once and runs it on every assignment, so the best
+    overall answer is then ``bounded-proved``.
     """
 
     status: str

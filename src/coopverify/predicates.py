@@ -17,6 +17,7 @@ defaulting, so callers can tell "false" from "not evaluable".
 
 from __future__ import annotations
 
+import ast
 import itertools
 import re
 from dataclasses import dataclass
@@ -565,6 +566,71 @@ def has_complement_pair(preds: Sequence[Predicate]) -> bool:
     return any(p == n for p in plain for n in negated)
 
 
+# The bounded check runs each predicate on every assignment, so it compiles the
+# predicate once into a function of positional parameters ``v0 .. v{n-1}``.
+# The function is built as a syntax tree, never as source text: identifiers
+# never enter the generated code, and no tokenizer nesting limit applies.
+_AST_BINOP = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
+_AST_COMPARE = {"==": ast.Eq, "!=": ast.NotEq, "<": ast.Lt, "<=": ast.LtE,
+                ">": ast.Gt, ">=": ast.GtE}
+_AT = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
+
+
+def _leaf(node: ast.expr, room: int = 3) -> ast.expr:
+    # compile converts the tree recursively, two levels deeper than lowering
+    # reaches (the Expression and the Lambda around the body); each leaf
+    # recurses three more levels first, so a tree too deep for the recursion
+    # limit fails while it is lowered and never reaches compile
+    return _leaf(node, room - 1) if room else node
+
+
+def _lower_expr(expr: Expr, params: Mapping[str, str]) -> ast.expr:
+    if isinstance(expr, Const):
+        return _leaf(ast.Constant(value=expr.value, **_AT))
+    if isinstance(expr, Var):
+        return _leaf(ast.Name(id=params[expr.name], ctx=ast.Load(), **_AT))
+    if isinstance(expr, Neg):
+        return ast.UnaryOp(op=ast.USub(), operand=_lower_expr(expr.operand, params),
+                           **_AT)
+    if isinstance(expr, BinExpr):
+        left = _lower_expr(expr.left, params)
+        right = _lower_expr(expr.right, params)
+        if expr.op not in _AST_BINOP:
+            raise ValueError(f"unknown operator {expr.op!r}")
+        return ast.BinOp(left=left, op=_AST_BINOP[expr.op](), right=right, **_AT)
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def _lower_pred(pred: Predicate, params: Mapping[str, str]) -> ast.expr:
+    if isinstance(pred, BoolConst):
+        return _leaf(ast.Constant(value=pred.value, **_AT))
+    if isinstance(pred, Comparison):
+        op = _AST_COMPARE[pred.op]()
+        return ast.Compare(left=_lower_expr(pred.left, params), ops=[op],
+                           comparators=[_lower_expr(pred.right, params)], **_AT)
+    if isinstance(pred, Not):
+        return ast.UnaryOp(op=ast.Not(), operand=_lower_pred(pred.operand, params), **_AT)
+    if isinstance(pred, (And, Or)):
+        op = ast.And() if isinstance(pred, And) else ast.Or()
+        return ast.BoolOp(op=op, values=[_lower_pred(pred.left, params),
+                                         _lower_pred(pred.right, params)], **_AT)
+    raise TypeError(f"not a predicate: {pred!r}")
+
+
+def _compile_predicate(pred: Predicate, names: Sequence[str]):
+    """``pred`` as a function taking the values of ``names`` positionally.
+
+    Raises what :func:`evaluate` raises on a malformed tree, before anything
+    is compiled, and :class:`RecursionError` on a tree too deep to walk.
+    """
+    params = {name: f"v{i}" for i, name in enumerate(names)}
+    body = _lower_pred(pred, params)
+    args = ast.arguments(posonlyargs=[], args=[ast.arg(arg=v, **_AT) for v in params.values()],
+                         vararg=None, kwonlyargs=[], kw_defaults=[], kwarg=None, defaults=[])
+    tree = ast.Expression(body=ast.Lambda(args=args, body=body, **_AT))
+    return eval(compile(tree, "<predicate>", "eval"), {"__builtins__": {}})
+
+
 def is_tautology_bounded(
     pred: Predicate, variables: Sequence[str], domain: Interval
 ) -> TautologyResult:
@@ -572,10 +638,12 @@ def is_tautology_bounded(
     over ``domain``.
 
     Disjunctions containing a complementary pair {d, !(d)} are recognized
-    without enumeration.  Otherwise all assignments are tried in
-    smallest-magnitude-first order, so a returned counterexample is a simplest
-    one.  When the predicate reads variables outside ``variables`` no verdict
-    is possible and the result is inconclusive.
+    without enumeration.  Otherwise the predicate is compiled once into a
+    function of the sorted variables' values, and that function runs on all
+    assignments in smallest-magnitude-first order, so a returned
+    counterexample is a simplest one.  When the predicate reads variables
+    outside ``variables`` no verdict is possible and the result is
+    inconclusive.
     """
     if mentions_template(pred):
         raise UnboundTemplate()
@@ -585,9 +653,8 @@ def is_tautology_bounded(
     needed = variables_of(pred)
     if not needed <= set(names):
         return TautologyResult("inconclusive")
-    order = domain.values_by_magnitude()
-    for values in itertools.product(order, repeat=len(names)):
-        assignment = dict(zip(names, values))
-        if not evaluate(pred, assignment):
-            return TautologyResult("falsifiable", counterexample=assignment)
+    holds = _compile_predicate(pred, names)
+    for values in itertools.product(domain.values_by_magnitude(), repeat=len(names)):
+        if not holds(*values):
+            return TautologyResult("falsifiable", counterexample=dict(zip(names, values)))
     return TautologyResult("tautology")

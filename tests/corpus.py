@@ -9,8 +9,10 @@ A few extra automata that only tests need are defined inline.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from coopverify import (
     AnalysisConfig,
@@ -21,8 +23,18 @@ from coopverify import (
     parse_automaton,
     parse_program,
 )
+from coopverify import predicates
 from coopverify.actors import project_residual_path, reduce_with_origin
 from coopverify.automata import naive_match_path
+from coopverify.errors import UnboundTemplate
+from coopverify.predicates import (
+    TautologyResult,
+    _disjuncts,
+    evaluate,
+    has_complement_pair,
+    mentions_template,
+    variables_of,
+)
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -192,3 +204,46 @@ def uncovered_prefixes(program, cond, config):
             continue
         keep.append([(step.incoming, step.state) for step in path.steps[1:]])
     return prefix_closure(keep)
+
+
+# ---------------------------------------------------------------------------
+# Tree-walking reference for the bounded tautology check: the same contract
+# as ``predicates.is_tautology_bounded``, with every assignment a dict handed
+# to ``evaluate``.
+
+def reference_tautology(pred, variables, domain) -> TautologyResult:
+    if mentions_template(pred):
+        raise UnboundTemplate()
+    if has_complement_pair(_disjuncts(pred)):
+        return TautologyResult("tautology", syntactic=True)
+    names = sorted(set(variables))
+    if not variables_of(pred) <= set(names):
+        return TautologyResult("inconclusive")
+    for values in itertools.product(domain.values_by_magnitude(), repeat=len(names)):
+        assignment = dict(zip(names, values))
+        if not evaluate(pred, assignment):
+            return TautologyResult("falsifiable", counterexample=assignment)
+    return TautologyResult("tautology")
+
+
+def log_compiles(monkeypatch):
+    """Log the compile helper's calls, and the trees ``compile`` received
+    and the exceptions it raised."""
+    log = SimpleNamespace(helper_calls=[], trees=[], errors=[])
+    helper = predicates._compile_predicate
+
+    def logged_helper(pred, names):
+        log.helper_calls.append(pred)
+        return helper(pred, names)
+
+    def logged_compile(tree, *args, **kwargs):
+        log.trees.append(tree)
+        try:
+            return compile(tree, *args, **kwargs)
+        except Exception as exc:
+            log.errors.append(exc)
+            raise
+
+    monkeypatch.setattr(predicates, "_compile_predicate", logged_helper)
+    monkeypatch.setattr(predicates, "compile", logged_compile, raising=False)
+    return log

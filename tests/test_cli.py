@@ -6,6 +6,7 @@ import corpus
 from coopverify import (
     AutomatonKind,
     actors,
+    kinds,
     parse_automaton,
     parse_cfa,
     validate_kind,
@@ -362,6 +363,46 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("internal error: RuntimeError: no such thing (at test_cli.py:")
         assert err.count("\n") == 1
+
+
+def two_guard_cell(tmp_path, terms):
+    """A program and a property whose every non-blocking cell is the two
+    guards ``x + … + x >= 0`` and ``x + … + x < 0`` (``terms`` summands)."""
+    sum_text = " + ".join(["x"] * terms)
+    prop = tmp_path / "long.aut"
+    prop.write_text("automaton long_guard kind=property\n"
+                    "state q0 init\nstate qe final\n"
+                    f"trans q0 -> q0 on (*, *, *) assume {sum_text} >= 0\n"
+                    f"trans q0 -> qe on (*, *, *) assume {sum_text} < 0\n")
+    program = tmp_path / "x.imp"
+    program.write_text("int x = input();\nint y = x;\n")
+    return ["check-kind", "--program", str(program), "--property", str(prop)]
+
+
+def without_wall_time(text):
+    return "\n".join(line for line in text.splitlines() if not line.startswith("wall time:"))
+
+
+class TestLongGuards:
+    def test_01_long_guard_is_enumerated_as_the_reference_does(self, capsys, monkeypatch,
+                                                                tmp_path):
+        argv = two_guard_cell(tmp_path, 900)
+        log = corpus.log_compiles(monkeypatch)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "non-blocking: bounded-proved" in out
+        assert len(log.trees) == 2 and log.errors == []
+        monkeypatch.setattr(kinds, "is_tautology_bounded", corpus.reference_tautology)
+        reference = run_cli(capsys, *argv)
+        assert (code, without_wall_time(out)) == (reference[0], without_wall_time(reference[1]))
+
+    def test_02_too_long_guard_is_refused_before_compiling(self, capsys, monkeypatch, tmp_path):
+        log = corpus.log_compiles(monkeypatch)
+        code, out, err = run_cli(capsys, *two_guard_cell(tmp_path, 3000))
+        assert code == 65
+        assert err == "error: input nested too deeply to process\n"
+        assert "Traceback" not in out + err
+        assert log.trees == []
 
 
 class TestSampleFiles:
