@@ -112,6 +112,13 @@ class Transition:
     pattern: Optional[EdgePattern]  # None exactly for otherwise transitions
     assumption: Predicate = TRUE
     otherwise: bool = False
+    # whether the template placeholder stands for the edge's input variable
+    # when this transition is evaluated: exactly for the input-template pattern
+    binds_chi: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "binds_chi",
+                           self.pattern is not None and self.pattern.is_input_template)
 
     def __str__(self) -> str:
         if self.otherwise:
@@ -193,21 +200,23 @@ def make_automaton(
 # ---------------------------------------------------------------------------
 # Transition enabledness
 
-def _chi_binding(transition: Transition, edge: CFAEdge) -> Optional[str]:
-    if transition.pattern is not None and transition.pattern.is_input_template:
-        return edge.op.target  # the variable receiving the input value
-    return None
+def _input_target(edge: CFAEdge) -> Optional[str]:
+    """The variable receiving the input value on an input edge, else None."""
+    op = edge.op
+    return op.target if isinstance(op, InputOp) else None
 
 
-def _explicit_fires(transition: Transition, edge: CFAEdge, state_after) -> bool:
-    if not transition.pattern.matches(edge):
-        return False
-    return evaluate(transition.assumption, state_after, chi=_chi_binding(transition, edge))
+def _fired(explicit: tuple, edge: CFAEdge, state_after, read: Optional[str]):
+    """The explicit transitions that match the edge and whose assumption
+    holds on the post-state, lazily, in order; ``read`` is
+    :func:`_input_target` of the edge."""
+    return (t for t in explicit if t.pattern.matches(edge)
+            and evaluate(t.assumption, state_after, read if t.binds_chi else None))
 
 
-def _otherwise_may_consume(aut: ArtifactAutomaton, edge: CFAEdge) -> bool:
+def _otherwise_may_consume(aut: ArtifactAutomaton, read: Optional[str]) -> bool:
     # test cases must match input edges explicitly, or the run dies
-    return not (aut.kind is AutomatonKind.TEST_CASE and isinstance(edge.op, InputOp))
+    return read is None or aut.kind is not AutomatonKind.TEST_CASE
 
 
 def otherwise_expansion(aut: ArtifactAutomaton, state: str, program_edge: CFAEdge,
@@ -219,22 +228,29 @@ def otherwise_expansion(aut: ArtifactAutomaton, state: str, program_edge: CFAEdg
     automata, input edges are never consumed by otherwise: they must be
     matched explicitly or the run dies.
     """
-    return _otherwise_may_consume(aut, program_edge) and not any(
-        _explicit_fires(t, program_edge, state_after) for t in aut.explicit_from(state))
+    read = _input_target(program_edge)
+    return _otherwise_may_consume(aut, read) and not any(
+        _fired(aut.explicit_from(state), program_edge, state_after, read))
 
 
-def _enabled_from(aut: ArtifactAutomaton, state: str, edge: CFAEdge, state_after) -> list:
-    """Transitions a run in ``state`` may take on (edge, post-state).
+def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, state_after,
+           read: Optional[str]) -> list:
+    """Transitions a run in ``state`` takes on (edge, post-state).
 
-    Each explicit transition is matched and its assumption evaluated once;
-    the otherwise transition is enabled exactly when none of them fires,
-    as :func:`otherwise_expansion` decides it.
+    The enabled ones are the explicit transitions that fire, each matched
+    and its assumption evaluated once, or else the otherwise transition, as
+    :func:`otherwise_expansion` decides it.  An enabled transition is taken
+    when the invariant of its target holds on the post-state; all
+    assumptions are evaluated before any invariant.  ``read`` is
+    :func:`_input_target` of the edge.
     """
     explicit, ow = aut._moves.get(state, _NO_MOVES)
-    enabled = [t for t in explicit if _explicit_fires(t, edge, state_after)]
-    if ow is not None and not enabled and _otherwise_may_consume(aut, edge):
+    enabled = list(_fired(explicit, edge, state_after, read))
+    if ow is not None and not enabled and _otherwise_may_consume(aut, read):
         enabled.append(ow)
-    return enabled
+    invariants = aut.invariants
+    return [t for t in enabled if evaluate(invariants.get(t.target, TRUE), state_after,
+                                           read if t.binds_chi else None)]
 
 
 @dataclass(frozen=True)
@@ -261,16 +277,18 @@ def step_frontier(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge,
     """Advance a set of simultaneously-reachable states over one path step.
 
     Returns the successor frontier and the final states entered on this step
-    (paired with the transition used, for goal identification).
+    (paired with the transition used, for goal identification).  The states
+    of the frontier are stepped in sorted order, each by :func:`_taken`, the
+    rule :func:`match_path` and :func:`all_runs` share.
     """
+    read = _input_target(edge)
+    finals = aut.finals
     succ = set()
     entries = set()
     for q in sorted(frontier):
-        for t in _enabled_from(aut, q, edge, state_after):
-            if not evaluate(aut.invariant(t.target), state_after, chi=_chi_binding(t, edge)):
-                continue
+        for t in _taken(aut, q, edge, state_after, read):
             succ.add(t.target)
-            if t.target in aut.finals:
+            if t.target in finals:
                 entries.add(FinalEntry(t, t.target))
     return frozenset(succ), frozenset(entries)
 
@@ -315,11 +333,9 @@ def match_path(aut: ArtifactAutomaton, path: ConcretePath) -> MatchVerdict:
     k = 0
     for i, step in enumerate(path.steps[1:], start=1):
         level: dict = {}
+        read = _input_target(step.incoming)
         for q in sorted(frontier):
-            for t in _enabled_from(aut, q, step.incoming, step.state):
-                if not evaluate(aut.invariant(t.target), step.state,
-                                chi=_chi_binding(t, step.incoming)):
-                    continue
+            for t in _taken(aut, q, step.incoming, step.state, read):
                 if t.target not in level:
                     level[t.target] = (q, t)
         if not level:
@@ -371,10 +387,7 @@ def all_runs(aut: ArtifactAutomaton, path: ConcretePath) -> list:
         if i >= len(path.steps) - 1:
             return
         step = path.steps[i + 1]
-        for t in _enabled_from(aut, state, step.incoming, step.state):
-            if not evaluate(aut.invariant(t.target), step.state,
-                            chi=_chi_binding(t, step.incoming)):
-                continue
+        for t in _taken(aut, state, step.incoming, step.state, _input_target(step.incoming)):
             sofar.append((t, t.target))
             extend(i + 1, t.target, sofar)
             sofar.pop()
@@ -431,6 +444,7 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
     name = None
     kind = None
     states: list = []
+    declared: set = set()  # the states, for the duplicate check
     finals: list = []
     invariants: dict = {}
     transitions: list = []
@@ -461,8 +475,9 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
             if not words:
                 raise ParseError("state line needs a state id", lineno)
             state_id = words[0]
-            if state_id in states:
+            if state_id in declared:
                 raise ParseError(f"state {state_id!r} declared twice", lineno)
+            declared.add(state_id)
             states.append(state_id)
             for flag in words[1:]:
                 if flag == "init":

@@ -21,7 +21,7 @@ import ast
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence
 
 from .errors import ParseError, UnboundTemplate, UndefinedVariable
 
@@ -123,63 +123,42 @@ def disjoin(preds: Sequence[Predicate]) -> Predicate:
 
 # ---------------------------------------------------------------------------
 # Evaluation
-
-def eval_expr(expr: Expr, state: Mapping[str, int], chi: Optional[str] = None) -> int:
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        if expr.name not in state:
-            raise UndefinedVariable(expr.name)
-        return state[expr.name]
-    if isinstance(expr, TemplateVar):
-        if chi is None:
-            raise UnboundTemplate()
-        if chi not in state:
-            raise UndefinedVariable(chi)
-        return state[chi]
-    if isinstance(expr, Neg):
-        return -eval_expr(expr.operand, state, chi)
-    if isinstance(expr, BinExpr):
-        left = eval_expr(expr.left, state, chi)
-        right = eval_expr(expr.right, state, chi)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        raise ValueError(f"unknown operator {expr.op!r}")
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-_COMPARE = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
+#
+# A predicate or expression runs as a function compiled from its tree the
+# first time it is evaluated, and kept on the node outside its dataclass
+# fields, so equality, hashing and repr do not see it.
 
 def evaluate(pred: Predicate, state: Mapping[str, int], chi: Optional[str] = None) -> bool:
     """Evaluate ``pred`` on ``state``.
 
     ``chi`` optionally names the variable the template placeholder stands for.
     Raises :class:`UndefinedVariable` when the predicate reads an unbound
-    variable and :class:`UnboundTemplate` when ``chi`` occurs without binding.
+    variable and :class:`UnboundTemplate` when ``chi`` occurs without binding,
+    each only where evaluation reaches the read (``&&`` and ``||``
+    short-circuit).  The first evaluation of a node compiles it; a malformed
+    node raises then, with what the lowering raises, whether or not a
+    short-circuit would skip the malformed part.
     """
-    if isinstance(pred, BoolConst):
-        return pred.value
-    if isinstance(pred, Comparison):
-        return _COMPARE[pred.op](eval_expr(pred.left, state, chi), eval_expr(pred.right, state, chi))
-    if isinstance(pred, Not):
-        return not evaluate(pred.operand, state, chi)
-    if isinstance(pred, And):
-        return evaluate(pred.left, state, chi) and evaluate(pred.right, state, chi)
-    if isinstance(pred, Or):
-        return evaluate(pred.left, state, chi) or evaluate(pred.right, state, chi)
-    raise TypeError(f"not a predicate: {pred!r}")
+    try:
+        holds = pred._holds
+    except AttributeError:
+        holds = _compile_on_node(pred, "_holds", _lower_pred)
+    try:
+        return holds(state, chi)
+    except KeyError as missing:  # a plain dict without the variable
+        raise UndefinedVariable(missing.args[0]) from None
+
+
+def eval_expr(expr: Expr, state: Mapping[str, int], chi: Optional[str] = None) -> int:
+    """Evaluate ``expr`` on ``state``, with the exceptions of :func:`evaluate`."""
+    try:
+        value = expr._value
+    except AttributeError:
+        value = _compile_on_node(expr, "_value", _lower_expr)
+    try:
+        return value(state, chi)
+    except KeyError as missing:
+        raise UndefinedVariable(missing.args[0]) from None
 
 
 def _expr_vars(expr: Expr, out: set) -> bool:
@@ -566,55 +545,98 @@ def has_complement_pair(preds: Sequence[Predicate]) -> bool:
     return any(p == n for p in plain for n in negated)
 
 
-# The bounded check runs each predicate on every assignment, so it compiles the
-# predicate once into a function of positional parameters ``v0 .. v{n-1}``.
-# The function is built as a syntax tree, never as source text: identifiers
-# never enter the generated code, and no tokenizer nesting limit applies.
+# Compilation.  A tree is lowered to a Python syntax tree, never to source
+# text, so identifiers never become Python names and no tokenizer nesting
+# limit applies.  How a variable is read is the lowering's ``read``
+# parameter: the evaluator reads ``s[<name constant>]`` from the state
+# argument ``s``, and the bounded check reads positional parameters
+# ``v0 .. v{n-1}``.
 _AST_BINOP = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
 _AST_COMPARE = {"==": ast.Eq, "!=": ast.NotEq, "<": ast.Lt, "<=": ast.LtE,
                 ">": ast.Gt, ">=": ast.GtE}
 _AT = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
 
 
-def _leaf(node: ast.expr, room: int = 3) -> ast.expr:
-    # compile converts the tree recursively, two levels deeper than lowering
-    # reaches (the Expression and the Lambda around the body); each leaf
-    # recurses three more levels first, so a tree too deep for the recursion
-    # limit fails while it is lowered and never reaches compile
+def _leaf(node: ast.expr, room: int = 4) -> ast.expr:
+    # compile converts the tree recursively, a few levels deeper than
+    # lowering reaches: the Expression and the Lambda around the body, and
+    # the nodes inside a leaf.  Each leaf recurses ``room`` more levels first
+    # (four, five for the template's read), so a tree too deep for the
+    # recursion limit fails while it is lowered and never reaches compile;
+    # the tests scan deep trees of each kind of leaf for this
     return _leaf(node, room - 1) if room else node
 
 
-def _lower_expr(expr: Expr, params: Mapping[str, str]) -> ast.expr:
+def _name(identifier: str) -> ast.Name:
+    return ast.Name(id=identifier, ctx=ast.Load(), **_AT)
+
+
+def _read_state(var: Expr) -> ast.expr:
+    """``s[<name>]``, and for the template ``s[chi]`` once ``chi`` is bound."""
+    if isinstance(var, TemplateVar):
+        bound = ast.Compare(left=_name("chi"), ops=[ast.IsNot()],
+                            comparators=[ast.Constant(value=None, **_AT)], **_AT)
+        read = ast.Subscript(value=_name("s"), slice=_name("chi"), ctx=ast.Load(), **_AT)
+        unbound = ast.Call(func=_name("_unbound"), args=[], keywords=[], **_AT)
+        return _leaf(ast.IfExp(test=bound, body=read, orelse=unbound, **_AT), 5)
+    return _leaf(ast.Subscript(value=_name("s"), slice=ast.Constant(value=var.name, **_AT),
+                               ctx=ast.Load(), **_AT))
+
+
+def _unbound() -> NoReturn:
+    raise UnboundTemplate()
+
+
+def _lower_expr(expr: Expr, read: Callable[[Expr], ast.expr]) -> ast.expr:
     if isinstance(expr, Const):
         return _leaf(ast.Constant(value=expr.value, **_AT))
-    if isinstance(expr, Var):
-        return _leaf(ast.Name(id=params[expr.name], ctx=ast.Load(), **_AT))
+    if isinstance(expr, (Var, TemplateVar)):
+        return read(expr)
     if isinstance(expr, Neg):
-        return ast.UnaryOp(op=ast.USub(), operand=_lower_expr(expr.operand, params),
-                           **_AT)
+        return ast.UnaryOp(op=ast.USub(), operand=_lower_expr(expr.operand, read), **_AT)
     if isinstance(expr, BinExpr):
-        left = _lower_expr(expr.left, params)
-        right = _lower_expr(expr.right, params)
+        left = _lower_expr(expr.left, read)
+        right = _lower_expr(expr.right, read)
         if expr.op not in _AST_BINOP:
             raise ValueError(f"unknown operator {expr.op!r}")
         return ast.BinOp(left=left, op=_AST_BINOP[expr.op](), right=right, **_AT)
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _lower_pred(pred: Predicate, params: Mapping[str, str]) -> ast.expr:
+def _lower_pred(pred: Predicate, read: Callable[[Expr], ast.expr]) -> ast.expr:
     if isinstance(pred, BoolConst):
         return _leaf(ast.Constant(value=pred.value, **_AT))
     if isinstance(pred, Comparison):
         op = _AST_COMPARE[pred.op]()
-        return ast.Compare(left=_lower_expr(pred.left, params), ops=[op],
-                           comparators=[_lower_expr(pred.right, params)], **_AT)
+        return ast.Compare(left=_lower_expr(pred.left, read), ops=[op],
+                           comparators=[_lower_expr(pred.right, read)], **_AT)
     if isinstance(pred, Not):
-        return ast.UnaryOp(op=ast.Not(), operand=_lower_pred(pred.operand, params), **_AT)
+        return ast.UnaryOp(op=ast.Not(), operand=_lower_pred(pred.operand, read), **_AT)
     if isinstance(pred, (And, Or)):
         op = ast.And() if isinstance(pred, And) else ast.Or()
-        return ast.BoolOp(op=op, values=[_lower_pred(pred.left, params),
-                                         _lower_pred(pred.right, params)], **_AT)
+        return ast.BoolOp(op=op, values=[_lower_pred(pred.left, read),
+                                         _lower_pred(pred.right, read)], **_AT)
     raise TypeError(f"not a predicate: {pred!r}")
+
+
+def _function(body: ast.expr, params: Iterable[str]):
+    """The function ``lambda <params>: <body>``."""
+    args = ast.arguments(posonlyargs=[], args=[ast.arg(arg=p, **_AT) for p in params],
+                         vararg=None, kwonlyargs=[], kw_defaults=[], kwarg=None, defaults=[])
+    tree = ast.Expression(body=ast.Lambda(args=args, body=body, **_AT))
+    return eval(compile(tree, "<predicate>", "eval"),
+                {"__builtins__": {}, "_unbound": _unbound})
+
+
+def _compile_on_node(node, attr: str, lower):
+    """``node`` as a function of (state, chi), stored on it as ``attr``.
+
+    Raises what the lowering raises on a malformed tree, before anything is
+    compiled, and :class:`RecursionError` on a tree too deep to walk.
+    """
+    function = _function(lower(node, _read_state), ("s", "chi"))
+    object.__setattr__(node, attr, function)
+    return function
 
 
 def _compile_predicate(pred: Predicate, names: Sequence[str]):
@@ -624,11 +646,12 @@ def _compile_predicate(pred: Predicate, names: Sequence[str]):
     is compiled, and :class:`RecursionError` on a tree too deep to walk.
     """
     params = {name: f"v{i}" for i, name in enumerate(names)}
-    body = _lower_pred(pred, params)
-    args = ast.arguments(posonlyargs=[], args=[ast.arg(arg=v, **_AT) for v in params.values()],
-                         vararg=None, kwonlyargs=[], kw_defaults=[], kwarg=None, defaults=[])
-    tree = ast.Expression(body=ast.Lambda(args=args, body=body, **_AT))
-    return eval(compile(tree, "<predicate>", "eval"), {"__builtins__": {}})
+
+    def read(var: Expr) -> ast.expr:
+        # the callers reject the template before lowering
+        return _leaf(_name(params[var.name]))
+
+    return _function(_lower_pred(pred, read), params.values())
 
 
 def is_tautology_bounded(

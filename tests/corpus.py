@@ -26,11 +26,20 @@ from coopverify import (
 from coopverify import predicates
 from coopverify.actors import project_residual_path, reduce_with_origin
 from coopverify.automata import naive_match_path
-from coopverify.errors import UnboundTemplate
+from coopverify.errors import UnboundTemplate, UndefinedVariable
 from coopverify.predicates import (
+    And,
+    BinExpr,
+    BoolConst,
+    Comparison,
+    Const,
+    Neg,
+    Not,
+    Or,
     TautologyResult,
+    TemplateVar,
+    Var,
     _disjuncts,
-    evaluate,
     has_complement_pair,
     mentions_template,
     variables_of,
@@ -207,9 +216,66 @@ def uncovered_prefixes(program, cond, config):
 
 
 # ---------------------------------------------------------------------------
-# Tree-walking reference for the bounded tautology check: the same contract
-# as ``predicates.is_tautology_bounded``, with every assignment a dict handed
-# to ``evaluate``.
+# Tree-walking reference evaluator: the contract of ``predicates.evaluate`` and
+# ``predicates.eval_expr``, walking the tree with ``isinstance`` on every node.
+# The library runs compiled code; this is what it is compared against.
+
+_REFERENCE_COMPARE = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def reference_eval_expr(expr, state, chi=None):
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Var):
+        if expr.name not in state:
+            raise UndefinedVariable(expr.name)
+        return state[expr.name]
+    if isinstance(expr, TemplateVar):
+        if chi is None:
+            raise UnboundTemplate()
+        if chi not in state:
+            raise UndefinedVariable(chi)
+        return state[chi]
+    if isinstance(expr, Neg):
+        return -reference_eval_expr(expr.operand, state, chi)
+    if isinstance(expr, BinExpr):
+        left = reference_eval_expr(expr.left, state, chi)
+        right = reference_eval_expr(expr.right, state, chi)
+        if expr.op == "+":
+            return left + right
+        if expr.op == "-":
+            return left - right
+        if expr.op == "*":
+            return left * right
+        raise ValueError(f"unknown operator {expr.op!r}")
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def reference_evaluate(pred, state, chi=None):
+    if isinstance(pred, BoolConst):
+        return pred.value
+    if isinstance(pred, Comparison):
+        return _REFERENCE_COMPARE[pred.op](reference_eval_expr(pred.left, state, chi),
+                                           reference_eval_expr(pred.right, state, chi))
+    if isinstance(pred, Not):
+        return not reference_evaluate(pred.operand, state, chi)
+    if isinstance(pred, And):
+        return reference_evaluate(pred.left, state, chi) and reference_evaluate(pred.right, state, chi)
+    if isinstance(pred, Or):
+        return reference_evaluate(pred.left, state, chi) or reference_evaluate(pred.right, state, chi)
+    raise TypeError(f"not a predicate: {pred!r}")
+
+
+# The bounded tautology check's reference: the same contract as
+# ``predicates.is_tautology_bounded``, with every assignment a dict handed to
+# the reference evaluator.
 
 def reference_tautology(pred, variables, domain) -> TautologyResult:
     if mentions_template(pred):
@@ -221,7 +287,7 @@ def reference_tautology(pred, variables, domain) -> TautologyResult:
         return TautologyResult("inconclusive")
     for values in itertools.product(domain.values_by_magnitude(), repeat=len(names)):
         assignment = dict(zip(names, values))
-        if not evaluate(pred, assignment):
+        if not reference_evaluate(pred, assignment):
             return TautologyResult("falsifiable", counterexample=assignment)
     return TautologyResult("tautology")
 

@@ -20,7 +20,19 @@ from coopverify.automata import (
     make_automaton,
 )
 from coopverify.lang import ControlFlowAutomaton, definitely_assigned, parse_program
-from coopverify.predicates import TRUE, Comparison, Const, Var
+from coopverify.predicates import (
+    CHI,
+    FALSE,
+    TRUE,
+    And,
+    BinExpr,
+    Comparison,
+    Const,
+    Neg,
+    Not,
+    Or,
+    Var,
+)
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 
@@ -32,6 +44,49 @@ def _comparison(rng: random.Random, names) -> Comparison:
     else:
         right = Const(rng.randint(-2, 2))
     return Comparison(rng.choice(_CMP_OPS), Var(left), right)
+
+
+# ---------------------------------------------------------------------------
+# Predicates and expressions over arbitrary names, for the evaluator tests
+
+def random_expression(rng: random.Random, names, depth: int = 3):
+    """An expression over ``names``, the template placeholder, small and
+    very large constants, negation, ``+``, ``-`` and ``*``."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        leaf = rng.random()
+        if leaf < 0.5:
+            return Var(rng.choice(names))
+        if leaf < 0.6:
+            return CHI
+        if leaf < 0.75:
+            return Const(rng.choice((10 ** 30, -(10 ** 30) - 1, 2 ** 64)))
+        return Const(rng.randint(-3, 3))
+    if roll < 0.4:
+        return Neg(random_expression(rng, names, depth - 1))
+    return BinExpr(rng.choice("+-*"), random_expression(rng, names, depth - 1),
+                   random_expression(rng, names, depth - 1))
+
+
+def random_predicate(rng: random.Random, names, depth: int = 3):
+    """A predicate over ``names`` built from constants, comparisons of
+    :func:`random_expression` operands, ``!``, ``&&`` and ``||``."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.35:
+        if rng.random() < 0.15:
+            return rng.choice((TRUE, FALSE))
+        return Comparison(rng.choice(_CMP_OPS), random_expression(rng, names, 2),
+                          random_expression(rng, names, 2))
+    if roll < 0.5:
+        return Not(random_predicate(rng, names, depth - 1))
+    node = And if roll < 0.75 else Or
+    return node(random_predicate(rng, names, depth - 1), random_predicate(rng, names, depth - 1))
+
+
+def random_partial_state(rng: random.Random, names) -> dict:
+    """Each name bound with probability 0.7, to a small or a very large value."""
+    return {name: rng.choice((rng.randint(-3, 3), 10 ** 30 + rng.randint(-1, 1)))
+            for name in names if rng.random() < 0.7}
 
 
 # ---------------------------------------------------------------------------

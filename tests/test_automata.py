@@ -18,6 +18,7 @@ from coopverify.automata import (
     all_runs,
     covers,
     initial_frontier,
+    make_automaton,
     match_path,
     naive_match_path,
     otherwise_expansion,
@@ -25,10 +26,10 @@ from coopverify.automata import (
     serialize_automaton,
     step_frontier,
 )
-from coopverify.errors import DuplicateOtherwise, ParseError, UnknownKind
+from coopverify.errors import DuplicateOtherwise, ParseError, UnboundTemplate, UnknownKind
 from coopverify.kinds import build_test_case_automaton
 from coopverify.lang import CFAEdge, ConcreteDataState, ConcretePath, EMPTY_STATE, enumerate_paths
-from coopverify.predicates import Interval, TRUE
+from coopverify.predicates import Interval, TRUE, parse_predicate
 
 
 def path_with_inputs(cfa, inputs, domain=Interval(-4, 4)):
@@ -196,6 +197,24 @@ class TestFrontiers:
         assert succ == frozenset({"q0"})
         assert entries == frozenset()
 
+    def test_04_chi_binds_only_through_the_input_template(self, p):
+        """On an input edge the placeholder stands for the read variable in
+        the assumption and the target invariant of an input-template
+        transition, and in no other transition."""
+        template = parse_automaton(
+            "automaton pinned kind=test-goal\nstate q0 init\nstate q1 final inv: chi > 3\n"
+            "trans q0 -> q1 on (*, \"chi = input()\", *) assume chi == 4\n")
+        input_edge = p.edges[0]
+        succ, _ = step_frontier(template, frozenset({"q0"}), input_edge,
+                                ConcreteDataState({"x": 4}))
+        assert succ == frozenset({"q1"})
+        unbound = make_automaton(
+            "unbound", AutomatonKind.TEST_GOAL, ["q0", "q1"], "q0", ["q1"],
+            [Transition("q0", "q1", EdgePattern(None, "int x = input()", None),
+                        parse_predicate("chi == 4"))])
+        with pytest.raises(UnboundTemplate):
+            step_frontier(unbound, frozenset({"q0"}), input_edge, ConcreteDataState({"x": 4}))
+
 
 # Two explicit transitions and an otherwise transition leave q0.
 TWO_GUARDS = """\
@@ -334,6 +353,27 @@ class TestAutFormat:
             lines = [line.strip() for line in text.splitlines()
                      if line.strip() and not line.strip().startswith("#")]
             assert serialize_automaton(parse_automaton(text)) == "\n".join(lines) + "\n"
+
+    def test_11_duplicate_state_names_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_automaton("automaton twice kind=property\n"
+                            "state q0 init\n"
+                            "state q1\n"
+                            "# the second q0\n"
+                            "state q0 final\n")
+        assert exc.value.line == 5
+        assert "state 'q0' declared twice" in str(exc.value)
+
+    def test_12_long_chain_round_trips(self):
+        """A witness as long as the deep-paths ones parses back to itself."""
+        states = [f"w{i}" for i in range(3004)]
+        transitions = [Transition(a, b, EdgePattern(i % 3, "x++", i % 3 + 1))
+                       for i, (a, b) in enumerate(zip(states, states[1:]))]
+        chain = make_automaton("chain", AutomatonKind.VIOLATION_WITNESS, states,
+                               states[0], (states[-1],), transitions)
+        text = serialize_automaton(chain)
+        assert parse_automaton(text) == chain
+        assert serialize_automaton(parse_automaton(text)) == text
 
 
 def verdict_triple(v):

@@ -8,7 +8,7 @@ import pytest
 
 import corpus
 import generators
-from coopverify import kinds, predicates
+from coopverify import actors, kinds, predicates
 from coopverify.automata import (
     AutomatonKind,
     EdgePattern,
@@ -17,8 +17,9 @@ from coopverify.automata import (
     parse_automaton,
 )
 from coopverify.errors import UnboundTemplate, UndefinedVariable
+from coopverify.engine import check_fulfills
 from coopverify.kinds import validate_kind
-from coopverify.lang import parse_program
+from coopverify.lang import ConcreteDataState, parse_program
 from coopverify.predicates import (
     CHI,
     FALSE,
@@ -377,3 +378,165 @@ class TestCompiledEnumeration:
                 outcomes.add("too deep")
         assert outcomes == {"tautology", "too deep"}
         assert log.trees and log.errors == []
+
+    @pytest.mark.parametrize("grow", [
+        lambda node: Not(node),
+        lambda node: And(node, TRUE),
+        lambda node: Or(Comparison("<", BinExpr("+", Const(1), Const(2)), Var("x")), node),
+    ], ids=["negations", "conjunctions", "constant-sums"])
+    def test_08_constant_leaves_never_reach_the_limit_in_compile(self, monkeypatch, grow):
+        """Constant leaves need as much room as names: a deep tree of them is
+        decided or refused while lowered, never by ``compile``."""
+        log = corpus.log_compiles(monkeypatch)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        cell = TRUE
+        for _ in range(sys.getrecursionlimit() - depth - 25):
+            cell = grow(cell)
+        outcomes = set()
+        for _ in range(20):
+            cell = grow(cell)
+            try:
+                is_tautology_bounded(cell, {"x"}, Interval(-1, 1))
+                outcomes.add("decided")
+            except RecursionError:
+                outcomes.add("too deep")
+        assert outcomes == {"decided", "too deep"}
+        assert log.trees and log.errors == []
+
+
+# Variable names the compiled evaluator must keep apart from its own: Python
+# keywords and builtins, the names of its parameters (``s``, ``chi``) and of
+# the helper it calls, a positional parameter name, and ``chi`` as a plain
+# variable beside the template placeholder.
+EVAL_NAMES = ("lambda", "None", "class", "__import__", "d", "s", "chi", "_unbound", "v0", "x")
+
+
+def outcome(function, *args):
+    """A value with its type, or the exception type and the variable it names."""
+    try:
+        value = function(*args)
+    except UndefinedVariable as err:
+        return "UndefinedVariable", err.name
+    except UnboundTemplate:
+        return ("UnboundTemplate",)
+    return "value", type(value), value
+
+
+STATE_TYPES = [dict, ConcreteDataState]
+
+
+class TestCompiledEvaluator:
+    """``evaluate`` and ``eval_expr`` run code compiled once per node, with
+    the answers and the exceptions of the tree-walking reference."""
+
+    def test_01_random_trees_agree_with_reference(self):
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(1500):
+            pred = generators.random_predicate(rng, EVAL_NAMES)
+            expr = generators.random_expression(rng, EVAL_NAMES)
+            bindings = generators.random_partial_state(rng, EVAL_NAMES)
+            chi = rng.choice((None,) + EVAL_NAMES)
+            for state in (bindings, ConcreteDataState(bindings)):
+                got = outcome(evaluate, pred, state, chi)
+                assert got == outcome(corpus.reference_evaluate, pred, state, chi), pred_text(pred)
+                seen.add(got[0])
+                got = outcome(eval_expr, expr, state, chi)
+                assert got == outcome(corpus.reference_eval_expr, expr, state, chi), expr_text(expr)
+                seen.add(got[0])
+        assert seen == {"value", "UndefinedVariable", "UnboundTemplate"}
+
+    @pytest.mark.parametrize("make", STATE_TYPES, ids=["dict", "ConcreteDataState"])
+    def test_02_template_binding(self, make):
+        state = make({"x": 1})
+        with pytest.raises(UnboundTemplate):
+            evaluate(pred("chi == 1"), state, chi=None)
+        with pytest.raises(UnboundTemplate):
+            eval_expr(CHI, state)
+        with pytest.raises(UndefinedVariable) as unbound:
+            evaluate(pred("chi == 1"), state, chi="y")
+        assert unbound.value.name == "y"
+        assert evaluate(pred("chi == 1"), state, chi="x") is True
+        with pytest.raises(UndefinedVariable) as unbound:
+            evaluate(pred("x < y"), state)
+        assert unbound.value.name == "y"
+
+    @pytest.mark.parametrize("make", STATE_TYPES, ids=["dict", "ConcreteDataState"])
+    def test_03_short_circuit_skips_unevaluable_reads(self, make):
+        state = make({"x": 1})
+        assert evaluate(pred("x < 0 && chi == 1"), state) is False
+        assert evaluate(pred("false && y > 0"), state) is False
+        assert evaluate(pred("x > 0 || y > 0"), state) is True
+        assert evaluate(pred("true || chi == 1"), state) is True
+
+    def test_04_compiled_once_and_invisible(self, monkeypatch):
+        log = corpus.log_compiles(monkeypatch)
+        node = pred("a + 2 * b < x && !(a == b)")
+        fresh = pred("a + 2 * b < x && !(a == b)")
+        state = {"a": 1, "b": 3, "x": 8}
+        assert [evaluate(node, state) for _ in range(3)] == [True] * 3
+        assert eval_expr(node.left.left, state) == eval_expr(node.left.left, state) == 7
+        assert len(log.trees) == 2 and log.errors == []
+        assert node == fresh and hash(node) == hash(fresh) and repr(node) == repr(fresh)
+
+    def test_05_malformed_node_raises_at_first_evaluation(self):
+        """A short-circuit no longer hides a malformed node: the whole tree is
+        compiled before it runs."""
+        hidden = Or(TRUE, Comparison("=<", Var("x"), Const(0)))
+        assert corpus.reference_evaluate(hidden, {"x": 0}) is True
+        with pytest.raises(KeyError):
+            evaluate(hidden, {"x": 0})
+        with pytest.raises(ValueError):
+            evaluate(And(FALSE, Comparison("<", BinExpr("/", Var("x"), Const(2)), Const(0))),
+                     {"x": 0})
+        with pytest.raises(TypeError):
+            evaluate(Const(1), {"x": 0})
+        with pytest.raises(TypeError):
+            eval_expr(TRUE, {"x": 0})
+
+    @pytest.mark.parametrize("leaf", [Var("x"), CHI, Const(1)], ids=["var", "chi", "const"])
+    def test_06_compile_never_meets_the_recursion_limit(self, monkeypatch, leaf):
+        """Around the recursion limit a long sum is evaluated or refused with
+        a RecursionError while it is lowered; ``compile`` never refuses it."""
+        log = corpus.log_compiles(monkeypatch)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        total = leaf
+        for _ in range(sys.getrecursionlimit() - depth - 25):
+            total = BinExpr("+", total, leaf)
+        outcomes = set()
+        for _ in range(20):
+            total = BinExpr("+", total, leaf)
+            for run in (lambda: evaluate(Comparison(">=", total, Const(0)), {"x": 1}, "x"),
+                        lambda: eval_expr(total, {"x": 1}, "x")):
+                try:
+                    run()
+                    outcomes.add("evaluated")
+                except RecursionError:
+                    outcomes.add("too deep")
+        assert outcomes == {"evaluated", "too deep"}
+        assert log.trees and log.errors == []
+
+    def test_07_second_verify_compiles_nothing(self, monkeypatch):
+        """Exploring the same program and automata again runs the code
+        compiled the first time."""
+        program = parse_program("int a = 0;\na = a + 1;\n")
+        prop = parse_automaton(
+            "automaton over kind=property\nstate q0 init\nstate qe final\n"
+            "trans q0 -> q0 on (*, *, *) assume a < 1\n"
+            "trans q0 -> qe on (*, *, *) assume !(a < 1)\n")
+        first = actors.verify(program, prop, corpus.CFG4)
+        log = corpus.log_compiles(monkeypatch)
+        second = actors.verify(program, prop, corpus.CFG4)
+        assert first.result is second.result is actors.Result.FALSE
+        assert log.trees == []
+        # on the samples, a second search compiles only the cells the kind
+        # check hands to the bounded tautology check, each built afresh
+        check_fulfills(corpus.program_p(), corpus.prop(), corpus.CFG4)
+        log.helper_calls.clear()
+        log.trees.clear()
+        check_fulfills(corpus.program_p(), corpus.prop(), corpus.CFG4)
+        assert log.helper_calls and len(log.trees) == len(log.helper_calls)

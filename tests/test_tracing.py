@@ -1,0 +1,53 @@
+"""The benchmark's tracer (``perfbench/tracer.py``) wraps coopverify functions
+by module and name.  These tests fail when a rename leaves one of them
+unresolved, instead of a traced benchmark run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import corpus
+from coopverify import actors, automata, engine, predicates
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_01_every_wrapped_function_resolves(tracing):
+    for name, module_name, attr in tracing.SPANS + tracing.FOREIGN_SPANS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), name
+    for name, module_name, class_name, attr in tracing.METHOD_SPANS:
+        cls = getattr(importlib.import_module(module_name), class_name)
+        assert callable(vars(cls).get(attr)), name
+    assert callable(vars(automata.EdgePattern).get("matches"))
+    assert callable(predicates.is_tautology_bounded)
+    assert callable(engine.run_product) and engine.VisitAction.PRUNE
+
+
+def test_02_traced_verify_counts_and_restores(tracing):
+    originals = (automata.evaluate, automata.step_frontier, engine.run_product)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        bundle = actors.verify(corpus.program_p_prime(), corpus.prop(), corpus.CFG4)
+    finally:
+        tracer.uninstall()
+    assert bundle.result is actors.Result.FALSE
+    assert (automata.evaluate, automata.step_frontier, engine.run_product) == originals
+    assert tracer.counters["engine.explorations"] == 2  # the search and the self-validation
+    assert tracer.counters["engine.configs_visited"] > 0
+    assert tracer.counters["automata.pattern_match_calls"] > 0
+    for name in ("actors.verify", "engine.run_product", "automata.step_frontier",
+                 "lang.successors", "predicates.evaluate", "predicates.eval_expr",
+                 "kinds.validate_kind"):
+        assert tracer.stats(name)[0] > 0, name
+    assert tracer.stats("actors.verify")[0] == 1
