@@ -112,13 +112,6 @@ class Transition:
     pattern: Optional[EdgePattern]  # None exactly for otherwise transitions
     assumption: Predicate = TRUE
     otherwise: bool = False
-    # whether the template placeholder stands for the edge's input variable
-    # when this transition is evaluated: exactly for the input-template pattern
-    binds_chi: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "binds_chi",
-                           self.pattern is not None and self.pattern.is_input_template)
 
     def __str__(self) -> str:
         if self.otherwise:
@@ -206,12 +199,21 @@ def _input_target(edge: CFAEdge) -> Optional[str]:
     return op.target if isinstance(op, InputOp) else None
 
 
+def _chi_binding(transition: Transition, read: Optional[str]) -> Optional[str]:
+    """What the template placeholder stands for in ``transition``: the
+    edge's input variable ``read`` for the input-template pattern, else
+    nothing."""
+    if transition.pattern is not None and transition.pattern.is_input_template:
+        return read
+    return None
+
+
 def _fired(explicit: tuple, edge: CFAEdge, state_after, read: Optional[str]):
     """The explicit transitions that match the edge and whose assumption
     holds on the post-state, lazily, in order; ``read`` is
     :func:`_input_target` of the edge."""
     return (t for t in explicit if t.pattern.matches(edge)
-            and evaluate(t.assumption, state_after, read if t.binds_chi else None))
+            and evaluate(t.assumption, state_after, _chi_binding(t, read)))
 
 
 def _otherwise_may_consume(aut: ArtifactAutomaton, read: Optional[str]) -> bool:
@@ -249,8 +251,8 @@ def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, state_after,
     if ow is not None and not enabled and _otherwise_may_consume(aut, read):
         enabled.append(ow)
     invariants = aut.invariants
-    return [t for t in enabled if evaluate(invariants.get(t.target, TRUE), state_after,
-                                           read if t.binds_chi else None)]
+    return [t for t in enabled
+            if evaluate(invariants.get(t.target, TRUE), state_after, _chi_binding(t, read))]
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -159,6 +159,7 @@ class VisitAction(Enum):
     STOP = "stop"
 
 
+@dataclass(slots=True)
 class ProductVisit:
     """One explored product configuration, handed to judgment visitors.
 
@@ -173,24 +174,18 @@ class ProductVisit:
     ``path`` builds that prefix from the explorer's trail on demand.  The
     trail moves on once the visitor returns, so read ``path`` during the
     visit, and only where the prefix itself is needed.  One is made per
-    explored configuration, so it is a plain slotted object; visitors only
-    read it.
+    explored configuration, so it is slotted and not frozen, which keeps its
+    construction to plain assignments; visitors only read it.
     """
 
-    __slots__ = ("location", "state", "depth", "frontiers", "final_entries",
-                 "is_maximal", "truncated", "_trail")
-
-    def __init__(self, location: int, state: ConcreteDataState, depth: int,
-                 frontiers: tuple, final_entries: tuple, is_maximal: bool,
-                 truncated: bool, trail: list) -> None:
-        self.location = location
-        self.state = state
-        self.depth = depth
-        self.frontiers = frontiers
-        self.final_entries = final_entries
-        self.is_maximal = is_maximal
-        self.truncated = truncated
-        self._trail = trail
+    location: int
+    state: ConcreteDataState
+    depth: int
+    frontiers: tuple
+    final_entries: tuple
+    is_maximal: bool
+    truncated: bool
+    _trail: list = field(repr=False, compare=False)
 
     @property
     def path(self) -> ConcretePath:

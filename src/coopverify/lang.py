@@ -321,22 +321,17 @@ def strongest_post(state: ConcreteDataState, op: Operation,
 
 def successors(cfa: ControlFlowAutomaton, state: ConcreteDataState, location: int,
                domain: Interval) -> list:
-    """Enabled (edge, post-state) pairs, input values in ascending order.
-
-    Each edge's post-state is the one :func:`strongest_post` gives.
-    """
+    """Enabled (edge, post-state) pairs, input values in ascending order."""
     result = []
     for edge in cfa.edges_from(location):
         op = edge.op
-        if isinstance(op, Assume):
-            if evaluate(op.condition, state):
-                result.append((edge, state))
-        elif isinstance(op, Assignment):
-            result.append((edge, state.bind(op.target, eval_expr(op.expr, state))))
-        elif isinstance(op, InputOp):
-            result.extend((edge, state.bind(op.target, value)) for value in domain)
+        if isinstance(op, InputOp):
+            for value in domain:
+                result.append((edge, state.bind(op.target, value)))
         else:
-            raise TypeError(f"not an operation: {op!r}")
+            post = strongest_post(state, op)
+            if post is not BLOCKED:
+                result.append((edge, post))
     return result
 
 
