@@ -85,7 +85,10 @@ class VerdictBundle:
     """What a verifier hands back: result plus the artifacts backing it.
 
     ``witness`` is a violation witness when result is false and a correctness
-    witness when true (both self-validated before emission); ``condition``
+    witness when true.  :func:`verify` checks either witness by its own
+    judgment before emission; :func:`validate_result` checks a re-derived
+    correctness witness that way when it differs from the one it confirmed,
+    and an equal one holds by that confirmation.  ``condition``
     only appears for conditional verification and describes the input space
     now covered.
     """
@@ -221,8 +224,11 @@ def validate_result(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     A valid violation witness confirms "false", a valid correctness witness
     confirms "true"; each confirmation re-derives a fresh witness, the
     latter from the data states seen by its own untruncated search, which
-    are the ones :func:`verify` sees.  Anything else is unconfirmed and
-    reported as unknown without a witness.
+    are the ones :func:`verify` sees.  A re-derived correctness witness is
+    self-validated unless it equals the given one (as :func:`verify`'s own
+    witness does, also after a text round trip): its check would then repeat
+    the exploration that just confirmed it.  Anything else is unconfirmed
+    and reported as unknown without a witness.
     """
     if witness.kind is AutomatonKind.VIOLATION_WITNESS:
         judgment = check_violation_witness(program, prop, witness, config)
@@ -239,8 +245,10 @@ def validate_result(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
                             universal=True)
         if judgment.verdict is Verdict.HOLDS:
             rederived = correctness_witness_from_observations(program, observed)
-            return VerdictBundle(Result.TRUE, _self_validated(program, prop, rederived, config),
-                                 None, config, judgment)
+            # an equal witness's self-validation is the judgment just decided
+            if rederived != witness:
+                rederived = _self_validated(program, prop, rederived, config)
+            return VerdictBundle(Result.TRUE, rederived, None, config, judgment)
         return VerdictBundle(Result.UNKNOWN, None, None, config, judgment)
     raise InvalidArtifact(
         f"expected a violation or correctness witness, got {witness.kind.value}")

@@ -75,14 +75,13 @@ class EdgePattern:
     # op_text without whitespace, computed once; interned because the
     # patterns of a long witness share a few distinct edge texts
     norm_text: Optional[str] = field(init=False, repr=False, compare=False)
+    # whether the text is the input template, computed once for the step
+    is_input_template: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         norm = None if self.op_text is None else sys.intern(normalize_text(self.op_text))
         object.__setattr__(self, "norm_text", norm)
-
-    @property
-    def is_input_template(self) -> bool:
-        return self.norm_text == _INPUT_TEMPLATE_NORM
+        object.__setattr__(self, "is_input_template", norm == _INPUT_TEMPLATE_NORM)
 
     def matches(self, edge: CFAEdge) -> bool:
         if self.source is not None and self.source != edge.match_src:
@@ -91,7 +90,7 @@ class EdgePattern:
             return False
         if self.norm_text is None:
             return True
-        if self.norm_text == _INPUT_TEMPLATE_NORM:
+        if self.is_input_template:
             return isinstance(edge.op, InputOp)
         return self.norm_text == edge.norm_text
 
@@ -199,21 +198,14 @@ def _input_target(edge: CFAEdge) -> Optional[str]:
     return op.target if isinstance(op, InputOp) else None
 
 
-def _chi_binding(transition: Transition, read: Optional[str]) -> Optional[str]:
-    """What the template placeholder stands for in ``transition``: the
-    edge's input variable ``read`` for the input-template pattern, else
-    nothing."""
-    if transition.pattern is not None and transition.pattern.is_input_template:
-        return read
-    return None
-
-
-def _fired(explicit: tuple, edge: CFAEdge, state_after, read: Optional[str]):
+def _fired(explicit: tuple, edge: CFAEdge, state_after, read: Optional[str]) -> list:
     """The explicit transitions that match the edge and whose assumption
-    holds on the post-state, lazily, in order; ``read`` is
-    :func:`_input_target` of the edge."""
-    return (t for t in explicit if t.pattern.matches(edge)
-            and evaluate(t.assumption, state_after, _chi_binding(t, read)))
+    holds on the post-state, in order.  ``read`` is :func:`_input_target`
+    of the edge, which the template placeholder of an input-template
+    transition stands for."""
+    return [t for t in explicit if t.pattern.matches(edge)
+            and evaluate(t.assumption, state_after,
+                         read if t.pattern.is_input_template else None)]
 
 
 def _otherwise_may_consume(aut: ArtifactAutomaton, read: Optional[str]) -> bool:
@@ -231,12 +223,12 @@ def otherwise_expansion(aut: ArtifactAutomaton, state: str, program_edge: CFAEdg
     matched explicitly or the run dies.
     """
     read = _input_target(program_edge)
-    return _otherwise_may_consume(aut, read) and not any(
-        _fired(aut.explicit_from(state), program_edge, state_after, read))
+    return _otherwise_may_consume(aut, read) and not _fired(
+        aut.explicit_from(state), program_edge, state_after, read)
 
 
 def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, state_after,
-           read: Optional[str]) -> list:
+           read: Optional[str]) -> Sequence[Transition]:
     """Transitions a run in ``state`` takes on (edge, post-state).
 
     The enabled ones are the explicit transitions that fire, each matched
@@ -247,12 +239,17 @@ def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, state_after,
     :func:`_input_target` of the edge.
     """
     explicit, ow = aut._moves.get(state, _NO_MOVES)
-    enabled = list(_fired(explicit, edge, state_after, read))
-    if ow is not None and not enabled and _otherwise_may_consume(aut, read):
-        enabled.append(ow)
+    enabled = _fired(explicit, edge, state_after, read)
     invariants = aut.invariants
-    return [t for t in enabled
-            if evaluate(invariants.get(t.target, TRUE), state_after, _chi_binding(t, read))]
+    if enabled:
+        return [t for t in enabled
+                if evaluate(invariants.get(t.target, TRUE), state_after,
+                            read if t.pattern.is_input_template else None)]
+    # the otherwise transition has no pattern, so no placeholder binding
+    if (ow is None or not _otherwise_may_consume(aut, read)
+            or not evaluate(invariants.get(ow.target, TRUE), state_after)):
+        return ()
+    return (ow,)
 
 
 @dataclass(frozen=True)
@@ -274,6 +271,9 @@ def initial_frontier(aut: ArtifactAutomaton, initial_state) -> tuple:
     return frozenset((aut.initial,)), entries
 
 
+_NOTHING = frozenset()
+
+
 def step_frontier(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge,
                   state_after) -> tuple:
     """Advance a set of simultaneously-reachable states over one path step.
@@ -281,18 +281,26 @@ def step_frontier(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge,
     Returns the successor frontier and the final states entered on this step
     (paired with the transition used, for goal identification).  The states
     of the frontier are stepped in sorted order, each by :func:`_taken`, the
-    rule :func:`match_path` and :func:`all_runs` share.
+    rule :func:`match_path` and :func:`all_runs` share.  A one-state frontier
+    that takes one transition, the common case, builds its two sets directly.
     """
     read = _input_target(edge)
+    if len(frontier) == 1:
+        (state,) = frontier
+        taken = _taken(aut, state, edge, state_after, read)
+        if len(taken) == 1:
+            (t,) = taken
+            target = t.target
+            entered = (frozenset((FinalEntry(t, target),)) if target in aut.finals
+                       else _NOTHING)
+            return frozenset((target,)), entered
+    else:
+        taken = [t for q in sorted(frontier) for t in _taken(aut, q, edge, state_after, read)]
+    if not taken:
+        return _NOTHING, _NOTHING
     finals = aut.finals
-    succ = set()
-    entries = set()
-    for q in sorted(frontier):
-        for t in _taken(aut, q, edge, state_after, read):
-            succ.add(t.target)
-            if t.target in finals:
-                entries.add(FinalEntry(t, t.target))
-    return frozenset(succ), frozenset(entries)
+    return (frozenset(t.target for t in taken),
+            frozenset(FinalEntry(t, t.target) for t in taken if t.target in finals))
 
 
 # ---------------------------------------------------------------------------

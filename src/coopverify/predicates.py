@@ -18,6 +18,7 @@ defaulting, so callers can tell "false" from "not evaluable".
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -102,23 +103,15 @@ class Or(Predicate):
 
 
 def conjoin(preds: Sequence[Predicate]) -> Predicate:
-    """Right-nested conjunction; the empty conjunction is true."""
-    if not preds:
-        return TRUE
-    result = preds[-1]
-    for p in reversed(preds[:-1]):
-        result = And(p, result)
-    return result
+    """Left-nested conjunction, the tree the parser builds for ``a && b && c``;
+    the empty conjunction is true."""
+    return functools.reduce(And, preds) if preds else TRUE
 
 
 def disjoin(preds: Sequence[Predicate]) -> Predicate:
-    """Right-nested disjunction; the empty disjunction is false."""
-    if not preds:
-        return FALSE
-    result = preds[-1]
-    for p in reversed(preds[:-1]):
-        result = Or(p, result)
-    return result
+    """Left-nested disjunction, the tree the parser builds for ``a || b || c``;
+    the empty disjunction is false."""
+    return functools.reduce(Or, preds) if preds else FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +278,7 @@ def pred_text(pred: Predicate) -> str:
 
 def normalize_text(text: str) -> str:
     """Whitespace-free form used for textual operation matching."""
-    return re.sub(r"\s+", "", text)
+    return "".join(text.split())
 
 
 # ---------------------------------------------------------------------------

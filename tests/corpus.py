@@ -10,6 +10,7 @@ A few extra automata that only tests need are defined inline.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,8 +26,9 @@ from coopverify import (
 )
 from coopverify import predicates
 from coopverify.actors import project_residual_path, reduce_with_origin
-from coopverify.automata import naive_match_path
+from coopverify.automata import AutomatonKind, FinalEntry, naive_match_path
 from coopverify.errors import UnboundTemplate, UndefinedVariable
+from coopverify.lang import InputOp
 from coopverify.predicates import (
     And,
     BinExpr,
@@ -36,6 +38,7 @@ from coopverify.predicates import (
     Neg,
     Not,
     Or,
+    TRUE,
     TautologyResult,
     TemplateVar,
     Var,
@@ -271,6 +274,50 @@ def reference_evaluate(pred, state, chi=None):
     if isinstance(pred, Or):
         return reference_evaluate(pred.left, state, chi) or reference_evaluate(pred.right, state, chi)
     raise TypeError(f"not a predicate: {pred!r}")
+
+
+# The automaton step's reference: the contract of ``automata.step_frontier``
+# read off the module docstring, state by state, on the reference evaluator
+# and a pattern match of its own.
+
+def _reference_pattern_matches(pattern, edge) -> bool:
+    if pattern.source is not None and pattern.source != edge.match_src:
+        return False
+    if pattern.target is not None and pattern.target != edge.match_tgt:
+        return False
+    if pattern.op_text is None:
+        return True
+    text = re.sub(r"\s+", "", pattern.op_text)
+    if text == "chi=input()":
+        return isinstance(edge.op, InputOp)
+    return text == re.sub(r"\s+", "", edge.op.text)
+
+
+def reference_step(aut, frontier, edge, state_after) -> tuple:
+    """The successor frontier and the final entries of one step: from each
+    state, the explicit transitions that match the edge and whose assumption
+    holds fire, or else the otherwise transition (never on an input edge of
+    a test case); a fired transition is taken when its target's invariant
+    holds.  The placeholder stands for the edge's input variable in the
+    assumption and invariant of an input-template transition only."""
+    read = edge.op.target if isinstance(edge.op, InputOp) else None
+    succ, entries = set(), set()
+    for q in sorted(frontier):
+        fired = []
+        for t in aut.transitions:
+            if t.source != q or t.otherwise or not _reference_pattern_matches(t.pattern, edge):
+                continue
+            chi = read if re.sub(r"\s+", "", t.pattern.op_text or "") == "chi=input()" else None
+            if reference_evaluate(t.assumption, state_after, chi):
+                fired.append((t, chi))
+        if not fired and not (read is not None and aut.kind is AutomatonKind.TEST_CASE):
+            fired = [(t, None) for t in aut.transitions if t.source == q and t.otherwise]
+        for t, chi in fired:
+            if reference_evaluate(aut.invariants.get(t.target, TRUE), state_after, chi):
+                succ.add(t.target)
+                if t.target in aut.finals:
+                    entries.add(FinalEntry(t, t.target))
+    return frozenset(succ), frozenset(entries)
 
 
 # The bounded tautology check's reference: the same contract as

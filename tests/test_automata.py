@@ -1,5 +1,7 @@
 """Tests for artifact automata: patterns, otherwise, matching, text format."""
 
+import collections
+import itertools
 import random
 
 import pytest
@@ -26,9 +28,22 @@ from coopverify.automata import (
     serialize_automaton,
     step_frontier,
 )
-from coopverify.errors import DuplicateOtherwise, ParseError, UnboundTemplate, UnknownKind
+from coopverify.errors import (
+    DuplicateOtherwise,
+    ParseError,
+    UnboundTemplate,
+    UndefinedVariable,
+    UnknownKind,
+)
 from coopverify.kinds import build_test_case_automaton
-from coopverify.lang import CFAEdge, ConcreteDataState, ConcretePath, EMPTY_STATE, enumerate_paths
+from coopverify.lang import (
+    EMPTY_STATE,
+    CFAEdge,
+    ConcreteDataState,
+    ConcretePath,
+    InputOp,
+    enumerate_paths,
+)
 from coopverify.predicates import Interval, TRUE, parse_predicate
 
 
@@ -287,6 +302,76 @@ class TestSinglePass:
                                 ConcreteDataState({"x": 4}))
         assert succ == frozenset({"q1"})
         assert evaluated == [chain.assumption, test_case.invariant("q1")]
+
+
+# Nondeterministic on purpose: from q0, two input-template transitions and a
+# plain one can fire on one input edge; q1 and q3 have two successors on
+# every edge; invariants read the placeholder or a variable unbound early on.
+BRANCHING = """\
+automaton branching kind=test-goal
+state q0 init
+state q1 inv: chi >= 0
+state q2 final
+state q3 final inv: a < 3
+trans q0 -> q1 on (*, "chi = input()", *) assume chi > 0
+trans q0 -> q2 on (*, "chi=input()", *) assume chi >= -1
+trans q0 -> q3 on (*, "int x = input()", *) assume x != 2
+trans q0 -> q0 otherwise
+trans q1 -> q3 on (*, *, *)
+trans q1 -> q2 on (*, *, *) assume x != 1
+trans q2 -> q2 otherwise
+trans q3 -> q1 on (*, *, *) assume x > 0
+trans q3 -> q2 on (3, *, *) assume b < a
+trans q3 -> q3 otherwise
+"""
+
+
+class TestReferenceStep:
+    """step_frontier against ``corpus.reference_step`` on every frontier of
+    each automaton and every (edge, post-state) pair of the program's paths,
+    exceptions included."""
+
+    @staticmethod
+    def _outcome(step, aut, frontier, edge, post):
+        try:
+            return step(aut, frontier, edge, post)
+        except (UndefinedVariable, UnboundTemplate) as err:
+            return type(err), str(err)
+
+    def _compare(self, aut, program, domain, seen):
+        frontiers = [frozenset(c) for k in range(len(aut.states) + 1)
+                     for c in itertools.combinations(aut.states, k)]
+        steps = {(step.incoming, step.state)
+                 for path in enumerate_paths(program, domain, 200).paths
+                 for step in path.steps[1:]}
+        for edge, post in sorted(steps, key=repr):
+            for frontier in frontiers:
+                got = self._outcome(step_frontier, aut, frontier, edge, post)
+                assert got == self._outcome(corpus.reference_step, aut, frontier, edge, post), \
+                    (aut.name, sorted(frontier), edge, post)
+                seen["input" if isinstance(edge.op, InputOp) else "other"] += 1
+                seen["one state" if len(frontier) == 1 else "states"] += 1
+                if isinstance(got[0], frozenset) and len(got[0]) > 1:
+                    seen["branching"] += 1
+
+    def test_01_generated_automata(self):
+        rng = random.Random(2718)
+        seen = collections.Counter()
+        for _ in range(40):
+            program = generators.random_program(rng)
+            for aut in (generators.random_property(rng, program),
+                        generators.random_test_goal(rng, program),
+                        generators.random_condition(rng, program),
+                        build_test_case_automaton(generators.random_inputs(rng))):
+                self._compare(aut, program, Interval(-2, 2), seen)
+        assert min(seen[k] for k in ("input", "other", "one state", "states")) > 100
+
+    def test_02_nondeterministic_and_template_automata(self, p):
+        seen = collections.Counter()
+        for aut in (parse_automaton(BRANCHING), parse_automaton(TWO_GUARDS),
+                    build_test_case_automaton([2, 0]), corpus.prop(), corpus.goals()):
+            self._compare(aut, p, Interval(-2, 3), seen)
+        assert seen["branching"] > 10 and seen["input"] > 10
 
 
 class TestAutFormat:

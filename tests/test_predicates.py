@@ -16,7 +16,7 @@ from coopverify.automata import (
     make_automaton,
     parse_automaton,
 )
-from coopverify.errors import UnboundTemplate, UndefinedVariable
+from coopverify.errors import ParseError, UnboundTemplate, UndefinedVariable
 from coopverify.engine import check_fulfills
 from coopverify.kinds import validate_kind
 from coopverify.lang import ConcreteDataState, parse_program
@@ -540,3 +540,62 @@ class TestCompiledEvaluator:
         log.trees.clear()
         check_fulfills(corpus.program_p(), corpus.prop(), corpus.CFG4)
         assert log.helper_calls and len(log.trees) == len(log.helper_calls)
+
+
+class TestNesting:
+    """conjoin and disjoin build the trees the parser builds, so a
+    synthesized invariant or guard equals itself read back from its text."""
+
+    @staticmethod
+    def _members(rng, connective) -> list:
+        """Random predicates read back from their text, whose top node is not
+        ``connective``: a nested And (Or) prints without parentheses, so only
+        the first member may be one.  A text that does not parse (``--3``
+        for the negation of a negative constant) is drawn again."""
+        out = []
+        count = rng.randint(0, 5)
+        while len(out) < count:
+            try:
+                pred = parse_predicate(pred_text(generators.random_predicate(rng, ["a", "b"])))
+            except ParseError:
+                continue
+            assert parse_predicate(pred_text(pred)) == pred
+            if not isinstance(pred, connective) or not out:
+                out.append(pred)
+        return out
+
+    @pytest.mark.parametrize("combine, connective", [(conjoin, And), (disjoin, Or)])
+    def test_01_round_trip(self, combine, connective):
+        rng = random.Random(6502)
+        for _ in range(200):
+            members = self._members(rng, connective)
+            combined = combine(members)
+            assert parse_predicate(pred_text(combined)) == combined
+
+    def test_02_left_nested(self):
+        a, b, c = (parse_predicate(text) for text in ("a < 1", "b > 2", "a == b"))
+        assert conjoin([a, b, c]) == And(And(a, b), c)
+        assert conjoin([a, b, c]) == parse_predicate("a < 1 && b > 2 && a == b")
+        assert disjoin([a, b, c]) == Or(Or(a, b), c)
+        assert disjoin([a, b, c]) == parse_predicate("a < 1 || b > 2 || a == b")
+
+
+class TestNormalizeText:
+    """normalize_text drops what ``\\s`` matches, by ``str.split``."""
+
+    def test_01_agrees_with_the_whitespace_class_on_every_code_point(self):
+        # each code point once, in order: equal results drop the same set
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert normalize_text(every) == re.sub(r"\s+", "", every)
+        spaces = re.findall(r"\s", every)
+        assert spaces == [c for c in every if c.isspace()] and len(spaces) > 20
+        for char in spaces:
+            assert normalize_text(f"a{char}b{char}{char}") == "ab", hex(ord(char))
+
+    def test_02_agrees_on_random_strings(self):
+        rng = random.Random(1979)
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        alphabet = spaces + list("ab=+();_ 0") + ["\u00e9", "\u200b", "\ufeff"]
+        for _ in range(2000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            assert normalize_text(text) == re.sub(r"\s+", "", text), repr(text)
