@@ -39,7 +39,6 @@ from .engine import (
     _search,
     _uncovered_or_accepted,
     _verdict,
-    check_correctness_witness,
     check_violation_witness,
     require_valid_kind,
     run_product,
@@ -85,12 +84,10 @@ class VerdictBundle:
     """What a verifier hands back: result plus the artifacts backing it.
 
     ``witness`` is a violation witness when result is false and a correctness
-    witness when true.  :func:`verify` checks either witness by its own
-    judgment before emission; :func:`validate_result` checks a re-derived
-    correctness witness that way when it differs from the one it confirmed,
-    and an equal one holds by that confirmation.  ``condition``
-    only appears for conditional verification and describes the input space
-    now covered.
+    witness when true; re-checking it is the validator's job
+    (:func:`validate_result`), not the producer's.  ``condition`` only
+    appears for conditional verification and describes the input space now
+    covered.
     """
 
     result: Result
@@ -175,19 +172,6 @@ def correctness_witness_from_observations(program: ControlFlowAutomaton,
 # ---------------------------------------------------------------------------
 # Verifier
 
-def _self_validated(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
-                    witness: ArtifactAutomaton, config: AnalysisConfig) -> ArtifactAutomaton:
-    """The synthesized witness, once its own judgment holds on it."""
-    if witness.kind is AutomatonKind.VIOLATION_WITNESS:
-        judgment = check_violation_witness(program, prop, witness, config)
-    else:
-        judgment = check_correctness_witness(program, prop, witness, config)
-    if judgment.verdict is not Verdict.HOLDS:
-        raise InvalidArtifact(f"synthesized {witness.kind.value.replace('-', ' ')} "
-                              "failed self-validation")
-    return witness
-
-
 def verify(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
            config: AnalysisConfig = DEFAULT_CONFIG) -> VerdictBundle:
     """Decide whether the program fulfills the property, with a witness.
@@ -195,8 +179,8 @@ def verify(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     Runs the search of :func:`check_fulfills` while recording the data
     states explored per location.  On violation the evidence path becomes a
     single-path violation witness; on success the recorded states become
-    correctness-witness invariants.  Either witness is re-checked by its
-    judgment before being returned.
+    correctness-witness invariants.  One exploration decides the verdict
+    and yields the witness.
     """
     require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
     observed: dict = defaultdict(list)
@@ -209,8 +193,7 @@ def verify(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
         result, witness = Result.FALSE, violation_witness_from_path(evidence)
     else:
         result, witness = Result.TRUE, correctness_witness_from_observations(program, observed)
-    return VerdictBundle(result, _self_validated(program, prop, witness, config), None,
-                         config, judgment)
+    return VerdictBundle(result, witness, None, config, judgment)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +207,8 @@ def validate_result(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     A valid violation witness confirms "false", a valid correctness witness
     confirms "true"; each confirmation re-derives a fresh witness, the
     latter from the data states seen by its own untruncated search, which
-    are the ones :func:`verify` sees.  A re-derived correctness witness is
-    self-validated unless it equals the given one (as :func:`verify`'s own
-    witness does, also after a text round trip): its check would then repeat
-    the exploration that just confirmed it.  Anything else is unconfirmed
-    and reported as unknown without a witness.
+    are the ones :func:`verify` sees.  Anything else is unconfirmed and
+    reported as unknown without a witness.
     """
     if witness.kind is AutomatonKind.VIOLATION_WITNESS:
         judgment = check_violation_witness(program, prop, witness, config)
@@ -245,9 +225,6 @@ def validate_result(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
                             universal=True)
         if judgment.verdict is Verdict.HOLDS:
             rederived = correctness_witness_from_observations(program, observed)
-            # an equal witness's self-validation is the judgment just decided
-            if rederived != witness:
-                rederived = _self_validated(program, prop, rederived, config)
             return VerdictBundle(Result.TRUE, rederived, None, config, judgment)
         return VerdictBundle(Result.UNKNOWN, None, None, config, judgment)
     raise InvalidArtifact(

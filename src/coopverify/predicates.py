@@ -240,7 +240,8 @@ def expr_text(expr: Expr) -> str:
         return "chi"
     if isinstance(expr, Neg):
         inner = expr_text(expr.operand)
-        if isinstance(expr.operand, (BinExpr, Neg)):
+        # an operand printed with a leading "-" would give "--", the decrement token
+        if isinstance(expr.operand, BinExpr) or inner.startswith("-"):
             return f"-({inner})"
         return f"-{inner}"
     if isinstance(expr, BinExpr):

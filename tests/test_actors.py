@@ -6,7 +6,9 @@ import random
 import pytest
 
 import coopverify.actors as actors_module
+import coopverify.cli as cli_module
 import coopverify.engine as engine_module
+import coopverify.kinds as kinds_module
 import corpus
 import generators
 from corpus import CFG2, residual_prefixes, uncovered_prefixes
@@ -52,7 +54,6 @@ from coopverify.actors import (
     reduce_with_origin,
 )
 from coopverify.automata import naive_match_path
-from coopverify.engine import Judgment
 from coopverify.lang import replay_path
 
 
@@ -473,23 +474,29 @@ class TestCooperation:
 
 class TestOneExploration:
     """verify and validate_result explore through the judgments' search: one
-    product run for the verdict plus one for the witness's self-validation.
-    validate_result skips the second run when the witness it re-derives
-    equals the one it confirmed, whose judgment that first run decided."""
+    product run decides the verdict and yields the witness, and each
+    automaton's kind is checked once.  Neither re-checks the witness it
+    hands back; the gates test_03 and test_04 check every emitted and
+    re-derived witness by its own judgment instead."""
 
     @staticmethod
-    def _count_runs(monkeypatch) -> list:
-        """Record every call of ``engine.run_product``, through any binding."""
+    def _count(monkeypatch, name, modules) -> list:
+        """Record the arguments of every call of ``name``, through the
+        binding in each of ``modules`` (the first holds the original)."""
         calls = []
-        original = engine_module.run_product
+        original = getattr(modules[0], name)
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args)
             return original(*args, **kwargs)
 
-        for module in (engine_module, actors_module):
-            monkeypatch.setattr(module, "run_product", counting)
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
         return calls
+
+    @classmethod
+    def _count_runs(cls, monkeypatch) -> list:
+        return cls._count(monkeypatch, "run_product", (engine_module, actors_module))
 
     def test_01_validating_an_equal_witness_explores_once(self, p, cfg4, monkeypatch):
         emitted = verify(p, corpus.prop(), cfg4).witness
@@ -501,67 +508,105 @@ class TestOneExploration:
             assert bundle.witness == witness
             assert len(calls) == 1
 
-    def test_02_verify_explores_twice(self, p, p_prime, cfg4, monkeypatch):
+    def test_02_verify_explores_once(self, p, p_prime, cfg4, monkeypatch):
         calls = self._count_runs(monkeypatch)
         for program in (p, p_prime):
             calls.clear()
             verify(program, corpus.prop(), cfg4)
-            assert len(calls) == 2
+            assert len(calls) == 1
 
     def test_03_rederived_correctness_witness_is_the_verified_one(self, p, cfg4):
-        """Every emitted witness equals itself read back from its text, and
-        validating it re-derives one equal to it: the reuse in test_01 is
-        sound only while both hold for correctness witnesses."""
+        """Every witness verify emits holds by its own judgment and equals
+        itself read back from its text, and validating it re-derives an
+        equal one.  A generated correctness witness that validates yields a
+        different re-derived witness, which holds by its own judgment too."""
         claimed = verify(p, corpus.prop(), cfg4)
         echoed = validate_result(p, corpus.prop(), claimed.witness, cfg4)
         assert serialize_automaton(echoed.witness) == serialize_automaton(claimed.witness)
         rng = random.Random(8086)
+        given_rng = random.Random(4004)
         goalless = parse_automaton(corpus.GOALLESS_PROPERTY)
         configs = (CFG2, AnalysisConfig(Interval(0, 2), 200))
         seen = {Result.TRUE: 0, Result.FALSE: 0}
+        rederived = 0
         for index in range(300):
             program = generators.random_program(rng)
             # the goalless property always holds, so it yields correctness
             # witnesses; generated properties mostly yield violation ones
             prop = goalless if index % 2 else generators.random_property(rng, program)
+            given = generators.random_correctness_witness(given_rng, program)
             for config in configs:
                 claimed = verify(program, prop, config)
-                if claimed.witness is None:
-                    continue
-                parsed = parse_automaton(serialize_automaton(claimed.witness))
-                assert parsed == claimed.witness
-                seen[claimed.result] += 1
-                echoed = validate_result(program, prop, parsed, config)
-                assert echoed.result is claimed.result
-                assert echoed.witness == claimed.witness
+                if claimed.witness is not None:
+                    assert _judged(program, prop, claimed.witness, config) is Verdict.HOLDS
+                    parsed = parse_automaton(serialize_automaton(claimed.witness))
+                    assert parsed == claimed.witness
+                    seen[claimed.result] += 1
+                    echoed = validate_result(program, prop, parsed, config)
+                    assert echoed.result is claimed.result
+                    assert echoed.witness == claimed.witness
+                echoed = validate_result(program, prop, given, config)
+                if echoed.result is Result.TRUE:
+                    assert echoed.witness != given
+                    assert _judged(program, prop, echoed.witness, config) is Verdict.HOLDS
+                    rederived += 1
         assert min(seen.values()) >= 200
+        assert rederived >= 200
 
-    @pytest.mark.parametrize("check, kind", [
-        ("check_violation_witness", "violation"),
-        ("check_correctness_witness", "correctness"),
-    ])
-    def test_04_failed_self_validation_is_an_invalid_artifact(self, p, p_prime, cfg4,
-                                                              monkeypatch, check, kind):
-        def refuted(program, prop, witness, config):
-            return Judgment(Verdict.VIOLATED, None, True, config)
+    @pytest.mark.parametrize("result", [Result.TRUE, Result.FALSE])
+    def test_04_deep_witnesses_hold(self, result):
+        """The generated programs stay under 200 steps; a counting loop of
+        300 rounds takes 904, on one input where the property holds, or on
+        four sibling inputs of which the first violates it."""
+        n, low = 300, -2
+        steps = 3 * n + 4
+        if result is Result.TRUE:
+            read, limit = "n", "n"
+            guard, config = f"s != {n * (n - 1) // 2}", AnalysisConfig(Interval(n, n), steps)
+        else:
+            read, limit = "c", str(n)
+            guard, config = f"c == {low}", AnalysisConfig(Interval(low, low + 3), steps)
+        program = parse_program(f"int {read} = input();\nint i = 0;\nint s = 0;\n"
+                                f"while (i < {limit}) {{\n  s = s + i;\n  i++;\n}}\n")
+        prop = parse_automaton(
+            "automaton deep kind=property\nstate q0 init\nstate qe final\n"
+            f'trans q0 -> qe on (*, "!(i < {limit})", *) assume {guard}\n'
+            "trans q0 -> q0 otherwise\n")
+        claimed = verify(program, prop, config)
+        assert claimed.result is result and claimed.judgment.exhausted
+        assert _judged(program, prop, claimed.witness, config) is Verdict.HOLDS
+        parsed = parse_automaton(serialize_automaton(claimed.witness))
+        echoed = validate_result(program, prop, parsed, config)
+        assert echoed.result is result
+        assert echoed.witness == claimed.witness
 
-        monkeypatch.setattr(actors_module, check, refuted)
-        program = p_prime if kind == "violation" else p
-        message = f"synthesized {kind} witness failed self-validation"
-        with pytest.raises(InvalidArtifact) as raised:
-            verify(program, corpus.prop(), cfg4)
-        assert str(raised.value) == message
-        if kind == "correctness":
-            # the witness validate_result re-derives is self-validated too
-            with pytest.raises(InvalidArtifact) as raised:
-                validate_result(p, corpus.prop(), corpus.witness_correct(), cfg4)
-            assert str(raised.value) == message
-
-    def test_05_validating_a_different_witness_explores_twice(self, p, cfg4, monkeypatch):
+    def test_05_validating_a_different_witness_explores_once(self, p, cfg4, monkeypatch):
         given = corpus.witness_correct()
         calls = self._count_runs(monkeypatch)
         bundle = validate_result(p, corpus.prop(), given, cfg4)
         assert bundle.result is Result.TRUE
         assert bundle.witness != given
-        assert len(calls) == 2
+        assert len(calls) == 1
 
+    def test_06_each_kind_is_checked_once(self, p, p_prime, cfg4, monkeypatch):
+        """One kind check per verify (the property), two per validate_result
+        (the property and the witness), of either witness kind."""
+        checks = self._count(monkeypatch, "validate_kind",
+                             (kinds_module, engine_module, actors_module, cli_module))
+        for program, sample in ((p, corpus.witness_correct()),
+                                (p_prime, corpus.witness_violation())):
+            checks.clear()
+            emitted = verify(program, corpus.prop(), cfg4).witness
+            assert [args[0].kind for args in checks] == [AutomatonKind.PROPERTY]
+            for witness in (emitted, sample):
+                checks.clear()
+                assert validate_result(program, corpus.prop(), witness, cfg4).witness is not None
+                assert [args[0].kind for args in checks] == [AutomatonKind.PROPERTY,
+                                                             witness.kind]
+
+
+def _judged(program, prop, witness, config) -> Verdict:
+    """The verdict of the witness's own judgment."""
+    if witness.kind is AutomatonKind.VIOLATION_WITNESS:
+        return check_violation_witness(program, prop, witness, config).verdict
+    return check_correctness_witness(program, prop, witness, config).verdict

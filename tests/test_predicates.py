@@ -16,7 +16,7 @@ from coopverify.automata import (
     make_automaton,
     parse_automaton,
 )
-from coopverify.errors import ParseError, UnboundTemplate, UndefinedVariable
+from coopverify.errors import UnboundTemplate, UndefinedVariable
 from coopverify.engine import check_fulfills
 from coopverify.kinds import validate_kind
 from coopverify.lang import ConcreteDataState, parse_program
@@ -29,6 +29,7 @@ from coopverify.predicates import (
     Comparison,
     Const,
     Interval,
+    Neg,
     Not,
     Or,
     TautologyResult,
@@ -99,6 +100,16 @@ class TestParsing:
         for text in ("a + 2 * b", "x - 1", "-3", "a - b - 1"):
             e = parse_expression(text)
             assert parse_expression(expr_text(e)) == e
+
+    def test_11_negated_negative_constant_round_trips(self):
+        """``--3`` would lex as the decrement token and not parse."""
+        negated = Neg(Const(-3))
+        assert expr_text(negated) == "-(-3)"
+        assert expr_text(Neg(Const(3))) == "-3"
+        assert expr_text(Neg(Neg(Var("a")))) == "-(-a)"
+        read = pred(pred_text(Comparison("<", negated, Var("a"))))
+        assert read == Comparison("<", Const(3), Var("a"))
+        assert eval_expr(parse_expression(expr_text(negated)), {}) == 3
 
 
 class TestEvaluation:
@@ -550,15 +561,11 @@ class TestNesting:
     def _members(rng, connective) -> list:
         """Random predicates read back from their text, whose top node is not
         ``connective``: a nested And (Or) prints without parentheses, so only
-        the first member may be one.  A text that does not parse (``--3``
-        for the negation of a negative constant) is drawn again."""
+        the first member may be one."""
         out = []
         count = rng.randint(0, 5)
         while len(out) < count:
-            try:
-                pred = parse_predicate(pred_text(generators.random_predicate(rng, ["a", "b"])))
-            except ParseError:
-                continue
+            pred = parse_predicate(pred_text(generators.random_predicate(rng, ["a", "b"])))
             assert parse_predicate(pred_text(pred)) == pred
             if not isinstance(pred, connective) or not out:
                 out.append(pred)

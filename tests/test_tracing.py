@@ -43,7 +43,7 @@ def test_02_traced_verify_counts_and_restores(tracing):
         tracer.uninstall()
     assert bundle.result is actors.Result.FALSE
     assert (automata.evaluate, automata.step_frontier, engine.run_product) == originals
-    assert tracer.counters["engine.explorations"] == 2  # the search and the self-validation
+    assert tracer.counters["engine.explorations"] == 1  # the search alone
     assert tracer.counters["engine.configs_visited"] > 0
     assert tracer.counters["automata.pattern_match_calls"] > 0
     for name in ("actors.verify", "engine.run_product", "automata.step_frontier",
