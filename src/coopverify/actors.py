@@ -57,7 +57,6 @@ from .lang import (
     make_cfa,
     strongest_post,
     BLOCKED,
-    enumerate_paths,
 )
 from .predicates import (
     TRUE,
@@ -404,23 +403,6 @@ def reduce(program: ControlFlowAutomaton, cond: ArtifactAutomaton) -> ControlFlo
     return reduce_with_origin(program, cond).residual
 
 
-def project_residual_path(reduction: Reduction, path: ConcretePath) -> tuple:
-    """Map a residual path back to program operations.
-
-    Returns the sequence of (original edge, post-state) pairs; inserted
-    assume edges disappear, and a trailing operation into a helper location
-    (its valuation not yet taken) is dropped as incomplete.
-    """
-    items = []
-    for step in path.steps[1:]:
-        edge = step.incoming
-        if edge in reduction.origin:
-            items.append((reduction.origin[edge], step.state))
-    if path.final_location in reduction.mid_locations and items:
-        items.pop()
-    return tuple(items)
-
-
 # ---------------------------------------------------------------------------
 # Conditional verifier
 
@@ -438,34 +420,22 @@ def _input_condition_disjuncts(cond: ArtifactAutomaton, input_edge: CFAEdge) -> 
     return out
 
 
-def _ranges_predicate(variable: str, values: Sequence[int]) -> list:
-    """Compress a value set into interval comparisons over ``variable``."""
-    out = []
-    ordered = sorted(set(values))
-    while ordered:
-        lo = hi = ordered[0]
-        rest = ordered[1:]
-        while rest and rest[0] == hi + 1:
-            hi = rest.pop(0)
-        ordered = rest
-        if lo == hi:
-            out.append(Comparison("==", Var(variable), Const(lo)))
-        else:
-            out.append(And(Comparison(">=", Var(variable), Const(lo)),
-                           Comparison("<=", Var(variable), Const(hi))))
-    return out
-
-
 def _output_condition(program: ControlFlowAutomaton, cond: ArtifactAutomaton,
                       residual: ControlFlowAutomaton,
                       config: AnalysisConfig) -> Optional[ArtifactAutomaton]:
     """Condition describing the inputs covered after conditional verification.
 
     Mirrors the two-state shape: a single accepting transition on the
-    program's first input edge whose assumption unites the freshly verified
-    input ranges with the input condition's own accepting guards.  Only
-    expressible when the program has exactly one input edge, leaving the
-    initial location; otherwise no output condition is produced.
+    program's first input edge whose assumption unites the input condition's
+    own accepting guards with the freshly verified inputs.  Only expressible
+    when the program has exactly one input edge, leaving the initial
+    location; otherwise no output condition is produced.
+
+    Called once :func:`verify` proved the residual exhausted, so every
+    residual path within the bounds is verified.  An input edge is enabled
+    for every value of the domain, so the verified inputs are the whole
+    domain when the residual still reads at its initial location, and none
+    when the condition covered that edge entirely.
     """
     if cond.initial in cond.finals:
         return cond  # already covers every path; nothing to add
@@ -473,12 +443,14 @@ def _output_condition(program: ControlFlowAutomaton, cond: ArtifactAutomaton,
     if len(input_edges) != 1 or input_edges[0].source != program.initial:
         return None
     input_edge = input_edges[0]
-    result = enumerate_paths(residual, config.input_domain, config.max_steps)
-    if result.truncated:
-        return None
-    verified = [path.inputs()[0] for path in result.paths if path.inputs()]
     disjuncts = _input_condition_disjuncts(cond, input_edge)
-    disjuncts += _ranges_predicate(input_edge.op.target, verified)
+    if any(isinstance(e.op, InputOp) for e in residual.edges_from(residual.initial)):
+        x, domain = Var(input_edge.op.target), config.input_domain
+        if domain.lo == domain.hi:
+            disjuncts.append(Comparison("==", x, Const(domain.lo)))
+        else:
+            disjuncts.append(And(Comparison(">=", x, Const(domain.lo)),
+                                 Comparison("<=", x, Const(domain.hi))))
     if not disjuncts:
         return None
     pattern = EdgePattern(input_edge.match_src, input_edge.op.text, input_edge.match_tgt)
@@ -495,7 +467,8 @@ def conditional_verify(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     Reduces the program by the condition and runs :func:`verify` on the
     residual, so the verdict is about the uncovered part (a returned witness
     refers to the residual program).  On success the bundle carries an output
-    condition extending the input one by the freshly verified input space.
+    condition extending the input one by the freshly verified input space
+    (see :func:`_output_condition`).
     """
     reduction = reduce_with_origin(program, cond)
     bundle = verify(reduction.residual, prop, config)

@@ -19,10 +19,10 @@ any number of consumed edges:
   consuming any prefix (hence acceptance is stable under path extension);
 * it *covers* the path if some run consumes every edge.
 
-:func:`match_path` decides both with an on-the-fly determinization (a
-frontier of reachable automaton states per prefix); :func:`all_runs` is the
-naive run enumeration kept as the reference implementation the optimized
-matcher is tested against.
+:func:`match_path` decides both by folding :func:`step_frontier`, the step
+the product explorer of :mod:`coopverify.engine` runs, over the path: an
+on-the-fly determinization keeping the frontier of reachable automaton
+states per prefix.
 """
 
 from __future__ import annotations
@@ -198,55 +198,30 @@ def _input_target(edge: CFAEdge) -> Optional[str]:
     return op.target if isinstance(op, InputOp) else None
 
 
-def _fired(explicit: tuple, edge: CFAEdge, state_after, read: Optional[str]) -> list:
-    """The explicit transitions that match the edge and whose assumption
-    holds on the post-state, in order.  ``read`` is :func:`_input_target`
-    of the edge, which the template placeholder of an input-template
-    transition stands for."""
-    return [t for t in explicit if t.pattern.matches(edge)
-            and evaluate(t.assumption, state_after,
-                         read if t.pattern.is_input_template else None)]
-
-
-def _otherwise_may_consume(aut: ArtifactAutomaton, read: Optional[str]) -> bool:
-    # test cases must match input edges explicitly, or the run dies
-    return read is None or aut.kind is not AutomatonKind.TEST_CASE
-
-
-def otherwise_expansion(aut: ArtifactAutomaton, state: str, program_edge: CFAEdge,
-                        state_after) -> bool:
-    """Enabledness of the otherwise transition at ``state``.
-
-    True iff no explicit transition leaving ``state`` both matches the edge
-    and has its assumption satisfied on the post-state.  For test-case
-    automata, input edges are never consumed by otherwise: they must be
-    matched explicitly or the run dies.
-    """
-    read = _input_target(program_edge)
-    return _otherwise_may_consume(aut, read) and not _fired(
-        aut.explicit_from(state), program_edge, state_after, read)
-
-
 def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, state_after,
            read: Optional[str]) -> Sequence[Transition]:
     """Transitions a run in ``state`` takes on (edge, post-state).
 
     The enabled ones are the explicit transitions that fire, each matched
-    and its assumption evaluated once, or else the otherwise transition, as
-    :func:`otherwise_expansion` decides it.  An enabled transition is taken
+    and its assumption evaluated once, or else the otherwise transition,
+    which a test case never takes on an input edge: its chain must match
+    inputs explicitly or the run dies.  An enabled transition is taken
     when the invariant of its target holds on the post-state; all
     assumptions are evaluated before any invariant.  ``read`` is
-    :func:`_input_target` of the edge.
+    :func:`_input_target` of the edge, which the template placeholder of an
+    input-template transition stands for.
     """
     explicit, ow = aut._moves.get(state, _NO_MOVES)
-    enabled = _fired(explicit, edge, state_after, read)
+    enabled = [t for t in explicit if t.pattern.matches(edge)
+               and evaluate(t.assumption, state_after,
+                            read if t.pattern.is_input_template else None)]
     invariants = aut.invariants
     if enabled:
         return [t for t in enabled
                 if evaluate(invariants.get(t.target, TRUE), state_after,
                             read if t.pattern.is_input_template else None)]
     # the otherwise transition has no pattern, so no placeholder binding
-    if (ow is None or not _otherwise_may_consume(aut, read)
+    if (ow is None or (read is not None and aut.kind is AutomatonKind.TEST_CASE)
             or not evaluate(invariants.get(ow.target, TRUE), state_after)):
         return ()
     return (ow,)
@@ -280,9 +255,9 @@ def step_frontier(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge,
 
     Returns the successor frontier and the final states entered on this step
     (paired with the transition used, for goal identification).  The states
-    of the frontier are stepped in sorted order, each by :func:`_taken`, the
-    rule :func:`match_path` and :func:`all_runs` share.  A one-state frontier
-    that takes one transition, the common case, builds its two sets directly.
+    of the frontier are stepped in sorted order, each by :func:`_taken`.  A
+    one-state frontier that takes one transition, the common case, builds its
+    two sets directly.
     """
     read = _input_target(edge)
     if len(frontier) == 1:
@@ -313,15 +288,12 @@ class MatchVerdict:
     ``k`` is the longest prefix length some run consumes (None when even the
     empty prefix fails the initial invariant).  ``accepted`` means some run
     ends in a final state after any prefix; ``covered`` means some run
-    consumes the whole path.  ``run`` is a witnessing run as
-    ``((None, q0), (t1, q1), ...)``: an accepting one when accepted,
-    otherwise a longest one.
+    consumes the whole path.
     """
 
     k: Optional[int]
     accepted: bool
     covered: bool
-    run: Optional[tuple]
 
     @property
     def matched(self) -> bool:
@@ -329,97 +301,20 @@ class MatchVerdict:
 
 
 def match_path(aut: ArtifactAutomaton, path: ConcretePath) -> MatchVerdict:
-    """Decide acceptance and coverage by frontier determinization."""
-    first_state = path.steps[0].state
-    frontier, _ = initial_frontier(aut, first_state)
+    """Decide acceptance and coverage by folding :func:`step_frontier` over
+    the path until the frontier empties."""
+    frontier, entered = initial_frontier(aut, path.steps[0].state)
     if not frontier:
-        return MatchVerdict(None, False, False, None)
-
-    # parents[i][q] = (previous state, transition) for run reconstruction
-    parents: list = [{aut.initial: None}]
-    accept_at: Optional[tuple] = None  # (step index, state)
-    if aut.initial in aut.finals:
-        accept_at = (0, aut.initial)
+        return MatchVerdict(None, False, False)
+    accepted = bool(entered)
     k = 0
-    for i, step in enumerate(path.steps[1:], start=1):
-        level: dict = {}
-        read = _input_target(step.incoming)
-        for q in sorted(frontier):
-            for t in _taken(aut, q, step.incoming, step.state, read):
-                if t.target not in level:
-                    level[t.target] = (q, t)
-        if not level:
-            frontier = frozenset()
+    for step in path.steps[1:]:
+        frontier, entered = step_frontier(aut, frontier, step.incoming, step.state)
+        if not frontier:
             break
-        parents.append(level)
-        frontier = frozenset(level)
-        k = i
-        if accept_at is None:
-            hit = sorted(frontier & aut.finals)
-            if hit:
-                accept_at = (i, hit[0])
-
-    n = path.length
-    covered = k == n and bool(frontier)
-    accepted = accept_at is not None
-
-    def reconstruct(step_index: int, state: str) -> tuple:
-        run = []
-        q: Optional[str] = state
-        for i in range(step_index, 0, -1):
-            prev, t = parents[i][q]
-            run.append((t, q))
-            q = prev
-        run.append((None, aut.initial))
-        return tuple(reversed(run))
-
-    if accepted:
-        run = reconstruct(*accept_at)
-    else:
-        run = reconstruct(k, sorted(parents[k])[0])
-    return MatchVerdict(k, accepted, covered, run)
-
-
-def all_runs(aut: ArtifactAutomaton, path: ConcretePath) -> list:
-    """Every run of the automaton on the path, by brute-force enumeration.
-
-    Reference implementation used to validate :func:`match_path`; exponential
-    in the automaton's nondeterminism, fine for desk-sized inputs.  Runs are
-    tuples ``((None, q0), (t1, q1), ...)``; every prefix-consuming run is
-    itself included (runs may stop at any point).
-    """
-    if not evaluate(aut.invariant(aut.initial), path.steps[0].state):
-        return []
-    runs: list = []
-
-    def extend(i: int, state: str, sofar: list) -> None:
-        runs.append(tuple(sofar))
-        if i >= len(path.steps) - 1:
-            return
-        step = path.steps[i + 1]
-        for t in _taken(aut, state, step.incoming, step.state, _input_target(step.incoming)):
-            sofar.append((t, t.target))
-            extend(i + 1, t.target, sofar)
-            sofar.pop()
-
-    extend(0, aut.initial, [(None, aut.initial)])
-    return runs
-
-
-def naive_match_path(aut: ArtifactAutomaton, path: ConcretePath) -> MatchVerdict:
-    """Same verdict as :func:`match_path`, derived from run enumeration."""
-    runs = all_runs(aut, path)
-    if not runs:
-        return MatchVerdict(None, False, False, None)
-    n = path.length
-    k = max(len(run) - 1 for run in runs)
-    accepting = [run for run in runs if run[-1][1] in aut.finals]
-    covering = [run for run in runs if len(run) - 1 == n]
-    if accepting:
-        run = min(accepting, key=lambda r: (len(r), r[-1][1]))
-    else:
-        run = min((r for r in runs if len(r) - 1 == k), key=lambda r: r[-1][1])
-    return MatchVerdict(k, bool(accepting), bool(covering), run)
+        accepted = accepted or bool(entered)
+        k += 1
+    return MatchVerdict(k, accepted, k == path.length)
 
 
 def accepts(aut: ArtifactAutomaton, path: ConcretePath) -> bool:

@@ -42,9 +42,8 @@ have explored the same successors again, no nearer the bound.  Hence:
 
 Verdicts are relative to the analysis configuration (finite input domain,
 step bound); ``holds`` is only reported when no truncation could have hidden
-a counterexample.  :func:`brute_force_oracle` re-decides path sets by naive
-full enumeration and is the independent check the product engine is tested
-against.
+a counterexample.  The independent check the explorer is tested against, a
+brute-force oracle over enumerated paths, lives with the tests.
 """
 
 from __future__ import annotations
@@ -57,10 +56,9 @@ from .automata import (
     ArtifactAutomaton,
     AutomatonKind,
     initial_frontier,
-    naive_match_path,
     step_frontier,
 )
-from .errors import InvalidArtifact, OracleBudgetExceeded
+from .errors import InvalidArtifact
 from .kinds import build_test_case_automaton, validate_kind
 from .lang import (
     EMPTY_STATE,
@@ -69,7 +67,6 @@ from .lang import (
     ControlFlowAutomaton,
     InputOp,
     PathStep,
-    enumerate_paths,
     successors,
 )
 from .predicates import Interval
@@ -429,42 +426,3 @@ def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],
     truncated = run_product(program, (goals, test_case), config, visit)
     judgment = _verdict(config, found[0] if found else None, truncated, universal=False)
     return judgment, frozenset(covered)
-
-
-ORACLE_BUDGET = 1_000_000
-
-
-def brute_force_oracle(program: ControlFlowAutomaton,
-                       automata: Sequence[ArtifactAutomaton],
-                       modes: Sequence[str],
-                       config: AnalysisConfig = DEFAULT_CONFIG) -> frozenset:
-    """All complete program paths satisfying the per-automaton requirement.
-
-    Enumerates every path outright, then decides each automaton's
-    requirement (``accept`` or ``cover``) with the naive run-enumerating
-    matcher.  Deliberately shares no machinery with :func:`run_product`;
-    used by the test suite to validate the judgments above.
-    """
-    if len(automata) != len(modes):
-        raise ValueError("one mode per automaton required")
-    for mode in modes:
-        if mode not in ("accept", "cover"):
-            raise ValueError(f"unknown mode {mode!r}")
-    result = enumerate_paths(program, config.input_domain, config.max_steps)
-    if result.truncated:
-        raise OracleBudgetExceeded("path enumeration was truncated by the step bound")
-    total_steps = sum(path.length for path in result.paths)
-    if total_steps > ORACLE_BUDGET:
-        raise OracleBudgetExceeded(
-            f"{total_steps} path-steps exceed the oracle budget of {ORACLE_BUDGET}")
-    selected = []
-    for path in result.paths:
-        keep = True
-        for aut, mode in zip(automata, modes):
-            verdict = naive_match_path(aut, path)
-            if not (verdict.accepted if mode == "accept" else verdict.covered):
-                keep = False
-                break
-        if keep:
-            selected.append(path)
-    return frozenset(selected)

@@ -86,7 +86,3 @@ class PipelineStepError(CoopVerifyError):
         self.actor = actor
         self.cause = cause
         super().__init__(f"step {step} ({actor}) failed: {cause}")
-
-
-class OracleBudgetExceeded(CoopVerifyError):
-    """The brute-force oracle hit its path-step budget."""

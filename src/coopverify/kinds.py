@@ -284,24 +284,3 @@ def build_test_case_automaton(values: Sequence[int], name: str = "test_case") ->
     transitions += [Transition(q, q, None, TRUE, otherwise=True) for q in states]
     return make_automaton(name, AutomatonKind.TEST_CASE, states, states[0],
                           (), transitions)
-
-
-def describes_single_path(aut: ArtifactAutomaton) -> bool:
-    """Whether the automaton is a straight chain with fully concrete patterns
-    and a single final end state (the usual shape of a counterexample)."""
-    if any(t.otherwise for t in aut.transitions):
-        return False
-    seen = {aut.initial}
-    q = aut.initial
-    while True:
-        explicit = aut.explicit_from(q)
-        if not explicit:
-            break
-        if len(explicit) > 1 or explicit[0].target in seen:
-            return False
-        pattern = explicit[0].pattern
-        if pattern.source is None or pattern.target is None or pattern.op_text is None:
-            return False
-        seen.add(explicit[0].target)
-        q = explicit[0].target
-    return seen == set(aut.states) and aut.finals == frozenset({q})

@@ -203,9 +203,6 @@ class ConcreteDataState(Mapping):
         object.__setattr__(state, "_hash", None)
         return state
 
-    def as_dict(self) -> dict:
-        return dict(self._bindings)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ConcreteDataState):
             return self._bindings == other._bindings
@@ -237,10 +234,6 @@ class ConcretePath:
 
     steps: tuple
 
-    @staticmethod
-    def initial(cfa: ControlFlowAutomaton) -> "ConcretePath":
-        return ConcretePath((PathStep(EMPTY_STATE, cfa.initial, None),))
-
     @property
     def length(self) -> int:
         return len(self.steps) - 1
@@ -259,9 +252,6 @@ class ConcretePath:
 
     def extended(self, step: PathStep) -> "ConcretePath":
         return ConcretePath(self.steps + (step,))
-
-    def prefix(self, length: int) -> "ConcretePath":
-        return ConcretePath(self.steps[: length + 1])
 
     def inputs(self) -> tuple:
         values = []
@@ -348,7 +338,9 @@ def enumerate_paths(cfa: ControlFlowAutomaton, domain: Interval,
     A path is maximal when no edge is enabled at its end.  If some path
     reaches ``max_steps`` while still extendable it is dropped and the
     truncated flag is set, so the result only ever contains genuinely
-    maximal paths.
+    maximal paths.  The library explores the product instead (see
+    :mod:`coopverify.engine`); this enumeration stays for the reference
+    tests, and because the benchmark's tracer binds it by name.
     """
     paths = []
     truncated = False
@@ -368,21 +360,6 @@ def enumerate_paths(cfa: ControlFlowAutomaton, domain: Interval,
         for edge, post in reversed(succs):
             stack.append((depth + 1, PathStep(post, edge.target, edge)))
     return EnumerationResult(tuple(paths), truncated)
-
-
-def replay_path(cfa: ControlFlowAutomaton, path: ConcretePath) -> bool:
-    """Check that a path is a genuine execution of ``cfa`` step by step."""
-    first = path.steps[0]
-    if first.location != cfa.initial or first.incoming is not None or len(first.state) != 0:
-        return False
-    for prev, step in zip(path.steps, path.steps[1:]):
-        edge = step.incoming
-        if edge is None or edge not in cfa.edges_from(prev.location) or edge.target != step.location:
-            return False
-        choice = step.state[edge.op.target] if isinstance(edge.op, InputOp) else None
-        if strongest_post(prev.state, edge.op, choice) != step.state:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

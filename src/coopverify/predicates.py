@@ -499,10 +499,6 @@ class Interval:
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.lo, self.hi + 1))
 
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
-
     def values_by_magnitude(self) -> list[int]:
         """Domain values ordered smallest-magnitude first (0, -1, 1, ...)."""
         return sorted(range(self.lo, self.hi + 1), key=lambda v: (abs(v), v))

@@ -10,7 +10,6 @@ A few extra automata that only tests need are defined inline.
 from __future__ import annotations
 
 import itertools
-import re
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,15 +19,11 @@ from coopverify import (
     ArtifactAutomaton,
     ControlFlowAutomaton,
     Interval,
-    enumerate_paths,
     parse_automaton,
     parse_program,
 )
 from coopverify import predicates
-from coopverify.actors import project_residual_path, reduce_with_origin
-from coopverify.automata import AutomatonKind, FinalEntry, naive_match_path
 from coopverify.errors import UnboundTemplate, UndefinedVariable
-from coopverify.lang import InputOp
 from coopverify.predicates import (
     And,
     BinExpr,
@@ -38,7 +33,6 @@ from coopverify.predicates import (
     Neg,
     Not,
     Or,
-    TRUE,
     TautologyResult,
     TemplateVar,
     Var,
@@ -179,46 +173,6 @@ trans q0 -> q0 otherwise
 
 
 # ---------------------------------------------------------------------------
-# Reducer comparison helpers: the residual program's behavior, mapped back to
-# original operations, must be exactly the program behavior the condition
-# does not accept.  Both sides are compared as prefix-closed sets so partial
-# residual paths (stuck mid-split) and partial program paths line up.
-
-def state_items(state):
-    return tuple(sorted(state.items()))
-
-
-def prefix_closure(sequences):
-    """All nonempty prefixes of the given (edge, state) sequences."""
-    out = set()
-    for seq in sequences:
-        hashable = tuple((edge, state_items(state)) for edge, state in seq)
-        for i in range(1, len(hashable) + 1):
-            out.add(hashable[:i])
-    return out
-
-
-def residual_prefixes(program, cond, config):
-    reduction = reduce_with_origin(program, cond)
-    result = enumerate_paths(reduction.residual, config.input_domain, config.max_steps)
-    assert not result.truncated
-    return prefix_closure(
-        project_residual_path(reduction, path) for path in result.paths
-    )
-
-
-def uncovered_prefixes(program, cond, config):
-    result = enumerate_paths(program, config.input_domain, config.max_steps)
-    assert not result.truncated
-    keep = []
-    for path in result.paths:
-        if naive_match_path(cond, path).accepted:
-            continue
-        keep.append([(step.incoming, step.state) for step in path.steps[1:]])
-    return prefix_closure(keep)
-
-
-# ---------------------------------------------------------------------------
 # Tree-walking reference evaluator: the contract of ``predicates.evaluate`` and
 # ``predicates.eval_expr``, walking the tree with ``isinstance`` on every node.
 # The library runs compiled code; this is what it is compared against.
@@ -274,50 +228,6 @@ def reference_evaluate(pred, state, chi=None):
     if isinstance(pred, Or):
         return reference_evaluate(pred.left, state, chi) or reference_evaluate(pred.right, state, chi)
     raise TypeError(f"not a predicate: {pred!r}")
-
-
-# The automaton step's reference: the contract of ``automata.step_frontier``
-# read off the module docstring, state by state, on the reference evaluator
-# and a pattern match of its own.
-
-def _reference_pattern_matches(pattern, edge) -> bool:
-    if pattern.source is not None and pattern.source != edge.match_src:
-        return False
-    if pattern.target is not None and pattern.target != edge.match_tgt:
-        return False
-    if pattern.op_text is None:
-        return True
-    text = re.sub(r"\s+", "", pattern.op_text)
-    if text == "chi=input()":
-        return isinstance(edge.op, InputOp)
-    return text == re.sub(r"\s+", "", edge.op.text)
-
-
-def reference_step(aut, frontier, edge, state_after) -> tuple:
-    """The successor frontier and the final entries of one step: from each
-    state, the explicit transitions that match the edge and whose assumption
-    holds fire, or else the otherwise transition (never on an input edge of
-    a test case); a fired transition is taken when its target's invariant
-    holds.  The placeholder stands for the edge's input variable in the
-    assumption and invariant of an input-template transition only."""
-    read = edge.op.target if isinstance(edge.op, InputOp) else None
-    succ, entries = set(), set()
-    for q in sorted(frontier):
-        fired = []
-        for t in aut.transitions:
-            if t.source != q or t.otherwise or not _reference_pattern_matches(t.pattern, edge):
-                continue
-            chi = read if re.sub(r"\s+", "", t.pattern.op_text or "") == "chi=input()" else None
-            if reference_evaluate(t.assumption, state_after, chi):
-                fired.append((t, chi))
-        if not fired and not (read is not None and aut.kind is AutomatonKind.TEST_CASE):
-            fired = [(t, None) for t in aut.transitions if t.source == q and t.otherwise]
-        for t, chi in fired:
-            if reference_evaluate(aut.invariants.get(t.target, TRUE), state_after, chi):
-                succ.add(t.target)
-                if t.target in aut.finals:
-                    entries.add(FinalEntry(t, t.target))
-    return frozenset(succ), frozenset(entries)
 
 
 # The bounded tautology check's reference: the same contract as

@@ -11,7 +11,7 @@ import coopverify.engine as engine_module
 import coopverify.kinds as kinds_module
 import corpus
 import generators
-from corpus import CFG2, residual_prefixes, uncovered_prefixes
+from corpus import CFG2
 from coopverify import (
     AnalysisConfig,
     ArtifactAutomaton,
@@ -50,11 +50,17 @@ from coopverify.actors import (
     STATUS_STEP_LIMIT,
     TestRecord as Record,
     TestSuite as Suite,
-    project_residual_path,
     reduce_with_origin,
 )
-from coopverify.automata import naive_match_path
-from coopverify.lang import replay_path
+from coopverify.lang import EMPTY_STATE, ConcretePath, InputOp, PathStep
+from reference import (
+    all_runs,
+    naive_match_path,
+    project_residual_path,
+    replay_path,
+    residual_prefixes,
+    uncovered_prefixes,
+)
 
 
 class TestVerify:
@@ -293,6 +299,60 @@ class TestConditionalVerify:
         assert bundle.result is Result.TRUE
         assert bundle.condition is None
 
+    def test_07_repeating_loop_keeps_the_output_condition(self):
+        """The residual loops forever on every input.  The product search
+        meets the repeating configuration and ends exhausted, so every input
+        is verified; a path enumeration would run into the step bound and
+        give no output condition at all."""
+        program = parse_program("int x = input(); int y = 0; while (y < 1) { y = y; }")
+        cond = parse_automaton(
+            "automaton nonpositive kind=condition\nstate q0 init\nstate q1 final\n"
+            'trans q0 -> q1 on (0, "int x = input()", 1) assume x <= 0\n')
+        prop = parse_automaton(
+            "automaton big_exit kind=property\nstate q0 init\nstate qe final\n"
+            'trans q0 -> qe on (*, "!(y < 1)", *) assume x > 100\n'
+            "trans q0 -> q0 otherwise\n")
+        cfg = AnalysisConfig(Interval(-3, 3), 50)
+        bundle = conditional_verify(program, prop, cond, cfg)
+        assert bundle.result is Result.TRUE and bundle.judgment.exhausted
+        (move,) = bundle.condition.explicit_from("c0")
+        assert pred_text(move.assumption) == "x <= 0 || x >= -3 && x <= 3"
+        assert check_condition_correct(program, prop, bundle.condition, cfg).verdict \
+            is Verdict.HOLDS
+
+    def test_08_verified_inputs_are_the_enumerated_ones(self):
+        """Where the residual's paths can be enumerated within the step
+        bound, the output condition accepts an input value on the first
+        edge exactly when the input condition did or some residual path
+        reads it first."""
+        rng = random.Random(9182)
+        cfg = AnalysisConfig(Interval(-2, 2), 60)
+        checked = 0
+        for _ in range(400):
+            program = generators.random_program(rng)
+            prop = generators.random_property(rng, program)
+            cond = generators.random_condition(rng, program)
+            input_edges = [e for e in program.edges if isinstance(e.op, InputOp)]
+            bundle = conditional_verify(program, prop, cond, cfg)
+            if (bundle.result is not Result.TRUE or len(input_edges) != 1
+                    or input_edges[0].source != program.initial):
+                continue
+            residual = reduce(program, cond)
+            result = enumerate_paths(residual, cfg.input_domain, cfg.max_steps)
+            assert not result.truncated
+            verified = {path.inputs()[0] for path in result.paths if path.inputs()}
+            (edge,) = input_edges
+            for value in cfg.input_domain:
+                first = ConcretePath((PathStep(EMPTY_STATE, program.initial, None),
+                                      PathStep(EMPTY_STATE.bind(edge.op.target, value),
+                                               edge.target, edge)))
+                before = naive_match_path(cond, first).accepted
+                after = (bundle.condition is not None
+                         and naive_match_path(bundle.condition, first).accepted)
+                assert after == (before or value in verified)
+            checked += 1
+        assert checked > 20
+
 
 class TestExtractTest:
     def test_01_extracts_smallest_violating_inputs(self, p_prime, cfg4):
@@ -414,9 +474,8 @@ class TestGenerateTests:
         result = enumerate_paths(p, CFG2.input_domain, CFG2.max_steps)
         reachable = set()
         for path in result.paths:
-            run = naive_match_path(goals, path)
-            if run.accepted:
-                reachable |= {state for _, state in run.run if state in goals.finals}
+            for run in all_runs(goals, path):
+                reachable |= {state for _, state in run if state in goals.finals}
         achieved = {entry.state for entry in suite.covered_goals()}
         assert achieved == reachable
 

@@ -17,13 +17,10 @@ from coopverify.automata import (
     FinalEntry,
     Transition,
     accepts,
-    all_runs,
     covers,
     initial_frontier,
     make_automaton,
     match_path,
-    naive_match_path,
-    otherwise_expansion,
     parse_automaton,
     serialize_automaton,
     step_frontier,
@@ -42,9 +39,15 @@ from coopverify.lang import (
     ConcreteDataState,
     ConcretePath,
     InputOp,
+    PathStep,
     enumerate_paths,
 )
 from coopverify.predicates import Interval, TRUE, parse_predicate
+from reference import all_runs, naive_match_path, reference_step
+
+
+def empty_path(cfa):
+    return ConcretePath((PathStep(EMPTY_STATE, cfa.initial, None),))
 
 
 def path_with_inputs(cfa, inputs, domain=Interval(-4, 4)):
@@ -105,17 +108,26 @@ class TestEdgePattern:
 
 
 class TestOtherwiseExpansion:
+    """The otherwise rule as ``step_frontier`` runs it: the otherwise
+    transition fires exactly when no explicit transition both matches the
+    edge and has its assumption hold."""
+
     def test_01_enabled_when_assumption_fails(self, p):
         prop = corpus.prop()
         exit_edge = [e for e in p.edges if e.source == 3 and e.target == 6][0]
         state = ConcreteDataState({"a": 0, "b": 0, "x": 0})
-        assert otherwise_expansion(prop, "q0", exit_edge, state)
+        assert step_frontier(prop, frozenset({"q0"}), exit_edge, state) \
+            == (frozenset({"q0"}), frozenset())
 
     def test_02_disabled_when_explicit_fires(self, p):
+        """The explicit match wins: the run leaves q0 for the final state and
+        does not also stay by otherwise."""
         prop = corpus.prop()
         exit_edge = [e for e in p.edges if e.source == 3 and e.target == 6][0]
         state = ConcreteDataState({"a": 1, "b": 0, "x": 1})
-        assert not otherwise_expansion(prop, "q0", exit_edge, state)
+        succ, entries = step_frontier(prop, frozenset({"q0"}), exit_edge, state)
+        assert succ == frozenset({"qe"})
+        assert {(e.transition.otherwise, e.state) for e in entries} == {(False, "qe")}
 
     def test_03_test_case_never_consumes_inputs(self, p):
         """Input edges must be matched by an explicit chain transition or the
@@ -123,14 +135,22 @@ class TestOtherwiseExpansion:
         test_case = build_test_case_automaton([4])
         input_edge = p.edges[0]
         state = ConcreteDataState({"x": 5})
-        assert not otherwise_expansion(test_case, "q0", input_edge, state)
-        assert not otherwise_expansion(test_case, "q1", input_edge, state)
+        for q in ("q0", "q1"):
+            assert test_case.otherwise_at(q) is not None
+            assert step_frontier(test_case, frozenset({q}), input_edge, state) \
+                == (frozenset(), frozenset())
+        # off the input edges, the same otherwise loop keeps the run alive
+        body_edge = [e for e in p.edges if e.op.text == "a++"][0]
+        assert step_frontier(test_case, frozenset({"q1"}), body_edge,
+                             ConcreteDataState({"a": 1, "b": 0, "x": 2})) \
+            == (frozenset({"q1"}), frozenset())
 
     def test_04_enabled_on_unmatched_edge(self, p):
         prop = corpus.prop()
         body_edge = [e for e in p.edges if e.op.text == "a++"][0]
-        assert otherwise_expansion(prop, "q0", body_edge,
-                                   ConcreteDataState({"a": 1, "b": 0, "x": 2}))
+        assert step_frontier(prop, frozenset({"q0"}), body_edge,
+                             ConcreteDataState({"a": 1, "b": 0, "x": 2})) \
+            == (frozenset({"q0"}), frozenset())
 
 
 class TestMatchPath:
@@ -141,10 +161,12 @@ class TestMatchPath:
         assert verdict.k == 4
 
     def test_02_violation_witness_accepts_broken_run(self, p_prime):
-        verdict = match_path(corpus.witness_violation(), path_with_inputs(p_prime, (1,)))
-        assert verdict.accepted
-        assert verdict.run[-1][1] == "w6"
-        assert verdict.run[0] == (None, "w0")
+        path = path_with_inputs(p_prime, (1,))
+        verdict = match_path(corpus.witness_violation(), path)
+        assert verdict.accepted and verdict.covered
+        assert verdict.k == path.length == 6
+        # the run enters the final state w6 on the last edge, not before
+        assert not match_path(corpus.witness_violation(), ConcretePath(path.steps[:6])).accepted
 
     def test_03_test_case_covers_but_never_accepts(self, p):
         verdict = match_path(build_test_case_automaton([4]), path_with_inputs(p, (4,)))
@@ -153,21 +175,20 @@ class TestMatchPath:
         assert verdict.k == path_with_inputs(p, (4,)).length
 
     def test_04_empty_path_is_covered(self, p):
-        verdict = match_path(corpus.prop(), ConcretePath.initial(p))
+        verdict = match_path(corpus.prop(), empty_path(p))
         assert verdict.covered
         assert verdict.k == 0
         assert not verdict.accepted
-        assert verdict.run == ((None, "q0"),)
 
     def test_05_false_initial_invariant_matches_nothing(self, p):
         aut = parse_automaton(
             "automaton stuck kind=correctness-witness\n"
             "state s0 init inv: false\n"
             "trans s0 -> s0 otherwise\n")
-        verdict = match_path(aut, ConcretePath.initial(p))
+        verdict = match_path(aut, empty_path(p))
         assert verdict.k is None
         assert not verdict.matched
-        assert verdict.run is None
+        assert not verdict.accepted and not verdict.covered
 
     def test_06_wrong_input_value_kills_test_case(self, p):
         assert not covers(build_test_case_automaton([3]), path_with_inputs(p, (4,)))
@@ -327,7 +348,7 @@ trans q3 -> q3 otherwise
 
 
 class TestReferenceStep:
-    """step_frontier against ``corpus.reference_step`` on every frontier of
+    """step_frontier against ``reference.reference_step`` on every frontier of
     each automaton and every (edge, post-state) pair of the program's paths,
     exceptions included."""
 
@@ -347,7 +368,7 @@ class TestReferenceStep:
         for edge, post in sorted(steps, key=repr):
             for frontier in frontiers:
                 got = self._outcome(step_frontier, aut, frontier, edge, post)
-                assert got == self._outcome(corpus.reference_step, aut, frontier, edge, post), \
+                assert got == self._outcome(reference_step, aut, frontier, edge, post), \
                     (aut.name, sorted(frontier), edge, post)
                 seen["input" if isinstance(edge.op, InputOp) else "other"] += 1
                 seen["one state" if len(frontier) == 1 else "states"] += 1
@@ -516,7 +537,7 @@ class TestMatchSemantics:
         for aut, path in self.corpus_pairs():
             hit = False
             for i in range(path.length + 1):
-                now = match_path(aut, path.prefix(i)).accepted
+                now = match_path(aut, ConcretePath(path.steps[:i + 1])).accepted
                 assert now or not hit
                 hit = hit or now
 
@@ -536,7 +557,10 @@ class TestMatchSemantics:
                 assert covers(prop, path)
 
     def test_07_accepting_run_ends_in_final(self):
+        """An accepted path has a run ending in a final state, and the
+        prefix that run consumes is accepted and covered."""
         for aut, path in self.corpus_pairs():
-            verdict = match_path(aut, path)
-            if verdict.accepted:
-                assert verdict.run[-1][1] in aut.finals
+            if match_path(aut, path).accepted:
+                run = min((r for r in all_runs(aut, path) if r[-1][1] in aut.finals), key=len)
+                prefix = match_path(aut, ConcretePath(path.steps[:len(run)]))
+                assert prefix.accepted and prefix.covered

@@ -1,19 +1,22 @@
-"""Tests for the five judgments, the product explorer, and the oracle."""
+"""Tests for the five judgments, the product explorer, and the oracle they
+are checked against."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 import corpus
 import generators
+import reference
 from coopverify.actors import Result, verify
-from coopverify.automata import match_path, parse_automaton
+from coopverify.automata import FinalEntry, match_path, parse_automaton
 from coopverify.engine import (
     AnalysisConfig,
     DEFAULT_CONFIG,
     Verdict,
     VisitAction,
-    brute_force_oracle,
     check_condition_correct,
     check_correctness_witness,
     check_fulfills,
@@ -21,10 +24,16 @@ from coopverify.engine import (
     check_violation_witness,
     run_product,
 )
-from coopverify.errors import InvalidArtifact, OracleBudgetExceeded
+from coopverify.errors import InvalidArtifact
 from coopverify.kinds import build_test_case_automaton
 from coopverify.lang import enumerate_paths, parse_program
 from coopverify.predicates import Interval
+from reference import (
+    OracleBudgetExceeded,
+    all_runs,
+    brute_force_oracle,
+    naive_match_path,
+)
 
 CFG4 = corpus.CFG4
 CFG2 = corpus.CFG2
@@ -212,6 +221,24 @@ class TestOracle:
         covered = brute_force_oracle(p, [build_test_case_automaton([1])], ["cover"], CFG2)
         assert [path.inputs() for path in covered] == [(1,)]
 
+    def test_07_reference_runs_no_engine_code(self):
+        """The oracle decides by its own enumeration and its own step.  Were
+        it to call the explorer or the automaton step, the differential
+        tests against it would confirm the engine by the engine."""
+        tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name.rpartition(".")[2] for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        assert "enumerate_paths" in used and "reference_evaluate" in used
+        engine_code = {"run_product", "_search", "step_frontier", "match_path",
+                       "initial_frontier", "_taken", "accepts", "covers"}
+        assert not used & engine_code
+
 
 class TestKindEnforcement:
     def test_01_wrong_kind_rejected(self, p):
@@ -308,7 +335,6 @@ class TestJudgmentProperties:
     def test_05_covered_goals_match_naive_runs(self, p):
         """The goal entries the product reports are exactly those the naive
         matcher finds on test-covered paths."""
-        from coopverify.automata import all_runs, naive_match_path
         goals = parse_automaton(corpus.TWO_GOALS)
         for inputs in ((0,), (1,), (2,)):
             _, covered = check_test_covers(p, inputs, goals, CFG2)
@@ -320,7 +346,6 @@ class TestJudgmentProperties:
                 for run in all_runs(goals, path):
                     for transition, state in run:
                         if state in goals.finals:
-                            from coopverify.automata import FinalEntry
                             expected.add(FinalEntry(transition, state))
             assert covered == frozenset(expected)
 

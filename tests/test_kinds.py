@@ -14,7 +14,6 @@ from coopverify.kinds import (
     REFUTED,
     NOT_APPLICABLE,
     build_test_case_automaton,
-    describes_single_path,
     validate_kind,
 )
 from coopverify.predicates import CHI, Comparison, Const, Interval
@@ -206,24 +205,6 @@ class TestBuildTestCase:
         for _ in range(25):
             values = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
             assert validate_kind(build_test_case_automaton(values), p).ok
-
-
-class TestDescribesSinglePath:
-    def test_01_counterexample_chain(self):
-        assert describes_single_path(corpus.witness_violation())
-
-    def test_02_branching_or_looping_shapes(self):
-        assert not describes_single_path(corpus.prop())
-        assert not describes_single_path(build_test_case_automaton([1]))
-        assert describes_single_path(parse_automaton(corpus.HOPELESS_WITNESS))
-
-    def test_03_wildcards_disqualify(self):
-        aut = parse_automaton(
-            "automaton vague kind=violation-witness\n"
-            "state w0 init\n"
-            "state w1 final\n"
-            'trans w0 -> w1 on (*, "a++", *)\n')
-        assert not describes_single_path(aut)
 
 
 class TestRandomAutomataAreKindValid:

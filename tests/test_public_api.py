@@ -19,7 +19,6 @@ PUBLIC_NAMES = {
     "KindReport",
     "MatchVerdict",
     "NoViolatingPath",
-    "OracleBudgetExceeded",
     "ParseError",
     "PipelineStepError",
     "Recipe",
@@ -36,7 +35,6 @@ PUBLIC_NAMES = {
     "Verdict",
     "VerdictBundle",
     "accepts",
-    "brute_force_oracle",
     "build_test_case_automaton",
     "check_condition_correct",
     "check_correctness_witness",
