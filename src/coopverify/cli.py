@@ -1,7 +1,11 @@
 """Command-line front end: batch verification over files.
 
-One subcommand per actor plus ``parse`` and ``check-kind`` for artifact
-inspection.  Exit codes: 0 the judgment holds / result true / test covers,
+Each actor subcommand (``verify``, ``validate``, ``reduce``,
+``extract-test``, ``exec-test``, ``gen-tests``) is a one-step recipe: its
+flags bind the input roles of a ``pipeline.ACTORS`` entry, and each output
+role has one renderer, which ``pipeline`` shares.  ``parse``,
+``check-condition`` and ``check-kind`` are judgments with handlers of
+their own.  Exit codes: 0 the judgment holds / result true / test covers,
 1 violated / false / not covered, 2 unknown, 64 usage error, 65 unreadable
 or invalid input artifact (including one nested too deeply to process),
 70 internal error.  ``--format json`` emits one stable object:
@@ -12,6 +16,7 @@ or invalid input artifact (including one nested too deeply to process),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,6 +31,7 @@ from .engine import AnalysisConfig
 from .errors import CoopVerifyError, NoViolatingPath, ParseError
 from .kinds import validate_kind
 from .lang import ControlFlowAutomaton, parse_cfa, parse_program, serialize_cfa
+from .pipeline import Role
 from .predicates import Interval
 
 
@@ -89,6 +95,17 @@ def load_test(path: str) -> tuple:
     return parse_test_text(_read(path))
 
 
+# Input role -> the flag that names its file, and the loader that reads it.
+_ROLE_FLAGS = {
+    Role.PROGRAM: ("program", load_program),
+    Role.BEHAVIOR_PROPERTY: ("property", load_automaton),
+    Role.TEST_GOALS: ("testgoal", load_automaton),
+    Role.WITNESS: ("witness", load_automaton),
+    Role.CONDITION: ("condition", load_automaton),
+    Role.TEST: ("test", load_test),
+}
+
+
 def _write_file(args, name: str, content: str, report: RunReport) -> str:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, name)
@@ -102,6 +119,28 @@ def _test_text(values) -> str:
     return "".join(f"{v}\n" for v in values)
 
 
+# Output role -> the file it is written to under --out, and its serializer.
+_ARTIFACT_FILES = {
+    Role.WITNESS: ("witness.aut", serialize_automaton),
+    Role.CONDITION: ("condition.aut", serialize_automaton),
+    Role.PROGRAM: ("residual.cfa", serialize_cfa),
+    Role.TEST: ("extracted.test", _test_text),
+}
+
+
+def _write_artifact(args, role: Role, value, report: RunReport) -> list:
+    """Write one output artifact under ``--out`` and return the paths
+    written: none for a result or an absent witness, one
+    ``test_NNN.test`` per test of a suite."""
+    if role is Role.TEST_SUITE:
+        return [_write_file(args, f"test_{index:03d}.test", _test_text(record.inputs), report)
+                for index, record in enumerate(value.tests)]
+    if role not in _ARTIFACT_FILES or value is None:
+        return []
+    name, serialize = _ARTIFACT_FILES[role]
+    return [_write_file(args, name, serialize(value), report)]
+
+
 # ---------------------------------------------------------------------------
 # Shared pieces
 
@@ -112,30 +151,130 @@ def _config(args) -> AnalysisConfig:
         raise _UsageError(str(err)) from None
 
 
-_RESULT_CODES = {"true": 0, "false": 1, "unknown": 2}
-_VERDICT_CODES = {"holds": 0, "violated": 1, "unknown": 2}
+_CODES = {"true": 0, "holds": 0, "false": 1, "violated": 1, "unknown": 2}
 
 
-def _bundle_report(command: str, bundle, config: AnalysisConfig) -> RunReport:
+def _result_outcome(bundle) -> tuple:
+    """Verdict, exit code and exhaustion of a result bundle."""
     verdict = bundle.result.value
-    judgment = bundle.judgment
-    report = RunReport(command, verdict, _RESULT_CODES[verdict],
-                       exhausted=judgment.exhausted, config=config.to_json_dict(),
-                       details={"judgment": judgment.to_json_dict()})
+    return verdict, _CODES[verdict], bundle.judgment.exhausted
+
+
+def _execution_outcome(execution: actors.ExecutionReport) -> tuple:
+    """Verdict and exit code of a test execution."""
+    if execution.violation_observed:
+        return "violation-observed", 1
+    if execution.status == actors.STATUS_COMPLETED:
+        return "completed", 0
+    return execution.status, 2
+
+
+# ---------------------------------------------------------------------------
+# Output renderers, one per output role of an actor (the execution report
+# under ``None``).  Each takes the parsed arguments, the report it fills,
+# the produced value and the actor's inputs by role.
+
+def _render_result(args, report: RunReport, bundle, inputs: dict) -> None:
+    report.verdict, report.exit_code, report.exhausted = _result_outcome(bundle)
+    report.details["judgment"] = bundle.judgment.to_json_dict()
+    if Role.WITNESS in inputs:
+        report.details["witness_kind"] = inputs[Role.WITNESS].kind.value
     # the judgment's own report, headed by the program-level result
-    _, rest = judgment.text().split("\n", 1)
-    report.text_lines.append(f"verdict: {verdict}\n{rest}")
-    return report
+    _, rest = bundle.judgment.text().split("\n", 1)
+    report.text_lines.append(f"verdict: {report.verdict}\n{rest}")
 
 
-def _maybe_write_witness(args, bundle, report: RunReport) -> None:
-    if bundle.witness is not None:
-        path = _write_file(args, "witness.aut", serialize_automaton(bundle.witness), report)
-        report.details["witness_file"] = path
+def _render_witness(args, report: RunReport, witness, inputs: dict) -> None:
+    if witness is not None:
+        report.details["witness_file"], = _write_artifact(args, Role.WITNESS, witness, report)
+
+
+def _render_residual(args, report: RunReport, residual, inputs: dict) -> None:
+    path, = _write_artifact(args, Role.PROGRAM, residual, report)
+    report.details.update({
+        "residual_file": path,
+        "locations": len(residual.locations),
+        "edges": len(residual.edges),
+    })
+    report.text_lines.append(f"verdict: ok\nresidual: {len(residual.locations)} locations, "
+                             f"{len(residual.edges)} edges")
+
+
+def _render_test(args, report: RunReport, values, inputs: dict) -> None:
+    report.details["inputs"] = list(values)
+    report.details["test_file"], = _write_artifact(args, Role.TEST, values, report)
+    rendered = ", ".join(str(v) for v in values)
+    report.text_lines.append(f"verdict: ok\ninputs: <{rendered}>")
+
+
+def _render_suite(args, report: RunReport, suite, inputs: dict) -> None:
+    paths = _write_artifact(args, Role.TEST_SUITE, suite, report)
+    tests_detail = [{
+        "file": path,
+        "inputs": list(record.inputs),
+        "goals": sorted(str(goal.state) for goal in record.goals),
+    } for path, record in zip(paths, suite.tests)]
+    report.details.update({"suite_size": len(suite), "tests": tests_detail})
+    lines = ["verdict: ok", f"suite size: {len(suite)}"]
+    for entry in tests_detail:
+        rendered = ", ".join(str(v) for v in entry["inputs"])
+        lines.append(f"  <{rendered}> covering {', '.join(entry['goals'])} -> {entry['file']}")
+    report.text_lines.append("\n".join(lines))
+
+
+def _render_execution(args, report: RunReport, result, inputs: dict) -> None:
+    report.verdict, report.exit_code = _execution_outcome(result)
+    report.details.update({
+        "status": result.status,
+        "consumed_inputs": result.consumed,
+        "final_location": result.final_location,
+        "final_state": dict(sorted(result.final_state.items())),
+        "violation_observed": result.violation_observed,
+        "trace_length": result.trace.length,
+    })
+    lines = [f"verdict: {report.verdict}", f"status: {result.status}", "trace:"]
+    lines.extend(f"  {line}" for line in str(result.trace).splitlines())
+    if Role.BEHAVIOR_PROPERTY in inputs:
+        lines.append(f"violation observed: {'yes' if result.violation_observed else 'no'}")
+    report.text_lines.append("\n".join(lines))
+
+
+_RENDERERS = {
+    Role.RESULT: _render_result,
+    Role.WITNESS: _render_witness,
+    Role.PROGRAM: _render_residual,
+    Role.TEST: _render_test,
+    Role.TEST_SUITE: _render_suite,
+    None: _render_execution,
+}
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
+
+def _cmd_actor(command: str, spec: pipeline.ActorSpec, args) -> RunReport:
+    """Run one actor as a one-step recipe: load its input roles from their
+    flags (an optional role only when its flag is given), call it and
+    render each output role."""
+    config = _config(args)
+    inputs = {}
+    for role in spec.inputs + spec.optional_inputs:
+        flag, loader = _ROLE_FLAGS[role]
+        path = getattr(args, flag)
+        if path or role in spec.inputs:
+            inputs[role] = loader(path)
+    report = RunReport(command, "ok", 0, config=config.to_json_dict())
+    try:
+        produced = spec.run(list(inputs.values()), config)
+    except NoViolatingPath as err:
+        report.verdict, report.exit_code = "no-violating-path", 1
+        report.details["reason"] = str(err)
+        report.text_lines.append(f"verdict: no-violating-path\n{err}")
+        return report
+    for role, value in zip(spec.outputs or (None,), produced):
+        _RENDERERS[role](args, report, value, inputs)
+    return report
+
 
 def _cmd_parse(args) -> RunReport:
     report = RunReport("parse", "ok", 0)
@@ -167,28 +306,6 @@ def _cmd_parse(args) -> RunReport:
     return report
 
 
-def _cmd_verify(args) -> RunReport:
-    config = _config(args)
-    program = load_program(args.program)
-    prop = load_automaton(args.property)
-    bundle = actors.verify(program, prop, config)
-    report = _bundle_report("verify", bundle, config)
-    _maybe_write_witness(args, bundle, report)
-    return report
-
-
-def _cmd_validate(args) -> RunReport:
-    config = _config(args)
-    program = load_program(args.program)
-    prop = load_automaton(args.property)
-    witness = load_automaton(args.witness)
-    bundle = actors.validate_result(program, prop, witness, config)
-    report = _bundle_report("validate", bundle, config)
-    report.details["witness_kind"] = witness.kind.value
-    _maybe_write_witness(args, bundle, report)
-    return report
-
-
 def _cmd_check_condition(args) -> RunReport:
     config = _config(args)
     program = load_program(args.program)
@@ -196,112 +313,23 @@ def _cmd_check_condition(args) -> RunReport:
     condition = load_automaton(args.condition)
     judgment = engine.check_condition_correct(program, prop, condition, config)
     verdict = judgment.verdict.value
-    report = RunReport("check-condition", verdict, _VERDICT_CODES[verdict],
+    report = RunReport("check-condition", verdict, _CODES[verdict],
                        exhausted=judgment.exhausted, config=config.to_json_dict(),
                        details={"judgment": judgment.to_json_dict()})
     report.text_lines.append(judgment.text())
     return report
 
 
-def _cmd_reduce(args) -> RunReport:
-    config = _config(args)
-    program = load_program(args.program)
-    condition = load_automaton(args.condition)
-    residual = actors.reduce(program, condition)
-    report = RunReport("reduce", "ok", 0, config=config.to_json_dict())
-    path = _write_file(args, "residual.cfa", serialize_cfa(residual), report)
-    report.details.update({
-        "residual_file": path,
-        "locations": len(residual.locations),
-        "edges": len(residual.edges),
-    })
-    report.text_lines.append(
-        f"verdict: ok\nresidual: {len(residual.locations)} locations, "
-        f"{len(residual.edges)} edges\nwrote {path}")
-    return report
-
-
-def _cmd_extract_test(args) -> RunReport:
-    config = _config(args)
-    program = load_program(args.program)
-    prop = load_automaton(args.property)
-    witness = load_automaton(args.witness)
-    try:
-        values = actors.extract_test(program, prop, witness, config)
-    except NoViolatingPath as err:
-        report = RunReport("extract-test", "no-violating-path", 1,
-                           exhausted=None, config=config.to_json_dict(),
-                           details={"reason": str(err)})
-        report.text_lines.append(f"verdict: no-violating-path\n{err}")
-        return report
-    report = RunReport("extract-test", "ok", 0, config=config.to_json_dict(),
-                       details={"inputs": list(values)})
-    path = _write_file(args, "extracted.test", _test_text(values), report)
-    report.details["test_file"] = path
-    rendered = ", ".join(str(v) for v in values)
-    report.text_lines.append(f"verdict: ok\ninputs: <{rendered}>\nwrote {path}")
-    return report
-
-
-def _cmd_exec_test(args) -> RunReport:
-    config = _config(args)
-    program = load_program(args.program)
-    values = load_test(args.test)
-    prop = load_automaton(args.property) if args.property else None
-    result = actors.exec_test(program, values, prop, config.max_steps)
-    if result.violation_observed:
-        verdict, code = "violation-observed", 1
-    elif result.status == actors.STATUS_COMPLETED:
-        verdict, code = "completed", 0
-    else:
-        verdict, code = result.status, 2
-    report = RunReport("exec-test", verdict, code, config=config.to_json_dict())
-    report.details.update({
-        "status": result.status,
-        "consumed_inputs": result.consumed,
-        "final_location": result.final_location,
-        "final_state": dict(sorted(result.final_state.items())),
-        "violation_observed": result.violation_observed,
-        "trace_length": result.trace.length,
-    })
-    lines = [f"verdict: {verdict}", f"status: {result.status}", "trace:"]
-    lines.extend(f"  {line}" for line in str(result.trace).splitlines())
-    if prop is not None:
-        lines.append(f"violation observed: {'yes' if result.violation_observed else 'no'}")
-    report.text_lines.append("\n".join(lines))
-    return report
-
-
-def _cmd_gen_tests(args) -> RunReport:
-    config = _config(args)
-    program = load_program(args.program)
-    goals = load_automaton(args.testgoal)
-    suite = actors.generate_tests(program, goals, config)
-    report = RunReport("gen-tests", "ok", 0, config=config.to_json_dict())
-    tests_detail = []
-    for index, record in enumerate(suite.tests):
-        path = _write_file(args, f"test_{index:03d}.test", _test_text(record.inputs), report)
-        tests_detail.append({
-            "file": path,
-            "inputs": list(record.inputs),
-            "goals": sorted(str(goal.state) for goal in record.goals),
-        })
-    report.details.update({"suite_size": len(suite), "tests": tests_detail})
-    lines = [f"verdict: ok", f"suite size: {len(suite)}"]
-    for entry in tests_detail:
-        rendered = ", ".join(str(v) for v in entry["inputs"])
-        lines.append(f"  <{rendered}> covering {', '.join(entry['goals'])} -> {entry['file']}")
-    report.text_lines.append("\n".join(lines))
-    return report
-
-
 def _cmd_check_kind(args) -> RunReport:
     config = _config(args)
-    path = args.property or args.testgoal or args.witness or args.condition
-    if path is None:
+    paths = [path for path in (args.property, args.testgoal, args.witness, args.condition)
+             if path]
+    if not paths:
         raise _UsageError("check-kind needs one automaton file")
+    if len(paths) > 1:
+        raise _UsageError(f"check-kind takes one automaton file, not {len(paths)}")
     program = load_program(args.program)
-    aut = load_automaton(path)
+    aut = load_automaton(paths[0])
     domain = config.input_domain if aut.kind is AutomatonKind.PROPERTY else None
     kind_report = validate_kind(aut, program, domain)
     verdict = "ok" if kind_report.ok else "not-ok"
@@ -319,44 +347,38 @@ def _cmd_check_kind(args) -> RunReport:
     return report
 
 
-_PIPELINE_SOURCES = (
-    ("program", pipeline.Role.PROGRAM, load_program),
-    ("property", pipeline.Role.BEHAVIOR_PROPERTY, load_automaton),
-    ("testgoal", pipeline.Role.TEST_GOALS, load_automaton),
-    ("witness", pipeline.Role.WITNESS, load_automaton),
-    ("condition", pipeline.Role.CONDITION, load_automaton),
-    ("test", pipeline.Role.TEST, load_test),
-)
+_EXECUTION_SUMMARIES = {
+    "violation-observed": "violation observed by execution",
+    "completed": "execution completed without violation",
+}
 
 
 def _pipeline_outcome(result: pipeline.PipelineResult) -> tuple:
-    """Verdict and exit code from the last verdict-bearing step."""
+    """Verdict, exit code, exhaustion and summary from the last
+    verdict-bearing step."""
     for record in reversed(result.log):
-        if record.report is not None and isinstance(record.report, actors.ExecutionReport):
-            execution = record.report
-            if execution.violation_observed:
-                return "violation-observed", 1, "violation observed by execution"
-            if execution.status == actors.STATUS_COMPLETED:
-                return "completed", 0, "execution completed without violation"
-            return execution.status, 2, f"execution ended: {execution.status}"
-        if "r" in record.outputs:
-            bundle = record.outputs["r"].value
-            verdict = bundle.result.value
-            return verdict, _RESULT_CODES[verdict], f"result {verdict}"
-    return "ok", 0, "pipeline completed"
+        if isinstance(record.report, actors.ExecutionReport):
+            verdict, code = _execution_outcome(record.report)
+            summary = _EXECUTION_SUMMARIES.get(verdict, f"execution ended: {verdict}")
+            return verdict, code, None, summary
+        if Role.RESULT.value in record.outputs:
+            verdict, code, exhausted = _result_outcome(record.outputs[Role.RESULT.value].value)
+            return verdict, code, exhausted, f"result {verdict}"
+    return "ok", 0, None, "pipeline completed"
 
 
 def _cmd_pipeline(args) -> RunReport:
     config = _config(args)
     recipe = pipeline.parse_recipe(_read(args.recipe))
     initial = {}
-    for flag, role, loader in _PIPELINE_SOURCES:
+    for role, (flag, loader) in _ROLE_FLAGS.items():
         value = getattr(args, flag)
         if value:
             initial[role.value] = pipeline.Artifact(role, loader(value))
     result = pipeline.run_pipeline(recipe, initial, config)
-    verdict, code, summary = _pipeline_outcome(result)
-    report = RunReport("pipeline", verdict, code, config=config.to_json_dict())
+    verdict, code, exhausted, summary = _pipeline_outcome(result)
+    report = RunReport("pipeline", verdict, code, exhausted=exhausted,
+                       config=config.to_json_dict())
     steps_detail = []
     lines = [f"verdict: {verdict}"]
     for record in result.log:
@@ -374,21 +396,8 @@ def _cmd_pipeline(args) -> RunReport:
         })
     lines.append(summary)
     report.details.update({"steps": steps_detail, "summary": summary})
-    produced_names = {name for record in result.log for name in record.outputs}
-    writers = {
-        "omega": ("witness.aut", lambda v: serialize_automaton(v)),
-        "psi": ("condition.aut", lambda v: serialize_automaton(v)),
-        "t": ("extracted.test", _test_text),
-        "p": ("residual.cfa", serialize_cfa),
-    }
-    for name in sorted(produced_names):
-        if name in writers and result.artifacts[name].value is not None:
-            filename, renderer = writers[name]
-            _write_file(args, filename, renderer(result.artifacts[name].value), report)
-    if "ts" in produced_names:
-        suite = result.artifacts["ts"].value
-        for index, record in enumerate(suite.tests):
-            _write_file(args, f"test_{index:03d}.test", _test_text(record.inputs), report)
+    for name in sorted({name for record in result.log for name in record.outputs}):
+        _write_artifact(args, Role(name), result.artifacts[name].value, report)
     report.text_lines.append("\n".join(lines))
     return report
 
@@ -396,17 +405,30 @@ def _cmd_pipeline(args) -> RunReport:
 # ---------------------------------------------------------------------------
 # Parser assembly
 
-def _add_common(sub) -> None:
-    sub.add_argument("--input-min", type=int, default=engine.DEFAULT_DOMAIN.lo)
-    sub.add_argument("--input-max", type=int, default=engine.DEFAULT_DOMAIN.hi)
-    sub.add_argument("--max-steps", type=int, default=engine.DEFAULT_MAX_STEPS)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--out", default=".", help="directory for written artifacts")
+def _actor_command(name: str, actor: str, help_text: str) -> tuple:
+    spec = pipeline.ACTORS[actor]
+    return (name, help_text, functools.partial(_cmd_actor, name, spec),
+            spec.inputs, spec.optional_inputs)
 
 
-def _add_artifacts(sub, *names, required=()) -> None:
-    for name in names:
-        sub.add_argument(f"--{name}", required=name in required, default=None)
+_ALL_ROLES = tuple(_ROLE_FLAGS)
+
+# Subcommands in --help order: name, help, handler, required and optional
+# input roles.
+_COMMANDS = (
+    ("parse", "parse artifacts and echo canonical form", _cmd_parse, (), _ALL_ROLES),
+    _actor_command("verify", "verify", "verify a program against a property"),
+    _actor_command("validate", "validate", "validate a witness for a program"),
+    ("check-condition", "check a condition is correct", _cmd_check_condition,
+     (Role.PROGRAM, Role.BEHAVIOR_PROPERTY, Role.CONDITION), ()),
+    _actor_command("reduce", "reduce", "reduce a program by a condition"),
+    _actor_command("extract-test", "extract_test", "extract a test from a violation witness"),
+    _actor_command("exec-test", "exec_test", "execute a test case"),
+    _actor_command("gen-tests", "gen_tests", "generate a goal-covering test suite"),
+    ("check-kind", "validate an automaton's kind constraints", _cmd_check_kind,
+     (Role.PROGRAM,), (Role.BEHAVIOR_PROPERTY, Role.TEST_GOALS, Role.WITNESS, Role.CONDITION)),
+    ("pipeline", "run a cooperation recipe", _cmd_pipeline, (), _ALL_ROLES),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,48 +436,18 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Cooperative verification over a miniature "
                                  "imperative language.")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    def new(name, handler, help_text):
+    for name, help_text, handler, required, optional in _COMMANDS:
         sub = commands.add_parser(name, help=help_text)
         sub.set_defaults(handler=handler)
-        _add_common(sub)
-        return sub
-
-    sub = new("parse", _cmd_parse, "parse artifacts and echo canonical form")
-    _add_artifacts(sub, "program", "property", "testgoal", "witness", "condition", "test")
-
-    sub = new("verify", _cmd_verify, "verify a program against a property")
-    _add_artifacts(sub, "program", "property", required=("program", "property"))
-
-    sub = new("validate", _cmd_validate, "validate a witness for a program")
-    _add_artifacts(sub, "program", "property", "witness",
-                   required=("program", "property", "witness"))
-
-    sub = new("check-condition", _cmd_check_condition, "check a condition is correct")
-    _add_artifacts(sub, "program", "property", "condition",
-                   required=("program", "property", "condition"))
-
-    sub = new("reduce", _cmd_reduce, "reduce a program by a condition")
-    _add_artifacts(sub, "program", "condition", required=("program", "condition"))
-
-    sub = new("extract-test", _cmd_extract_test, "extract a test from a violation witness")
-    _add_artifacts(sub, "program", "property", "witness",
-                   required=("program", "property", "witness"))
-
-    sub = new("exec-test", _cmd_exec_test, "execute a test case")
-    _add_artifacts(sub, "program", "test", "property", required=("program", "test"))
-
-    sub = new("gen-tests", _cmd_gen_tests, "generate a goal-covering test suite")
-    _add_artifacts(sub, "program", "testgoal", required=("program", "testgoal"))
-
-    sub = new("check-kind", _cmd_check_kind, "validate an automaton's kind constraints")
-    _add_artifacts(sub, "program", "property", "testgoal", "witness", "condition",
-                   required=("program",))
-
-    sub = new("pipeline", _cmd_pipeline, "run a cooperation recipe")
-    _add_artifacts(sub, "program", "property", "testgoal", "witness", "condition", "test")
-    sub.add_argument("--recipe", required=True)
-
+        sub.add_argument("--input-min", type=int, default=engine.DEFAULT_DOMAIN.lo)
+        sub.add_argument("--input-max", type=int, default=engine.DEFAULT_DOMAIN.hi)
+        sub.add_argument("--max-steps", type=int, default=engine.DEFAULT_MAX_STEPS)
+        sub.add_argument("--format", choices=("text", "json"), default="text")
+        sub.add_argument("--out", default=".", help="directory for written artifacts")
+        for role in required + optional:
+            sub.add_argument(f"--{_ROLE_FLAGS[role][0]}", required=role in required,
+                             default=None)
+    commands.choices["pipeline"].add_argument("--recipe", required=True)
     return parser
 
 

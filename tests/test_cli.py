@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface against the samples."""
 
 import json
+import random
 
 import corpus
 from coopverify import (
@@ -238,6 +239,14 @@ class TestCheckKindCommand:
         assert code == 64
         assert "usage error" in err
 
+    def test_04_more_than_one_automaton_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "check-kind", "--program", sample("p.imp"),
+                                 "--property", sample("prop.aut"),
+                                 "--witness", sample("cond.aut"))
+        assert code == 64
+        assert out == ""
+        assert err == "usage error: check-kind takes one automaton file, not 2\n"
+
 
 class TestParseCommand:
     def test_01_echoes_canonical_program(self, capsys):
@@ -292,6 +301,107 @@ class TestPipelineCommand:
             "--condition", sample("cond.aut"), "--out", str(tmp_path))
         assert code == 1
         assert payload["verdict"] == "false"
+
+    def test_04_exhausted_comes_from_the_verdict_step(self, capsys, tmp_path):
+        for program, steps, exhausted in (("p.imp", "500", True), ("p.imp", "10", False),
+                                          ("p_prime.imp", "500", True)):
+            code, payload = run_json(
+                capsys, "pipeline", "--recipe", sample("reduce_verify.coop"),
+                "--program", sample(program), "--property", sample("prop.aut"),
+                "--condition", sample("cond.aut"), "--max-steps", steps,
+                "--out", str(tmp_path))
+            assert payload["exhausted"] is exhausted, (program, steps)
+        code, payload = run_json(
+            capsys, "pipeline", "--recipe", sample("execval.coop"),
+            "--program", sample("p_prime.imp"), "--property", sample("prop.aut"),
+            "--out", str(tmp_path))
+        assert payload["verdict"] == "violation-observed"
+        assert payload["exhausted"] is None
+
+
+# Every actor subcommand on samples/, as flag/sample pairs; the flags bind
+# the actor's input roles in the order its one-step recipe names them.
+ROLE_OF_FLAG = {"--program": "p", "--property": "phi_b", "--testgoal": "phi_t",
+                "--witness": "omega", "--condition": "psi", "--test": "t"}
+ACTOR_RUNS = (
+    ("verify", "verify", (("--program", "p.imp"), ("--property", "prop.aut")), ()),
+    ("verify", "verify", (("--program", "p_prime.imp"), ("--property", "prop.aut")), ()),
+    ("verify", "verify", (("--program", "p.imp"), ("--property", "prop.aut")),
+     ("--max-steps", "10")),
+    ("validate", "validate", (("--program", "p.imp"), ("--property", "prop.aut"),
+                              ("--witness", "witness_correct.aut")), ()),
+    ("validate", "validate", (("--program", "p_prime.imp"), ("--property", "prop.aut"),
+                              ("--witness", "witness_violation.aut")), ()),
+    ("validate", "validate", (("--program", "p.imp"), ("--property", "prop.aut"),
+                              ("--witness", "witness_violation.aut")), ()),
+    ("reduce", "reduce", (("--program", "p.imp"), ("--condition", "cond.aut")), ()),
+    ("extract-test", "extract_test", (("--program", "p_prime.imp"), ("--property", "prop.aut"),
+                                      ("--witness", "witness_violation.aut")), ()),
+    ("exec-test", "exec_test", (("--program", "p.imp"), ("--test", "t4.test"),
+                                ("--property", "prop.aut")), ()),
+    ("exec-test", "exec_test", (("--program", "p.imp"), ("--test", "t4.test")),
+     ("--max-steps", "5")),
+    ("gen-tests", "gen_tests", (("--program", "p.imp"), ("--testgoal", "goals.aut")),
+     ("--input-min", "-2", "--input-max", "2")),
+)
+
+
+def actor_argv(command, flags, extra, out):
+    argv = [command, "--out", str(out), *extra]
+    for flag, name in flags:
+        argv += [flag, sample(name)]
+    return argv
+
+
+def one_step_recipe(tmp_path, actor, flags):
+    recipe = tmp_path / f"{actor}.coop"
+    recipe.write_text(f"step {actor} {' '.join(ROLE_OF_FLAG[flag] for flag, _ in flags)}\n")
+    return str(recipe)
+
+
+def written(directory):
+    """Name -> bytes of every file written under ``directory``."""
+    if not directory.exists():
+        return {}
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestActorSubcommands:
+    def test_01_each_written_file_is_reported_once(self, capsys, tmp_path):
+        """One ``wrote <path>`` line per written file (gen-tests also names
+        each file in its suite listing, which is not a ``wrote`` line)."""
+        for index, (command, _, flags, extra) in enumerate(ACTOR_RUNS):
+            out_dir = tmp_path / str(index)
+            code, out, err = run_cli(capsys, *actor_argv(command, flags, extra, out_dir))
+            assert err == "", command
+            files = [str(out_dir / name) for name in written(out_dir)]
+            wrote = [line[len("wrote "):] for line in out.splitlines()
+                     if line.startswith("wrote ")]
+            assert sorted(wrote) == files, command
+
+    def test_02_subcommand_agrees_with_its_one_step_recipe(self, capsys, tmp_path):
+        for index, (command, actor, flags, extra) in enumerate(ACTOR_RUNS):
+            cli_out, recipe_out = tmp_path / f"cli{index}", tmp_path / f"recipe{index}"
+            cli_code, cli = run_json(capsys, *actor_argv(command, flags, extra, cli_out))
+            recipe_code, recipe = run_json(
+                capsys, *actor_argv("pipeline", flags, extra, recipe_out),
+                "--recipe", one_step_recipe(tmp_path, actor, flags))
+            label = (command, flags, extra)
+            assert cli_code == recipe_code, label
+            assert (cli["verdict"], cli["exhausted"]) == \
+                (recipe["verdict"], recipe["exhausted"]), label
+            assert written(cli_out) == written(recipe_out), label
+
+    def test_03_no_violating_path_is_a_verdict_only_on_the_subcommand(self, capsys, tmp_path):
+        flags = (("--program", "p.imp"), ("--property", "prop.aut"),
+                 ("--witness", "witness_violation.aut"))
+        code, payload = run_json(capsys, *actor_argv("extract-test", flags, (), tmp_path))
+        assert (code, payload["verdict"]) == (1, "no-violating-path")
+        code, out, err = run_cli(capsys, *actor_argv("pipeline", flags, (), tmp_path),
+                                 "--recipe", one_step_recipe(tmp_path, "extract_test", flags))
+        assert (code, out) == (65, "")
+        assert err.startswith("error: step 0 (extract_test) failed: ")
+        assert not (tmp_path / "extracted.test").exists()
 
 
 class TestErrorHandling:
@@ -429,3 +539,94 @@ class TestSampleFiles:
         from coopverify.pipeline import parse_recipe
         assert len(parse_recipe(corpus.sample_text("execval.coop")).steps) == 3
         assert len(parse_recipe(corpus.sample_text("reduce_verify.coop")).steps) == 2
+
+
+# Subcommand -> the sample bound to each artifact flag it reads.  A mutated
+# file replaces the sample under its flag in every subcommand that has that
+# flag; check-kind takes one automaton, so its automaton flag is the
+# mutated file's own (or ``--property`` when the program is mutated).
+FUZZ_READERS = {
+    "parse": {},
+    "verify": {"--program": "p.imp", "--property": "prop.aut"},
+    "validate": {"--program": "p_prime.imp", "--property": "prop.aut",
+                 "--witness": "witness_violation.aut"},
+    "check-condition": {"--program": "p.imp", "--property": "prop.aut",
+                        "--condition": "cond.aut"},
+    "reduce": {"--program": "p.imp", "--condition": "cond.aut"},
+    "extract-test": {"--program": "p_prime.imp", "--property": "prop.aut",
+                     "--witness": "witness_violation.aut"},
+    "exec-test": {"--program": "p.imp", "--test": "t4.test", "--property": "prop.aut"},
+    "gen-tests": {"--program": "p.imp", "--testgoal": "goals.aut"},
+    "check-kind": {"--program": "p.imp"},
+    "pipeline": {"--recipe": "execval.coop", "--program": "p_prime.imp",
+                 "--property": "prop.aut"},
+}
+FUZZ_FLAGS = {"parse": set(ROLE_OF_FLAG), "check-kind": set(ROLE_OF_FLAG) - {"--test"},
+              "pipeline": set(ROLE_OF_FLAG) | {"--recipe"}}
+FUZZ_SAMPLES = {"p.imp": "--program", "p_prime.imp": "--program", "prop.aut": "--property",
+                "goals.aut": "--testgoal", "cond.aut": "--condition",
+                "witness_correct.aut": "--witness", "witness_violation.aut": "--witness",
+                "t4.test": "--test", "execval.coop": "--recipe", "reduce_verify.coop": "--recipe"}
+FUZZ_SEED = 1
+FUZZ_MUTANTS = 6  # per sample, each fed to every subcommand that reads it
+FUZZ_TOKENS = (b"(", b")", b"{", b"}", b";", b"*", b"-", b"\n", b"input()", b"assume ",
+               b"otherwise", b"init", b"final", b"trans q0 -> q0 ", b"step ", b"9999999999",
+               b"kind=", b"\xff", b"\x00", b"# ")
+
+
+def mutate(rng, data):
+    """Random bytes, or ``data`` with a few bytes, tokens or slices changed."""
+    if rng.random() < 0.2:
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(len(data) + 1)
+        choice = rng.randrange(5)
+        if choice == 0 and data:
+            data[min(at, len(data) - 1)] = rng.randrange(256)
+        elif choice == 1:
+            del data[at:at + rng.randint(1, 8)]
+        elif choice == 2:
+            data[at:at] = rng.choice(FUZZ_TOKENS)
+        elif choice == 3:
+            data[at:at] = data[rng.randrange(len(data) + 1):][:rng.randint(1, 16)]
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+def fuzz_runs(flag, path, out):
+    """The argv of every subcommand that reads ``flag``, with ``path`` under it."""
+    for command, samples in FUZZ_READERS.items():
+        if flag not in FUZZ_FLAGS.get(command, samples):
+            continue
+        files = {f: sample(name) for f, name in samples.items()}
+        if command == "check-kind" and flag == "--program":
+            files["--property"] = sample("prop.aut")
+        files[flag] = path
+        argv = [command, "--input-min", "-2", "--input-max", "2", "--max-steps", "60",
+                "--out", str(out)]
+        for f, name in files.items():
+            argv += [f, name]
+        yield argv
+
+
+class TestMalformedInputs:
+    def test_01_mutated_samples_end_in_a_documented_exit(self, capsys, tmp_path):
+        rng = random.Random(FUZZ_SEED)
+        seen = set()
+        for name, flag in FUZZ_SAMPLES.items():
+            original = corpus.sample_path(name).read_bytes()
+            for index in range(FUZZ_MUTANTS):
+                data = mutate(rng, original)
+                path = tmp_path / f"{index}_{name}"
+                path.write_bytes(data)
+                for argv in fuzz_runs(flag, str(path), tmp_path / "out"):
+                    code, out, err = run_cli(capsys, *argv)
+                    label = (argv[0], flag, data)
+                    assert code in (0, 1, 2, 64, 65), label
+                    assert "Traceback" not in out + err, label
+                    if code in (64, 65):
+                        assert err.strip(), label
+                    seen.add(code)
+        assert {0, 65} <= seen  # the mutants reach both analysis and refusal
