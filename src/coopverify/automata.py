@@ -20,7 +20,7 @@ any number of consumed edges:
 * it *covers* the path if some run consumes every edge.
 
 :func:`match_path` decides both by folding :func:`step_frontier`, the step
-the product explorer of :mod:`coopverify.engine` runs, over the path: an
+the product explorer of :mod:`coopverify.product` runs, over the path: an
 on-the-fly determinization keeping the frontier of reachable automaton
 states per prefix.
 """
@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .errors import DuplicateOtherwise, ParseError, UnknownKind
+from .errors import (DuplicateOtherwise, InvalidArtifact, ParseError, UndefinedVariable,
+                     UnknownKind)
 from .lang import CFAEdge, ConcretePath, InputOp
 from .predicates import (
     TRUE,
@@ -209,22 +210,35 @@ def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, state_after,
     when the invariant of its target holds on the post-state; all
     assumptions are evaluated before any invariant.  ``read`` is
     :func:`_input_target` of the edge, which the template placeholder of an
-    input-template transition stands for.
+    input-template transition stands for.  An assumption or invariant that
+    reads a variable the post-state does not bind raises
+    :class:`InvalidArtifact` naming the automaton, state, transition and edge.
     """
     explicit, ow = aut._moves.get(state, _NO_MOVES)
-    enabled = [t for t in explicit if t.pattern.matches(edge)
-               and evaluate(t.assumption, state_after,
-                            read if t.pattern.is_input_template else None)]
     invariants = aut.invariants
-    if enabled:
-        return [t for t in enabled
+    try:
+        enabled = []
+        for t in explicit:
+            if t.pattern.matches(edge) and evaluate(
+                    t.assumption, state_after, read if t.pattern.is_input_template else None):
+                enabled.append(t)
+        if enabled:
+            taken = []
+            for t in enabled:
                 if evaluate(invariants.get(t.target, TRUE), state_after,
-                            read if t.pattern.is_input_template else None)]
-    # the otherwise transition has no pattern, so no placeholder binding
-    if (ow is None or (read is not None and aut.kind is AutomatonKind.TEST_CASE)
-            or not evaluate(invariants.get(ow.target, TRUE), state_after)):
-        return ()
-    return (ow,)
+                            read if t.pattern.is_input_template else None):
+                    taken.append(t)
+            return taken
+        t = ow
+        # the otherwise transition has no pattern, so no placeholder binding
+        if (ow is None or (read is not None and aut.kind is AutomatonKind.TEST_CASE)
+                or not evaluate(invariants.get(ow.target, TRUE), state_after)):
+            return ()
+        return (ow,)
+    except UndefinedVariable as err:
+        raise InvalidArtifact(
+            f"automaton {aut.name}, state {state}, transition {t}, edge "
+            f"({edge.match_src}, {edge.op.text}, {edge.match_tgt}): {err}") from err
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import actors, engine, pipeline
-from .automata import ArtifactAutomaton, AutomatonKind, parse_automaton, serialize_automaton
+from .automata import ArtifactAutomaton, parse_automaton, serialize_automaton
 from .engine import AnalysisConfig
 from .errors import CoopVerifyError, NoViolatingPath, ParseError
 from .kinds import validate_kind
@@ -330,8 +330,7 @@ def _cmd_check_kind(args) -> RunReport:
         raise _UsageError(f"check-kind takes one automaton file, not {len(paths)}")
     program = load_program(args.program)
     aut = load_automaton(paths[0])
-    domain = config.input_domain if aut.kind is AutomatonKind.PROPERTY else None
-    kind_report = validate_kind(aut, program, domain)
+    kind_report = validate_kind(aut, program, config.input_domain, config.max_steps)
     verdict = "ok" if kind_report.ok else "not-ok"
     report = RunReport("check-kind", verdict, 0 if kind_report.ok else 1,
                        config=config.to_json_dict())
@@ -431,6 +430,7 @@ _COMMANDS = (
 )
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="coopverify",
                      description="Cooperative verification over a miniature "

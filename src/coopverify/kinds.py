@@ -14,32 +14,12 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .automata import (
-    INPUT_TEMPLATE_TEXT,
-    ArtifactAutomaton,
-    AutomatonKind,
-    EdgePattern,
-    Transition,
-    make_automaton,
-)
-from .lang import CFAEdge, ControlFlowAutomaton
-from .predicates import (
-    CHI,
-    TRUE,
-    Comparison,
-    Const,
-    Interval,
-    Not,
-    Var,
-    disjoin,
-    is_tautology_bounded,
-    mentions_template,
-    pred_text,
-    substitute_template,
-    variables_of,
-)
+from .automata import (INPUT_TEMPLATE_TEXT, ArtifactAutomaton, AutomatonKind, EdgePattern,
+                       Transition, _input_target, _taken, make_automaton)
+from .lang import CFAEdge, ControlFlowAutomaton, successors
+from .predicates import CHI, TRUE, Comparison, Const, Interval, mentions_template, pred_text
+from .product import DEFAULT_MAX_STEPS, AnalysisConfig, VisitAction, run_product
 
-PROVED = "proved"
 BOUNDED_PROVED = "bounded-proved"
 REFUTED = "refuted"
 NOT_APPLICABLE = "not-applicable"
@@ -47,14 +27,16 @@ NOT_APPLICABLE = "not-applicable"
 
 @dataclass(frozen=True)
 class NonBlocking:
-    """Outcome of the may-the-automaton-block-the-program analysis.
+    """Outcome of the may-the-property-block-the-program analysis.
 
-    For every non-final state and every program edge, the disjunction of the
-    assumptions of the transitions able to consume that edge must hold on
-    every data state.  A syntactic complementary pair proves a cell outright;
-    everything else is checked by bounded enumeration, which compiles the
-    cell's disjunction once and runs it on every assignment, so the best
-    overall answer is then ``bounded-proved``.
+    A run in a non-final state must take a transition on every program
+    step.  A state with an otherwise transition always does; the others are
+    watched while the property alone runs through the product explorer, and
+    the first reachable step one of them takes no transition on refutes,
+    with that step's post-state.  ``bounded-proved``: no configuration
+    reachable within the input interval and step bound blocks.  A block
+    beyond the bound is not seen; a judgment under those bounds is then
+    already ``unknown``.
     """
 
     status: str
@@ -135,25 +117,25 @@ def _trivial_invariant_violations(aut: ArtifactAutomaton) -> list:
 
 
 def _non_blocking(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
-                  domain: Interval) -> NonBlocking:
-    all_syntactic = True
-    for q in aut.states:
-        if q in aut.finals:
-            continue
-        has_otherwise = aut.otherwise_at(q) is not None
-        for edge in program.edges:
-            guards = [t.assumption for t in aut.explicit_from(q)
-                      if t.pattern.matches(edge)]
-            disjuncts = list(guards)
-            if has_otherwise:
-                disjuncts.append(Not(disjoin(guards)) if guards else TRUE)
-            total = substitute_template(disjoin(disjuncts), Var("chi"))
-            result = is_tautology_bounded(total, variables_of(total), domain)
-            if result.status == "falsifiable":
-                return NonBlocking(REFUTED, q, edge, result.counterexample)
-            if not result.syntactic:
-                all_syntactic = False
-    return NonBlocking(PROVED if all_syntactic else BOUNDED_PROVED)
+                  config: AnalysisConfig) -> NonBlocking:
+    watched = frozenset(q for q in aut.states
+                        if q not in aut.finals and aut.otherwise_at(q) is None)
+    if not watched:
+        return NonBlocking(BOUNDED_PROVED)
+    found: list = []
+
+    def visit(v) -> VisitAction:
+        if v.truncated:
+            return VisitAction.CONTINUE  # its steps lie beyond the bound
+        for q in sorted(v.frontiers[0] & watched):
+            for edge, post in successors(program, v.state, v.location, config.input_domain):
+                if not _taken(aut, q, edge, post, _input_target(edge)):
+                    found.append(NonBlocking(REFUTED, q, edge, dict(post)))
+                    return VisitAction.STOP
+        return VisitAction.CONTINUE
+
+    run_product(program, (aut,), config, visit)
+    return found[0] if found else NonBlocking(BOUNDED_PROVED)
 
 
 def _condition_violations(aut: ArtifactAutomaton) -> list:
@@ -240,12 +222,14 @@ def _test_case_violations(aut: ArtifactAutomaton) -> list:
 
 
 def validate_kind(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
-                  domain: Optional[Interval] = None) -> KindReport:
+                  domain: Optional[Interval] = None,
+                  max_steps: int = DEFAULT_MAX_STEPS) -> KindReport:
     """Check the structural constraints of ``aut``'s declared kind.
 
-    ``program`` resolves edge patterns for the non-blocking analysis of
-    property automata, which also needs a bounded value ``domain``.  All
-    findings land in the report; nothing raises.
+    A property that meets them is also checked for non-blocking on
+    ``program`` within the value ``domain`` and ``max_steps``.  Findings land
+    in the report; only a read of an unbound variable raises, as
+    :class:`InvalidArtifact` (see :func:`coopverify.automata._taken`).
     """
     violations = _template_violations(aut)
     non_blocking = NonBlocking(NOT_APPLICABLE)
@@ -254,7 +238,8 @@ def validate_kind(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
         violations += _trivial_invariant_violations(aut)
         if domain is None:
             raise ValueError("validating a property automaton requires a value domain")
-        non_blocking = _non_blocking(aut, program, domain)
+        if not violations:
+            non_blocking = _non_blocking(aut, program, AnalysisConfig(domain, max_steps))
     elif kind in (AutomatonKind.TEST_GOAL, AutomatonKind.VIOLATION_WITNESS):
         violations += _trivial_invariant_violations(aut)
     elif kind is AutomatonKind.CORRECTNESS_WITNESS:

@@ -29,11 +29,15 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ParseError, UndefinedVariable, UseBeforeDef
 from .predicates import (
+    BinExpr,
+    Const,
     Expr,
     Interval,
     Not,
     Predicate,
     TokenStream,
+    Var,
+    _expr_vars,
     eval_expr,
     evaluate,
     expr_text,
@@ -93,8 +97,6 @@ def input_op(target: str, declare: bool = False) -> InputOp:
 def op_reads(op: Operation) -> frozenset:
     if isinstance(op, Assignment):
         out: set = set()
-        from .predicates import _expr_vars  # local import to keep the public surface small
-
         _expr_vars(op.expr, out)
         return frozenset(out)
     if isinstance(op, Assume):
@@ -339,7 +341,7 @@ def enumerate_paths(cfa: ControlFlowAutomaton, domain: Interval,
     reaches ``max_steps`` while still extendable it is dropped and the
     truncated flag is set, so the result only ever contains genuinely
     maximal paths.  The library explores the product instead (see
-    :mod:`coopverify.engine`); this enumeration stays for the reference
+    :mod:`coopverify.product`); this enumeration stays for the reference
     tests, and because the benchmark's tracer binds it by name.
     """
     paths = []
@@ -443,11 +445,28 @@ def _parse_rhs(ts: TokenStream):
         ts.expect(")")
         return "input", None
     expr = parse_arith(ts)
-    out: set = set()
-    from .predicates import _expr_vars
-
-    _reject_template(_expr_vars(expr, out), ts)
+    _reject_template(_expr_vars(expr, set()), ts)
     return "expr", expr
+
+
+def _parse_simple(ts: TokenStream) -> Operation:
+    """An assignment or input operation: ``int x = e``, ``x = e``,
+    ``x = input()``, ``x++`` or ``x--``, in a statement or on an edge.  The
+    stream is at ``int`` or at the identifier."""
+    declare = ts.accept("int")
+    name = ts.peek()
+    if name.kind != "ident":
+        raise ts.error("expected a variable name after 'int'")
+    ts.next()
+    if not declare and ts.peek().kind == "op" and ts.peek().text in ("++", "--"):
+        sugar = ts.next().text
+        step = BinExpr(sugar[0], Var(name.text), Const(1))
+        return assignment_op(name.text, step, sugar=f"{name.text}{sugar}")
+    ts.expect("=")
+    kind, expr = _parse_rhs(ts)
+    if kind == "input":
+        return input_op(name.text, declare)
+    return assignment_op(name.text, expr, declare)
 
 
 def _parse_statement(ts: TokenStream):
@@ -456,18 +475,10 @@ def _parse_statement(ts: TokenStream):
         label = int(ts.next().text)
         ts.next()
     tok = ts.peek()
-    if tok.kind == "keyword" and tok.text == "int":
-        ts.next()
-        name = ts.peek()
-        if name.kind != "ident":
-            raise ts.error("expected a variable name after 'int'")
-        ts.next()
-        ts.expect("=")
-        kind, expr = _parse_rhs(ts)
+    if tok.kind == "ident" or (tok.kind == "keyword" and tok.text == "int"):
+        op = _parse_simple(ts)
         ts.expect(";")
-        if kind == "input":
-            return _Simple(label, input_op(name.text, declare=True))
-        return _Simple(label, assignment_op(name.text, expr, declare=True))
+        return _Simple(label, op)
     if tok.kind == "keyword" and tok.text == "if":
         ts.next()
         cond = _parse_condition(ts)
@@ -479,24 +490,6 @@ def _parse_statement(ts: TokenStream):
         cond = _parse_condition(ts)
         body = _parse_block(ts)
         return _While(label, cond, body)
-    if tok.kind == "ident":
-        name = ts.next().text
-        if ts.accept("++"):
-            ts.expect(";")
-            from .predicates import BinExpr, Const, Var
-
-            return _Simple(label, assignment_op(name, BinExpr("+", Var(name), Const(1)), sugar=f"{name}++"))
-        if ts.accept("--"):
-            ts.expect(";")
-            from .predicates import BinExpr, Const, Var
-
-            return _Simple(label, assignment_op(name, BinExpr("-", Var(name), Const(1)), sugar=f"{name}--"))
-        ts.expect("=")
-        kind, expr = _parse_rhs(ts)
-        ts.expect(";")
-        if kind == "input":
-            return _Simple(label, input_op(name))
-        return _Simple(label, assignment_op(name, expr))
     raise ts.error("expected a statement")
 
 
@@ -604,28 +597,9 @@ def parse_operation(text: str) -> Operation:
     """Parse a single edge operation: statement forms or a bare condition."""
     ts = TokenStream(tokenize(text))
     tok = ts.peek()
-    op: Operation
-    if tok.kind == "keyword" and tok.text == "int":
-        ts.next()
-        name = ts.peek()
-        if name.kind != "ident":
-            raise ts.error("expected a variable name after 'int'")
-        ts.next()
-        ts.expect("=")
-        kind, expr = _parse_rhs(ts)
-        op = input_op(name.text, declare=True) if kind == "input" else assignment_op(name.text, expr, declare=True)
-    elif tok.kind == "ident" and ts.peek(1).text == "=" and ts.peek(1).kind == "op":
-        name = ts.next().text
-        ts.next()
-        kind, expr = _parse_rhs(ts)
-        op = input_op(name) if kind == "input" else assignment_op(name, expr)
-    elif tok.kind == "ident" and ts.peek(1).text in ("++", "--") and ts.peek(1).kind == "op":
-        from .predicates import BinExpr, Const, Var
-
-        name = ts.next().text
-        sugar = ts.next().text
-        arithmetic = BinExpr("+" if sugar == "++" else "-", Var(name), Const(1))
-        op = assignment_op(name, arithmetic, sugar=f"{name}{sugar}")
+    if (tok.kind == "keyword" and tok.text == "int") or (
+            tok.kind == "ident" and ts.peek(1).kind == "op" and ts.peek(1).text in ("=", "++", "--")):
+        op = _parse_simple(ts)
     else:
         cond = parse_pred(ts)
         _reject_template(mentions_template(cond), ts)

@@ -656,7 +656,10 @@ def is_tautology_bounded(
     assignments in smallest-magnitude-first order, so a returned
     counterexample is a simplest one.  When the predicate reads variables
     outside ``variables`` no verdict is possible and the result is
-    inconclusive.
+    inconclusive.  No library code calls it: the kind check decides
+    non-blocking by exploring the program.  It stays because the benchmark's
+    tracer binds it (``perfbench/tracer.py``, ``Tracer.install``), which
+    ``tests/test_tracing.py`` pins.
     """
     if mentions_template(pred):
         raise UnboundTemplate()

@@ -185,15 +185,24 @@ def _otherwise(state: str) -> Transition:
     return Transition(state, state, None, TRUE, otherwise=True)
 
 
-def random_property(rng: random.Random, program: ControlFlowAutomaton) -> ArtifactAutomaton:
+def random_property(rng: random.Random, program: ControlFlowAutomaton,
+                    otherwise: bool = True) -> ArtifactAutomaton:
     """One accepting state fed by one or two guarded edge observations.
 
-    The waiting state keeps an otherwise loop, so the disjunction checked by
-    the non-blocking analysis always contains its own complement and the
-    automaton is kind-valid by construction.
+    By default the waiting state keeps an otherwise loop, so it never blocks
+    and the automaton is kind-valid by construction.  With ``otherwise``
+    false the loop becomes one self-loop per program edge, most of them
+    unguarded and the rest guarded like the observations (over variables
+    assigned after the edge), and the property blocks wherever every guard
+    at a reached edge fails.
     """
     edges = rng.sample(program.edges, k=min(len(program.edges), rng.randint(1, 2)))
-    transitions = [_otherwise("q0")]
+    if otherwise:
+        transitions = [_otherwise("q0")]
+    else:
+        transitions = [Transition("q0", "q0", _edge_pattern(edge),
+                                  TRUE if rng.random() < 0.7 else _assumption(rng, program, edge))
+                       for edge in program.edges]
     for edge in edges:
         transitions.append(Transition("q0", "qe", _edge_pattern(edge),
                                       _assumption(rng, program, edge)))

@@ -1,7 +1,7 @@
 """The reference machinery the library is tested against.
 
 Each piece here decides by brute force what the library decides with the
-product explorer of ``coopverify.engine`` and the automaton step of
+product explorer of ``coopverify.product`` and the automaton step of
 ``coopverify.automata``, and runs neither of them: paths come from plain
 enumeration (``coopverify.lang.enumerate_paths``), and automaton runs are
 enumerated one by one with :func:`reference_taken`, which reads the step's
@@ -121,6 +121,24 @@ def all_runs(aut: ArtifactAutomaton, path: ConcretePath) -> list:
 
     extend(0, aut.initial, [(None, aut.initial)])
     return runs
+
+
+def reference_blocks(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
+                     config: AnalysisConfig) -> set:
+    """Every (state, edge, post-state) at which some run of ``aut``, on some
+    path of the program within the bounds, sits in a non-final state and
+    takes no transition on the path's next step: the blocks the
+    non-blocking check of ``coopverify.kinds`` must find one of."""
+    blocks = set()
+    for path in enumerate_paths(program, config.input_domain, config.max_steps).paths:
+        for run in all_runs(aut, path):
+            consumed, state = len(run) - 1, run[-1][1]
+            if state in aut.finals or consumed == path.length:
+                continue
+            step = path.steps[consumed + 1]
+            if not reference_taken(aut, state, step.incoming, step.state):
+                blocks.add((state, step.incoming, step.state))
+    return blocks
 
 
 def naive_match_path(aut: ArtifactAutomaton, path: ConcretePath) -> MatchVerdict:

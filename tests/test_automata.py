@@ -27,6 +27,7 @@ from coopverify.automata import (
 )
 from coopverify.errors import (
     DuplicateOtherwise,
+    InvalidArtifact,
     ParseError,
     UnboundTemplate,
     UndefinedVariable,
@@ -251,6 +252,25 @@ class TestFrontiers:
         with pytest.raises(UnboundTemplate):
             step_frontier(unbound, frozenset({"q0"}), input_edge, ConcreteDataState({"x": 4}))
 
+    def test_05_unbound_read_names_where_it_happened(self, p):
+        """An assumption, or a target's invariant, reading a variable the
+        post-state does not bind is an invalid artifact, reported with the
+        automaton, the state, the transition and the edge."""
+        reads_b = parse_automaton(
+            "automaton reads_b kind=property\nstate q0 init\nstate qe final\n"
+            "trans q0 -> qe on (*, *, *) assume b > 3\ntrans q0 -> q0 otherwise\n")
+        with pytest.raises(InvalidArtifact) as err:
+            step_frontier(reads_b, frozenset({"q0"}), p.edges[0], ConcreteDataState({"x": 4}))
+        assert str(err.value) == (
+            "automaton reads_b, state q0, transition q0 -> qe on (*, *, *) assume b > 3, "
+            "edge (0, int x = input(), 1): variable 'b' is not bound in the data state")
+        guarded = parse_automaton(
+            "automaton guarded kind=test-goal\nstate q0 init\nstate q1 final inv: a > 0\n"
+            "trans q0 -> q1 on (0, *, *)\n")
+        with pytest.raises(InvalidArtifact, match=r"transition q0 -> q1 on \(0, \*, \*\), edge "
+                                                  r"\(0, int x = input\(\), 1\): variable 'a'"):
+            step_frontier(guarded, frozenset({"q0"}), p.edges[0], ConcreteDataState({"x": 4}))
+
 
 # Two explicit transitions and an otherwise transition leave q0.
 TWO_GUARDS = """\
@@ -354,10 +374,13 @@ class TestReferenceStep:
 
     @staticmethod
     def _outcome(step, aut, frontier, edge, post):
+        """The step's result or its error; an unbound read the step reports
+        as InvalidArtifact compares as the error that caused it."""
         try:
             return step(aut, frontier, edge, post)
-        except (UndefinedVariable, UnboundTemplate) as err:
-            return type(err), str(err)
+        except (InvalidArtifact, UndefinedVariable, UnboundTemplate) as err:
+            cause = err.__cause__ if isinstance(err, InvalidArtifact) else err
+            return type(cause), str(cause)
 
     def _compare(self, aut, program, domain, seen):
         frontiers = [frozenset(c) for k in range(len(aut.states) + 1)

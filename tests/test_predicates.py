@@ -8,17 +8,10 @@ import pytest
 
 import corpus
 import generators
-from coopverify import actors, kinds, predicates
-from coopverify.automata import (
-    AutomatonKind,
-    EdgePattern,
-    Transition,
-    make_automaton,
-    parse_automaton,
-)
+from coopverify import actors, predicates
+from coopverify.automata import parse_automaton
 from coopverify.errors import UnboundTemplate, UndefinedVariable
 from coopverify.engine import check_fulfills
-from coopverify.kinds import validate_kind
 from coopverify.lang import ConcreteDataState, parse_program
 from coopverify.predicates import (
     CHI,
@@ -230,92 +223,40 @@ class TestTautologyCheck:
             assert evaluate(p, state)
 
 
-def record_cells(monkeypatch):
-    """Record every (predicate, variables, domain) that ``kinds`` hands to the
-    bounded tautology check, with the answer it got."""
-    cells = []
-    checked = kinds.is_tautology_bounded
-
-    def recording(pred, variables, domain):
-        result = checked(pred, variables, domain)
-        cells.append((pred, variables, domain, result))
-        return result
-
-    monkeypatch.setattr(kinds, "is_tautology_bounded", recording)
-    return cells
-
-
-# Four program variables named after Python keywords and builtins; the
-# enumeration's counterexamples name them in sorted order.
-NAMES_PROGRAM = ("int lambda = input();\nint None = input();\n"
-                 "int class = lambda + None;\nint __import__ = lambda - None;\n")
-
-
-def names_property(bad: str):
-    return parse_automaton(
-        "automaton names kind=property\nstate q0 init\nstate qe final\n"
-        "trans q0 -> q0 on (0, *, 1)\ntrans q0 -> q0 on (1, *, 2)\n"
-        "trans q0 -> q0 on (2, *, 3)\n"
-        "trans q0 -> q0 on (3, *, 4) assume lambda + None + class + __import__ > 3\n"
-        f"trans q0 -> qe on (3, *, 4) assume {bad}\n")
-
-
 class TestCompiledEnumeration:
     """The bounded check runs a compiled function, with the answers of the
     tree-walking reference loop over ``evaluate``."""
 
-    def test_01_random_cells_agree_with_reference(self, monkeypatch):
-        cells = record_cells(monkeypatch)
+    def test_01_random_cells_agree_with_reference(self):
+        """Disjunctions of random comparisons, some with the negation of the
+        rest beside them, as a guard cell of a state reads."""
         rng = random.Random(2024)
         domain = Interval(-2, 2)
-        for _ in range(200):
-            program = generators.random_program(rng)
-            prop = generators.random_property(rng, program)
-            validate_kind(prop, program, domain)
-            # without the otherwise loop, and with a random guard on every
-            # edge, the cells are disjunctions of comparisons that can fail
-            names = sorted(program.variables)
-            wild = generators._comparison(rng, names) if names else TRUE
-            guarded = [t for t in prop.transitions if not t.otherwise]
-            guarded.append(Transition("q0", "q0", EdgePattern(None, None, None), wild))
-            validate_kind(make_automaton("guarded", AutomatonKind.PROPERTY, ["q0", "qe"],
-                                         "q0", ("qe",), guarded), program, domain)
-        statuses = {result.status for _, _, _, result in cells}
-        assert statuses == {"tautology", "falsifiable"}
-        assert sum(not result.syntactic for _, _, _, result in cells) > 200
-        for pred, variables, dom, result in cells:
-            assert result == corpus.reference_tautology(pred, variables, dom), pred_text(pred)
-
-    @pytest.mark.parametrize("domain", [Interval(-8, 8), Interval(-2, 2)])
-    def test_02_sample_reports_are_unchanged(self, monkeypatch, domain):
-        programs = [corpus.program_p(), corpus.program_p_prime()]
-        automata = []
-        for path in sorted(corpus.SAMPLES.glob("*.aut")):
-            text = path.read_text(encoding="utf-8")
-            automata += [parse_automaton(text),
-                         parse_automaton(re.sub(r"kind=\S+", "kind=property", text))]
-        reports = [str(validate_kind(aut, program, domain))
-                   for aut in automata for program in programs]
-        monkeypatch.setattr(kinds, "is_tautology_bounded", corpus.reference_tautology)
-        assert reports == [str(validate_kind(aut, program, domain))
-                           for aut in automata for program in programs]
-        assert reports.count("kind property: ok\n  non-blocking: bounded-proved") == 6
-        assert ("kind property: not ok\n  non-blocking: refuted: state w0 blocks edge "
-                "(0, int x = input(), 1) on {x=0}") in reports
+        results = []
+        for _ in range(400):
+            names = sorted(rng.sample(["a", "b", "x", "y"], rng.randint(1, 3)))
+            guards = [generators._comparison(rng, names) for _ in range(rng.randint(0, 3))]
+            if guards and rng.random() < 0.3:
+                guards.append(Not(disjoin(guards)))
+            cell = disjoin(guards)
+            result = is_tautology_bounded(cell, names, domain)
+            assert result == corpus.reference_tautology(cell, names, domain), pred_text(cell)
+            results.append(result)
+        assert {result.status for result in results} == {"tautology", "falsifiable"}
+        assert sum(not result.syntactic for result in results) > 300
 
     def test_03_identifiers_never_enter_generated_code(self):
-        program = parse_program(NAMES_PROGRAM)
-        proved = validate_kind(names_property("lambda + None + class + __import__ <= 3"),
-                               program, Interval(-3, 3))
-        assert str(proved) == "kind property: ok\n  non-blocking: bounded-proved"
-        refuted = validate_kind(names_property("class - __import__ < 1"),
-                                program, Interval(-3, 3))
-        assert str(refuted) == (
-            "kind property: not ok\n  non-blocking: refuted: state q0 blocks edge "
-            "(3, int __import__ = lambda - None, 4) on "
-            "{None=0, __import__=0, class=1, lambda=0}")
-        assert refuted.non_blocking.counter_state == {
-            "None": 0, "__import__": 0, "class": 1, "lambda": 0}
+        """Variables named after Python keywords and builtins; the
+        counterexample names them in sorted order."""
+        names = ("lambda", "None", "class", "__import__")
+        total = "lambda + None + class + __import__"
+        holds = is_tautology_bounded(pred(f"{total} > 3 || {total} <= 3"), names, Interval(-3, 3))
+        assert (holds.status, holds.syntactic) == ("tautology", False)
+        refuted = is_tautology_bounded(pred(f"{total} > 3 || class - __import__ < 1"), names,
+                                       Interval(-3, 3))
+        assert refuted.status == "falsifiable"
+        assert list(refuted.counterexample.items()) == [
+            ("None", 0), ("__import__", 0), ("class", 1), ("lambda", 0)]
 
     def test_04_big_constants_use_exact_arithmetic(self):
         big = 10 ** 30
@@ -345,27 +286,19 @@ class TestCompiledEnumeration:
         assert log.trees == []
 
     def test_06_one_compile_per_enumerated_cell_and_no_tree_walk(self, monkeypatch):
-        program = parse_program("int a = input();\nint b = input();\n"
-                                "int c = a + b;\nint d = a - b;\n")
-        prop = parse_automaton(
-            "automaton vars4 kind=property\nstate q0 init\nstate qe final\n"
-            "trans q0 -> q0 on (3, *, 4) assume a + b + c + d > 3\n"
-            "trans q0 -> qe on (3, *, 4) assume c - d > 12\n"
-            "trans q0 -> q0 otherwise\n")
-        cells = record_cells(monkeypatch)
+        cells = [pred("a + b + c + d > 3 || c - d > 12 || a + b + c + d <= 3"),
+                 pred("a + b > 1 || c - a > 7"), pred("a != b || !(a != b)")]
         log = corpus.log_compiles(monkeypatch)
 
         def no_tree_walk(*args, **kwargs):
             raise AssertionError("the enumeration walked the predicate tree")
 
         monkeypatch.setattr(predicates, "evaluate", no_tree_walk)
-        report = validate_kind(prop, program, Interval(-5, 5))
-        assert str(report) == "kind property: ok\n  non-blocking: bounded-proved"
-        enumerated = [pred for pred, _, _, result in cells if not result.syntactic]
-        assert len(enumerated) == len(cells) == 4
-        assert max(len(variables_of(pred)) for pred in enumerated) == 4
-        assert log.helper_calls == enumerated
-        assert len(log.trees) == 4 and log.errors == []
+        results = [is_tautology_bounded(cell, "abcd", Interval(-5, 5)) for cell in cells]
+        assert [(r.status, r.syntactic) for r in results] == [
+            ("tautology", False), ("falsifiable", False), ("tautology", True)]
+        assert log.helper_calls == cells[:2]
+        assert len(log.trees) == 2 and log.errors == []
 
     def test_07_compile_never_meets_the_recursion_limit(self, monkeypatch):
         """Around the recursion limit a long sum is decided or refused with a
@@ -544,13 +477,12 @@ class TestCompiledEvaluator:
         second = actors.verify(program, prop, corpus.CFG4)
         assert first.result is second.result is actors.Result.FALSE
         assert log.trees == []
-        # on the samples, a second search compiles only the cells the kind
-        # check hands to the bounded tautology check, each built afresh
+        # a repeated search on the samples compiles nothing either: the
+        # kind check compiles nothing of its own
         check_fulfills(corpus.program_p(), corpus.prop(), corpus.CFG4)
-        log.helper_calls.clear()
         log.trees.clear()
         check_fulfills(corpus.program_p(), corpus.prop(), corpus.CFG4)
-        assert log.helper_calls and len(log.trees) == len(log.helper_calls)
+        assert log.trees == [] and log.helper_calls == []
 
 
 class TestNesting:
