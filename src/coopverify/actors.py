@@ -121,9 +121,10 @@ def violation_witness_from_path(path: ConcretePath,
                           (states[-1],), transitions)
 
 
-def _location_facts(observed: Sequence[ConcreteDataState]) -> Predicate:
-    """Conjunction of equality and interval facts true in every observed state."""
-    common = sorted(set.intersection(*(set(s) for s in observed)))
+def _location_facts(observed: Sequence[ConcreteDataState], live: frozenset) -> Predicate:
+    """Conjunction of equality and interval facts over ``live`` variables true
+    in every observed state."""
+    common = sorted(live.intersection(*observed))
     facts: list = []
     for u, v in itertools.combinations(common, 2):
         if all(s[u] == s[v] for s in observed):
@@ -140,24 +141,32 @@ def _location_facts(observed: Sequence[ConcreteDataState]) -> Predicate:
 
 
 def correctness_witness_from_observations(program: ControlFlowAutomaton,
-                                          observed: dict,
+                                          prop: ArtifactAutomaton, observed: dict,
                                           name: str = "correctness_witness") -> ArtifactAutomaton:
     """A correctness witness mirroring the program's locations.
 
     One state per location whose invariant conjoins the facts holding in all
     states observed there during exploration (``true`` for unvisited
     locations); transitions mirror the edges with trivial assumptions, so the
-    witness covers every path the exploration covered.
+    witness covers every path the exploration covered.  Facts are kept only
+    over the variables live at the location: those the program may still
+    read and those the property reads.  The explorer keys configurations on
+    at least these (see :mod:`coopverify.product`), so an untruncated search
+    observes every reachable value of them, whatever else it keys on, while
+    the values it saw of a dead variable depend on which prefixes it
+    skipped.
     """
     def state_name(location: int) -> str:
         return f"s{location}"
 
     locations = sorted(program.locations)
+    live = program.live_variables
     invariants = {}
     for location in locations:
         states = observed.get(location)
         if states:
-            invariants[state_name(location)] = _location_facts(states)
+            invariants[state_name(location)] = _location_facts(
+                states, live[location] | prop.reads)
     transitions = [
         Transition(state_name(e.source), state_name(e.target),
                    EdgePattern(e.match_src, e.op.text, e.match_tgt), TRUE)
@@ -191,7 +200,7 @@ def verify(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     if evidence is not None:
         result, witness = Result.FALSE, violation_witness_from_path(evidence)
     else:
-        result, witness = Result.TRUE, correctness_witness_from_observations(program, observed)
+        result, witness = Result.TRUE, correctness_witness_from_observations(program, prop, observed)
     return VerdictBundle(result, witness, None, config, judgment)
 
 
@@ -223,7 +232,7 @@ def validate_result(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
                                              _uncovered_or_accepted, observed=observed),
                             universal=True)
         if judgment.verdict is Verdict.HOLDS:
-            rederived = correctness_witness_from_observations(program, observed)
+            rederived = correctness_witness_from_observations(program, prop, observed)
             return VerdictBundle(Result.TRUE, rederived, None, config, judgment)
         return VerdictBundle(Result.UNKNOWN, None, None, config, judgment)
     raise InvalidArtifact(

@@ -44,6 +44,7 @@ from .predicates import (
     normalize_text,
     parse_predicate,
     pred_text,
+    variables_of,
 )
 
 
@@ -110,7 +111,9 @@ class Transition:
     source: str
     target: str
     pattern: Optional[EdgePattern]  # None exactly for otherwise transitions
-    assumption: Predicate = TRUE
+    # left out of the hash, which would walk the whole tree; equal
+    # transitions still hash alike
+    assumption: Predicate = field(default=TRUE, hash=False)
     otherwise: bool = False
 
     def __str__(self) -> str:
@@ -133,6 +136,8 @@ class ArtifactAutomaton:
     transitions: tuple
     # state -> (explicit transitions, otherwise transition or None)
     _moves: dict = field(init=False, repr=False, compare=False, default=None)
+    # the read set, computed on first use (see ``reads``)
+    _reads: frozenset = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         declared = set(self.states)
@@ -160,6 +165,21 @@ class ArtifactAutomaton:
 
     def invariant(self, state: str) -> Predicate:
         return self.invariants.get(state, TRUE)
+
+    @property
+    def reads(self) -> frozenset:
+        """Variables some assumption or invariant reads, anywhere (the
+        template placeholder excluded); computed once, and kept without
+        writing ``__dict__`` (see ``lang.ControlFlowAutomaton``)."""
+        if self._reads is None:
+            out: set = set()
+            for t in self.transitions:
+                if t.assumption is not TRUE:
+                    out |= variables_of(t.assumption)
+            for inv in self.invariants.values():
+                out |= variables_of(inv)
+            object.__setattr__(self, "_reads", frozenset(out))
+        return self._reads
 
     def explicit_from(self, state: str) -> tuple:
         return self._moves.get(state, _NO_MOVES)[0]

@@ -106,7 +106,9 @@ def _search(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton]
     """The prefix reaching the first configuration in depth-first order that
     satisfies ``hit`` (or None), and whether the step bound truncated the
     search.  ``prune`` cuts a configuration's extensions; ``observed``, a
-    ``defaultdict(list)``, collects each explored data state per location."""
+    ``defaultdict(list)``, collects each explored data state per location,
+    where prefixes meet one per value of the live variables (see
+    :func:`run_product`)."""
     found: list = []
 
     def visit(v: ProductVisit) -> VisitAction:

@@ -150,6 +150,13 @@ class ControlFlowAutomaton:
     edges: tuple
     variables: frozenset
     _adjacency: dict = field(init=False, repr=False, compare=False, default=None)
+    # The analyses below are computed on first use and kept in these fields.
+    # They are set with object.__setattr__, not kept by functools'
+    # cached_property, whose writes to __dict__ slow every later attribute
+    # read on the object.
+    _meeting: frozenset = field(init=False, repr=False, compare=False, default=None)
+    _live: dict = field(init=False, repr=False, compare=False, default=None)
+    _observable: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.initial not in self.locations:
@@ -163,6 +170,61 @@ class ControlFlowAutomaton:
 
     def edges_from(self, location: int) -> list:
         return self._adjacency.get(location, [])
+
+    @property
+    def meeting_locations(self) -> frozenset:
+        """Locations where two different prefixes can reach one configuration.
+
+        These are the initial location, locations with two or more incoming
+        edges, and targets of input edges.  Elsewhere a configuration has one
+        predecessor location and one deterministic operation into it, and
+        every cycle passes through one of these locations.
+        """
+        if self._meeting is None:
+            incoming: dict = {}
+            inputs = set()
+            for edge in self.edges:
+                incoming[edge.target] = incoming.get(edge.target, 0) + 1
+                if isinstance(edge.op, InputOp):
+                    inputs.add(edge.target)
+            joins = {location for location, count in incoming.items() if count >= 2}
+            object.__setattr__(self, "_meeting", frozenset(joins | inputs | {self.initial}))
+        return self._meeting
+
+    @property
+    def live_variables(self) -> dict:
+        """For each location, the variables some path from it may read
+        before writing them.
+
+        A backward may-analysis: a location's set joins, over its outgoing
+        edges, the variables the operation reads and those live at the
+        target that it does not write.
+        """
+        if self._live is None:
+            flows = [(edge.source, edge.target, op_reads(edge.op), op_writes(edge.op))
+                     for edge in self.edges]
+            live: dict = {location: frozenset() for location in self.locations}
+            changed = True
+            while changed:
+                changed = False
+                for source, target, reads, writes in reversed(flows):
+                    new = live[source] | reads | (live[target] - writes)
+                    if new != live[source]:
+                        live[source] = new
+                        changed = True
+            object.__setattr__(self, "_live", live)
+        return self._live
+
+    def observable_at(self, watched: frozenset) -> dict:
+        """For each meeting location, the variables live there or in
+        ``watched``, in sorted order; computed once per ``watched``."""
+        names = self._observable.get(watched)
+        if names is None:
+            live = self.live_variables
+            names = {location: tuple(sorted(live[location] | watched))
+                     for location in self.meeting_locations}
+            self._observable[watched] = names
+        return names
 
 
 def make_cfa(locations: Iterable[int], initial: int, edges: Sequence[CFAEdge],
@@ -196,6 +258,10 @@ class ConcreteDataState(Mapping):
 
     def __len__(self) -> int:
         return len(self._bindings)
+
+    def project(self, names: Sequence[str]) -> tuple:
+        """The values of ``names`` in order, None for an unbound one."""
+        return tuple(map(self._bindings.get, names))
 
     def bind(self, name: str, value: int) -> "ConcreteDataState":
         new = dict(self._bindings)

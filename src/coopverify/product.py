@@ -14,20 +14,33 @@ state, frontiers, final entries) is explored when the depth-first order
 first reaches it, and again only when a later prefix reaches it at a
 smaller depth, whose extensions get further before the step bound; any
 other prefix reaching it is skipped.  So each configuration is explored at
-its smallest depth, and usually once.  Everything a configuration can lead
-to is a function of the configuration alone, so a skipped prefix would only
-have explored the same successors again, no nearer the bound.  Hence:
+its smallest depth, and usually once.
+
+Configurations are told apart only by what can still matter.  At a
+location, the data state enters the key through the variables live there:
+those the program may read before writing them, and those any assumption or
+invariant of an automaton in the product reads anywhere (after Bozga,
+Fernandez & Ghirvu, "State Space Reduction Based on Live Variables
+Analysis", SAS 1999).  A skipped prefix agrees with its representative on
+location, frontiers, final entries and every variable that any later step
+can observe: the program's steps read only live variables, dead ones are
+written before they are read, and the automata read only watched ones.  So
+everything it can lead to matches what the representative leads to, step
+for step, and it steers every visitor the same way; it would only have
+explored the same successors again, no nearer the bound.  Hence:
 
 * revisiting a configuration on a cycle is not a truncation, so a loop whose
   configuration repeats ends ``holds, exhausted`` rather than ``unknown``;
 * truncation is reported only when an extendable configuration is explored
   at depth ``max_steps``;
-* every configuration reachable within the step bound is still explored;
-  when a search over every prefix would truncate nothing, the first prefix
-  found in depth-first order is the same one, so the evidence, the states
-  observed per location and the generated test suites are unchanged.  Where
-  that search would run around a cycle up to the step bound, this one may
-  find a shorter evidence path or finish exhausted instead.
+* every configuration reachable within the step bound is still explored up
+  to its dead variables; when a search over every prefix would truncate
+  nothing, the first prefix found in depth-first order is the same one, so
+  the evidence and the generated test suites are unchanged, and the states
+  observed per location are the same on their live variables.  Where that
+  search would run around a cycle up to the step bound, this one may find
+  a shorter evidence path or finish exhausted instead, so a verdict changes
+  only from unknown to a definite one.
 """
 
 from __future__ import annotations
@@ -37,8 +50,8 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .automata import ArtifactAutomaton, initial_frontier, step_frontier
-from .lang import (EMPTY_STATE, ConcreteDataState, ConcretePath, ControlFlowAutomaton, InputOp,
-                   PathStep, successors)
+from .lang import (EMPTY_STATE, ConcreteDataState, ConcretePath, ControlFlowAutomaton, PathStep,
+                   successors)
 from .predicates import Interval
 
 DEFAULT_DOMAIN = Interval(-8, 8)
@@ -114,24 +127,6 @@ class ProductVisit:
 Visitor = Callable[[ProductVisit], VisitAction]
 
 
-def _meeting_locations(program: ControlFlowAutomaton) -> frozenset:
-    """Locations where two different prefixes can reach one configuration.
-
-    These are the initial location, locations with two or more incoming
-    edges, and targets of input edges.  Elsewhere a configuration has one
-    predecessor location and one deterministic operation into it, and every
-    cycle passes through one of these locations.
-    """
-    incoming: dict = {}
-    inputs = set()
-    for edge in program.edges:
-        incoming[edge.target] = incoming.get(edge.target, 0) + 1
-        if isinstance(edge.op, InputOp):
-            inputs.add(edge.target)
-    joins = {location for location, count in incoming.items() if count >= 2}
-    return frozenset(joins | inputs | {program.initial})
-
-
 def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton],
                 config: AnalysisConfig, visit: Visitor) -> bool:
     """Depth-first bounded exploration of program x automata.
@@ -139,17 +134,20 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     Explores every product configuration reachable within the step bound,
     each at the smallest depth at which the depth-first order reaches it
     (see the module docstring), in deterministic order (per program
-    location: edge order, input values ascending).  A prefix reaching a
-    configuration already explored at no greater depth is skipped without a
-    visit.  Only configurations at ``_meeting_locations`` are recorded, which
-    keeps the record small where prefixes never meet.  The visitor steers:
-    PRUNE abandons the configuration's extensions, STOP abandons the whole
-    exploration.  A skipped prefix is taken to steer as the configuration's
-    earlier visit did, so a visitor's answer must depend on the
-    configuration alone.  Returns whether any configuration was truncated
-    by the step bound.
+    location: edge order, input values ascending).  A configuration is
+    keyed on its location, frontiers, final entries and the values of the
+    variables live there: those the program may still read and those any
+    assumption or invariant of ``automata`` reads.  A prefix whose key was
+    already explored at no greater depth is skipped without a visit.  Only
+    configurations at the program's ``meeting_locations`` are recorded,
+    which keeps the record small where prefixes never meet.  The visitor
+    steers: PRUNE abandons the configuration's extensions, STOP abandons the
+    whole exploration.  A skipped prefix is taken to steer as the key's
+    earlier visit did, so a visitor's answer must depend on the key alone;
+    the visit itself still carries the whole data state.  Returns whether
+    any configuration was truncated by the step bound.
     """
-    meeting = _meeting_locations(program)
+    kept = program.observable_at(frozenset().union(*(a.reads for a in automata)))
     explored_at: dict = {}  # configuration key at a meeting location -> depth
     interned: dict = {}  # frontier and final-entry sets stored in keys
     pairs = [initial_frontier(a, EMPTY_STATE) for a in automata]
@@ -160,10 +158,12 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     while stack:
         depth, step, frontiers, entries = stack.pop()
         location, state = step.location, step.state
-        if location in meeting:
+        names = kept.get(location)
+        if names is not None:
             # flat, each set interned: a frontier that many configurations
             # share is stored once
-            key = (location, state, *map(interned.setdefault, frontiers, frontiers),
+            key = (location, *state.project(names),
+                   *map(interned.setdefault, frontiers, frontiers),
                    *map(interned.setdefault, entries, entries))
             if explored_at.get(key, depth + 1) <= depth:
                 continue  # explored already, no farther from the step bound

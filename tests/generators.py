@@ -163,6 +163,27 @@ def random_program(rng: random.Random) -> ControlFlowAutomaton:
     return parse_program(random_program_source(rng))
 
 
+def random_dead_copy_program(rng: random.Random) -> ControlFlowAutomaton:
+    """A :func:`random_program_source` program with a dead input copy.
+
+    ``int d = input();`` follows the inputs, and in half the programs with
+    a loop its body starts with ``d = input();``.  The program never reads
+    ``d``, or it ends with ``d = a;`` and ``a = d + 1;``, which overwrite
+    ``d`` before reading it.  Automata built against the program may still
+    read ``d``.
+    """
+    lines = random_program_source(rng).splitlines()
+    first_data = next(i for i, line in enumerate(lines) if not line.endswith("input();"))
+    lines.insert(first_data, "int d = input();")
+    for i, line in enumerate(lines):
+        if line.startswith("while") and rng.random() < 0.5:
+            lines.insert(i + 1, "  d = input();")
+            break
+    if rng.random() < 0.5:
+        lines += ["d = a;", "a = d + 1;"]
+    return parse_program("\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Automata
 

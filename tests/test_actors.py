@@ -105,7 +105,9 @@ class TestVerify:
             " && x >= -4 && x <= 4"
         )
         assert pred_text(witness.invariant("s3")) == loop_head
-        assert pred_text(witness.invariant("s6")) == loop_head
+        # x is dead after the loop, so the exit keeps no fact over it
+        assert pred_text(witness.invariant("s6")) == \
+            "a == b && a >= 0 && a <= 4 && b >= 0 && b <= 4"
 
     def test_04_correctness_witness_is_kind_valid_and_replays(self, p, cfg4):
         bundle = verify(p, corpus.prop(), cfg4)

@@ -563,9 +563,7 @@ class TestLongGuards:
     def test_01_long_guard_is_searched_with_one_compile_per_guard(self, capsys, monkeypatch,
                                                                   tmp_path):
         """The search evaluates each guard on every reached step, from code
-        compiled once per guard.  Hashing a transition whose guard is twice as
-        long meets the recursion limit when a run enters the final state, in
-        this search as in a judgment's."""
+        compiled once per guard."""
         log = corpus.log_compiles(monkeypatch)
         code, out, err = run_cli(capsys, *two_guard_cell(tmp_path, 450))
         assert (code, err) == (0, "")
@@ -581,6 +579,26 @@ class TestLongGuards:
         assert err == "error: input nested too deeply to process\n"
         assert "Traceback" not in out + err
         assert log.trees == []
+
+    def test_03_entering_a_final_state_does_not_walk_the_guard(self, capsys, tmp_path):
+        """A transition hashes without its assumption, so a run entering a
+        final state through a guard of 900 terms, twice test_01's, records
+        its entry without recursing through the guard."""
+        code, out, err = run_cli(capsys, *two_guard_cell(tmp_path, 900))
+        assert (code, err) == (0, "")
+        assert "non-blocking: bounded-proved" in out
+
+    def test_04_judgment_enters_a_final_state_through_a_long_guard(self, capsys, tmp_path):
+        """As test_03, in a judgment's search: verify finds the violation."""
+        check_kind = two_guard_cell(tmp_path, 900)
+        prop = tmp_path / "long_final.aut"
+        prop.write_text("automaton long_final kind=property\nstate q0 init\nstate qe final\n"
+                        f"trans q0 -> qe on (*, *, *) assume {' + '.join(['x'] * 900)} >= 0\n"
+                        "trans q0 -> q0 otherwise\n")
+        code, out, err = run_cli(capsys, "verify", *check_kind[1:3], "--property", str(prop),
+                                 "--out", str(tmp_path))
+        assert (code, err) == (1, "")
+        assert out.startswith("verdict: false\n")
 
 
 class TestSampleFiles:

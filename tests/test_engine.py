@@ -10,7 +10,9 @@ import pytest
 import corpus
 import generators
 import reference
-from coopverify.actors import Result, verify
+from coopverify import automata as automata_module
+from coopverify import lang as lang_module
+from coopverify.actors import Result, generate_tests, verify
 from coopverify.automata import FinalEntry, match_path, parse_automaton
 from coopverify.engine import (
     AnalysisConfig,
@@ -37,6 +39,7 @@ from reference import (
 
 CFG4 = corpus.CFG4
 CFG2 = corpus.CFG2
+CFG1 = AnalysisConfig(Interval(-1, 1), 200)
 
 
 class TestFulfills:
@@ -373,6 +376,10 @@ if (c == 0) {
 int e = 1;
 """
 
+    FANOUT = "int i = 0;\nint v = 0;\nwhile (i < 4) {\n  v = input();\n  i++;\n}\n"
+    NEVER = ("automaton never kind=property\nstate q0 init\nstate qe final\n"
+             'trans q0 -> qe on (*, "i++", *) assume {guard}\ntrans q0 -> q0 otherwise\n')
+
     def test_01_join_reexplored_at_smaller_depth(self):
         """With max_steps 5 the violation is reachable only through the
         shorter prefix, which reaches the join after the longer one did."""
@@ -410,12 +417,10 @@ int e = 1;
     def test_04_visits_grow_with_configurations_not_paths(self):
         """Four inputs over |D| = 11 give 14641 complete paths but only 136
         distinct (location, data state) pairs; the visitor is called at most
-        twice per distinct configuration."""
-        program = parse_program(
-            "int i = 0;\nint v = 0;\nwhile (i < 4) {\n  v = input();\n  i++;\n}\n")
-        prop = parse_automaton(
-            "automaton never kind=property\nstate q0 init\nstate qe final\n"
-            'trans q0 -> qe on (*, "i++", *) assume i > 4\ntrans q0 -> q0 otherwise\n')
+        twice per distinct configuration.  The property reads v, so v stays
+        live at the loop head."""
+        program = parse_program(self.FANOUT)
+        prop = parse_automaton(self.NEVER.format(guard="i > 4 && v > 5"))
         config = AnalysisConfig(Interval(-5, 5), 500)
         calls = []
         keys = set()
@@ -438,6 +443,96 @@ int e = 1;
             return VisitAction.CONTINUE
 
         run_product(p_prime, (corpus.prop(),), CFG2, check)
+
+    def test_06_dead_variable_is_not_keyed(self):
+        """With a property that does not read v, v is dead at the loop head
+        and at the target of its input edge: each input edge's eleven
+        successors share one key, and the visitor is called once per
+        location and value of i, 16 times, not 136."""
+        program = parse_program(self.FANOUT)
+        prop = parse_automaton(self.NEVER.format(guard="i > 4"))
+        calls = []
+
+        def counting_visit(v):
+            calls.append((v.location, v.state.project(("i",))))
+            return VisitAction.CONTINUE
+
+        assert run_product(program, (prop,), AnalysisConfig(Interval(-5, 5), 500),
+                           counting_visit) is False
+        assert len(calls) == len(set(calls)) == 16
+
+    def test_07_analyses_run_once_per_program_and_automaton(self, monkeypatch):
+        """Liveness and meeting locations stay on the program and read sets
+        on the automata, so a second exploration of the same program and
+        automata reads no operation or predicate for its key."""
+        program = parse_program(self.FANOUT)
+        prop = parse_automaton(self.NEVER.format(guard="i > 4"))
+        calls = []
+        for module, name in ((lang_module, "op_reads"), (lang_module, "variables_of"),
+                             (automata_module, "variables_of")):
+            def counting(*args, original=getattr(module, name)):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        config = AnalysisConfig(Interval(-5, 5), 500)
+        for expect_analysis in (True, False):
+            calls.clear()
+            run_product(program, (prop,), config, lambda v: VisitAction.CONTINUE)
+            assert bool(calls) is expect_analysis
+
+
+class TestDeadVariables:
+    """The explorer keys configurations on live variables only; programs with
+    a dead input copy must still be judged as every path decides."""
+
+    def test_01_judgments_agree_with_oracle(self):
+        """Up to five inputs per path: three values keep the oracle's
+        enumeration small."""
+        rng = random.Random(1999)
+        dead_everywhere = 0
+        for _ in range(300):
+            program = generators.random_dead_copy_program(rng)
+            prop = generators.random_property(rng, program)
+            goals = generators.random_test_goal(rng, program)
+            vw = generators.random_violation_witness(rng, program)
+            cw = generators.random_correctness_witness(rng, program)
+            cond = generators.random_condition(rng, program)
+            inputs = generators.random_inputs(rng)
+            dead_everywhere += "d" not in prop.reads | goals.reads
+            every = brute_force_oracle(program, [], [], CFG1)
+            bad = brute_force_oracle(program, [prop], ["accept"], CFG1)
+
+            assert (check_fulfills(program, prop, CFG1).verdict is Verdict.HOLDS) == (not bad)
+            covered = brute_force_oracle(program, [cw], ["cover"], CFG1)
+            assert ((check_correctness_witness(program, prop, cw, CFG1).verdict
+                     is Verdict.HOLDS) == (not bad and covered == every))
+            admitted = brute_force_oracle(program, [vw], ["accept"], CFG1)
+            assert ((check_violation_witness(program, prop, vw, CFG1).verdict
+                     is Verdict.HOLDS) == bool(bad & admitted))
+            accepted = brute_force_oracle(program, [cond], ["accept"], CFG1)
+            assert ((check_condition_correct(program, prop, cond, CFG1).verdict
+                     is Verdict.HOLDS) == (not (bad & accepted)))
+            case = build_test_case_automaton(inputs)
+            joint = brute_force_oracle(program, [goals, case], ["accept", "cover"], CFG1)
+            judgment, _ = check_test_covers(program, inputs, goals, CFG1)
+            assert (judgment.verdict is Verdict.HOLDS) == bool(joint)
+
+            bundle = verify(program, prop, CFG1)
+            assert bundle.result is (Result.FALSE if bad else Result.TRUE)
+            if bad:
+                assert naive_match_path(prop, bundle.judgment.evidence).accepted
+            else:
+                assert brute_force_oracle(program, [bundle.witness], ["cover"], CFG1) == every
+
+            reachable = {FinalEntry(t, q) for path in every for run in all_runs(goals, path)
+                         for t, q in run if q in goals.finals}
+            suite = generate_tests(program, goals, CFG1)
+            assert suite.covered_goals() == reachable
+            for test in suite.tests:
+                assert brute_force_oracle(program, [goals, build_test_case_automaton(test.inputs)],
+                                          ["accept", "cover"], CFG1)
+        assert dead_everywhere >= 100
 
 
 class TestVerdictRule:
