@@ -462,9 +462,7 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
         raise ParseError("no state marked init")
     try:
         return make_automaton(name, kind, states, initial, finals, transitions, invariants)
-    except (ValueError, DuplicateOtherwise) as err:
-        if isinstance(err, DuplicateOtherwise):
-            raise
+    except ValueError as err:
         raise ParseError(str(err)) from None
 
 
@@ -480,12 +478,5 @@ def serialize_automaton(aut: ArtifactAutomaton) -> str:
         if state in aut.invariants:
             line += f" inv: {pred_text(aut.invariants[state])}"
         lines.append(line)
-    for t in aut.transitions:
-        if t.otherwise:
-            lines.append(f"trans {t.source} -> {t.target} otherwise")
-        else:
-            line = f"trans {t.source} -> {t.target} on {t.pattern}"
-            if t.assumption != TRUE:
-                line += f" assume {pred_text(t.assumption)}"
-            lines.append(line)
+    lines.extend(f"trans {t}" for t in aut.transitions)
     return "\n".join(lines) + "\n"

@@ -24,7 +24,6 @@ existing one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ParseError, UndefinedVariable, UseBeforeDef
@@ -128,6 +127,13 @@ class CFAEdge:
     target: int
     match_source: Optional[int] = None
     match_target: Optional[int] = None
+    # The operation text without whitespace, as edge patterns match it.  It
+    # is computed here, not kept by functools' cached_property, whose write
+    # to __dict__ would slow every later attribute read on the edge.
+    norm_text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "norm_text", normalize_text(self.op.text))
 
     @property
     def match_src(self) -> int:
@@ -136,11 +142,6 @@ class CFAEdge:
     @property
     def match_tgt(self) -> int:
         return self.target if self.match_target is None else self.match_target
-
-    @cached_property
-    def norm_text(self) -> str:
-        """The operation text without whitespace, as edge patterns match it."""
-        return normalize_text(self.op.text)
 
 
 @dataclass(frozen=True)
@@ -466,30 +467,6 @@ def check_defined_before_use(cfa: ControlFlowAutomaton) -> None:
 # ---------------------------------------------------------------------------
 # Program parsing
 
-@dataclass
-class _Simple:
-    label: Optional[int]
-    op: Operation
-    entry: int = -1
-
-
-@dataclass
-class _If:
-    label: Optional[int]
-    cond: Predicate
-    then: list
-    orelse: list
-    entry: int = -1
-
-
-@dataclass
-class _While:
-    label: Optional[int]
-    cond: Predicate
-    body: list
-    entry: int = -1
-
-
 def _reject_template(has_template: bool, ts: TokenStream) -> None:
     if has_template:
         raise ts.error("'chi' is reserved for automata and not allowed in programs")
@@ -501,18 +478,6 @@ def _parse_condition(ts: TokenStream) -> Predicate:
     ts.expect(")")
     _reject_template(mentions_template(cond), ts)
     return cond
-
-
-def _parse_rhs(ts: TokenStream):
-    """Returns ('input', None) or ('expr', Expr)."""
-    if ts.peek().kind == "keyword" and ts.peek().text == "input":
-        ts.next()
-        ts.expect("(")
-        ts.expect(")")
-        return "input", None
-    expr = parse_arith(ts)
-    _reject_template(_expr_vars(expr, set()), ts)
-    return "expr", expr
 
 
 def _parse_simple(ts: TokenStream) -> Operation:
@@ -529,43 +494,86 @@ def _parse_simple(ts: TokenStream) -> Operation:
         step = BinExpr(sugar[0], Var(name.text), Const(1))
         return assignment_op(name.text, step, sugar=f"{name.text}{sugar}")
     ts.expect("=")
-    kind, expr = _parse_rhs(ts)
-    if kind == "input":
+    if ts.peek().kind == "keyword" and ts.peek().text == "input":
+        ts.next()
+        ts.expect("(")
+        ts.expect(")")
         return input_op(name.text, declare)
+    expr = parse_arith(ts)
+    _reject_template(_expr_vars(expr, set()), ts)
     return assignment_op(name.text, expr, declare)
 
 
-def _parse_statement(ts: TokenStream):
-    label = None
-    if ts.peek().kind == "int" and ts.peek(1).text == ":":
-        label = int(ts.next().text)
-        ts.next()
-    tok = ts.peek()
-    if tok.kind == "ident" or (tok.kind == "keyword" and tok.text == "int"):
-        op = _parse_simple(ts)
-        ts.expect(";")
-        return _Simple(label, op)
-    if tok.kind == "keyword" and tok.text == "if":
+class _Lowering:
+    """One recursive-descent pass from statements to CFA edges.
+
+    A statement takes its location when its parsing starts and appends its
+    edges at once, as ``[source, op, target]`` records.  An edge into
+    whatever follows stays open, its target ``None``, until the next
+    statement, the end of its block or the end of the text backpatches it.
+    The state is kept on an object, not in nested closures, whose reference
+    cycle would hold the token list until the cyclic collector runs.
+    """
+
+    def __init__(self, source: str):
+        self.ts = TokenStream(tokenize(source))
+        self.counter = 0
+        self.locations: list = []
+        self.edges: list = []
+        self.label_error: Optional[ParseError] = None  # raised after the pass
+
+    def locate(self, label: Optional[int], kind: str = "location") -> int:
+        """The next free location, or ``label`` unless it is below that."""
+        if label is not None:
+            if label >= self.counter:
+                self.counter = label
+            elif self.label_error is None:
+                self.label_error = ParseError(
+                    f"{kind} label {label} is out of order (next free is {self.counter})")
+        self.locations.append(self.counter)
+        self.counter += 1
+        return self.locations[-1]
+
+    def edge(self, source: int, op: Operation) -> list:
+        record = [source, op, None]
+        self.edges.append(record)
+        return record
+
+    def statement(self, pending: list) -> list:
+        """Parse one statement, backpatch ``pending`` to its location and
+        return the edges it leaves open."""
+        ts = self.ts
+        label = None
+        if ts.peek().kind == "int" and ts.peek(1).text == ":":
+            label = int(ts.next().text)
+            ts.next()
+        entry = self.locate(label)
+        for record in pending:
+            record[2] = entry
+        tok = ts.peek()
+        if tok.kind == "ident" or (tok.kind == "keyword" and tok.text == "int"):
+            op = _parse_simple(ts)
+            ts.expect(";")
+            return [self.edge(entry, op)]
+        if tok.kind != "keyword" or tok.text not in ("if", "while"):
+            raise ts.error("expected a statement")
         ts.next()
         cond = _parse_condition(ts)
-        then = _parse_block(ts)
-        orelse = _parse_block(ts) if ts.accept("else") else []
-        return _If(label, cond, then, orelse)
-    if tok.kind == "keyword" and tok.text == "while":
-        ts.next()
-        cond = _parse_condition(ts)
-        body = _parse_block(ts)
-        return _While(label, cond, body)
-    raise ts.error("expected a statement")
+        into = self.edge(entry, assume_op(cond))
+        past = self.edge(entry, assume_op(Not(cond)))
+        if tok.text == "if":
+            return self.block([into]) + (self.block([past]) if ts.accept("else") else [past])
+        for record in self.block([into]):
+            record[2] = entry
+        return [past]
 
-
-def _parse_block(ts: TokenStream) -> list:
-    ts.expect("{")
-    stmts = []
-    while not ts.at("}"):
-        stmts.append(_parse_statement(ts))
-    ts.expect("}")
-    return stmts
+    def block(self, pending: list) -> list:
+        """Parse ``{ statement* }``; past an empty block ``pending`` stays open."""
+        self.ts.expect("{")
+        while not self.ts.at("}"):
+            pending = self.statement(pending)
+        self.ts.expect("}")
+        return pending
 
 
 def parse_program(source: str) -> ControlFlowAutomaton:
@@ -574,8 +582,9 @@ def parse_program(source: str) -> ControlFlowAutomaton:
     Raises :class:`ParseError` on malformed input and :class:`UseBeforeDef`
     when some operation may read a variable no earlier operation assigned.
     """
-    ts = TokenStream(tokenize(source))
-    stmts = []
+    lowering = _Lowering(source)
+    ts = lowering.ts
+    pending: list = []
     exit_label = None
     while ts.peek().kind != "eof":
         if (ts.peek().kind == "int" and ts.peek(1).text == ":"
@@ -583,75 +592,15 @@ def parse_program(source: str) -> ControlFlowAutomaton:
             exit_label = int(ts.next().text)
             ts.next()
             break
-        stmts.append(_parse_statement(ts))
-
-    counter = 0
-
-    def assign_entries(block: list) -> None:
-        nonlocal counter
-        for stmt in block:
-            if stmt.label is not None:
-                if stmt.label < counter:
-                    raise ParseError(
-                        f"location label {stmt.label} is out of order (next free is {counter})"
-                    )
-                counter = stmt.label
-            stmt.entry = counter
-            counter += 1
-            if isinstance(stmt, _If):
-                assign_entries(stmt.then)
-                assign_entries(stmt.orelse)
-            elif isinstance(stmt, _While):
-                assign_entries(stmt.body)
-
-    assign_entries(stmts)
-    if exit_label is not None:
-        if exit_label < counter:
-            raise ParseError(f"exit label {exit_label} is out of order (next free is {counter})")
-        exit_location = exit_label
-    else:
-        exit_location = counter
-
-    edges = []
-
-    def emit(block: list, follow: int) -> None:
-        for i, stmt in enumerate(block):
-            goes_to = block[i + 1].entry if i + 1 < len(block) else follow
-            if isinstance(stmt, _Simple):
-                edges.append(CFAEdge(stmt.entry, stmt.op, goes_to))
-            elif isinstance(stmt, _If):
-                then_target = stmt.then[0].entry if stmt.then else goes_to
-                else_target = stmt.orelse[0].entry if stmt.orelse else goes_to
-                edges.append(CFAEdge(stmt.entry, assume_op(stmt.cond), then_target))
-                edges.append(CFAEdge(stmt.entry, assume_op(Not(stmt.cond)), else_target))
-                emit(stmt.then, goes_to)
-                emit(stmt.orelse, goes_to)
-            else:
-                body_target = stmt.body[0].entry if stmt.body else stmt.entry
-                edges.append(CFAEdge(stmt.entry, assume_op(stmt.cond), body_target))
-                edges.append(CFAEdge(stmt.entry, assume_op(Not(stmt.cond)), goes_to))
-                emit(stmt.body, stmt.entry)
-
-    entry_locations: set = set()
-
-    def collect_entries(block: list) -> None:
-        for stmt in block:
-            entry_locations.add(stmt.entry)
-            if isinstance(stmt, _If):
-                collect_entries(stmt.then)
-                collect_entries(stmt.orelse)
-            elif isinstance(stmt, _While):
-                collect_entries(stmt.body)
-
-    collect_entries(stmts)
-    emit(stmts, exit_location)
-
-    variables: set = set()
-    for edge in edges:
-        variables |= op_reads(edge.op) | op_writes(edge.op)
-
-    initial = stmts[0].entry if stmts else exit_location
-    cfa = make_cfa(entry_locations | {exit_location}, initial, edges, variables)
+        pending = lowering.statement(pending)
+    exit_location = lowering.locate(exit_label, "exit")
+    if lowering.label_error is not None:
+        raise lowering.label_error
+    for record in pending:
+        record[2] = exit_location
+    edges = [CFAEdge(*record) for record in lowering.edges]
+    variables = set().union(*(op_reads(edge.op) | op_writes(edge.op) for edge in edges))
+    cfa = make_cfa(lowering.locations, lowering.locations[0], edges, variables)
     check_defined_before_use(cfa)
     return cfa
 

@@ -69,8 +69,9 @@ class TestParseProgram:
         assert {(e.source, e.target) for e in cfa.edges} == {(0, 5), (5, 9)}
 
     def test_05_out_of_order_label_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_program("int a = 0;\n0: a++;\n")
+        assert str(exc.value) == "location label 0 is out of order (next free is 1)"
 
     def test_06_use_before_def(self):
         with pytest.raises(UseBeforeDef) as exc:
@@ -92,6 +93,70 @@ class TestParseProgram:
         with pytest.raises(ParseError) as exc:
             parse_program("int a = ;\n")
         assert exc.value.line == 1
+
+    NESTED = (
+        "int x = input();\n"
+        "int i = 0;\n"
+        "if (x > 0) {\n"
+        "} else {\n"
+        "  x = 0 - x;\n"
+        "}\n"
+        "while (i < x) {\n"
+        "  if (i == 2) {\n"
+        "    7: i++;\n"
+        "  }\n"
+        "  while (i < 0) {\n"
+        "  }\n"
+        "  i = i + 1;\n"
+        "}\n"
+        "11: if (x == 1) {\n"
+        "  x--;\n"
+        "} else {\n"
+        "}\n"
+        "14:\n"
+    )
+
+    def test_10_nested_lowering_is_pinned(self):
+        """Locations in source order, labels honoured, each statement's edges
+        before those of its blocks; an empty block's edge goes to what
+        follows it, an empty loop body's back to the loop head."""
+        assert serialize_cfa(parse_program(self.NESTED)) == (
+            "cfa\n"
+            "vars i x\n"
+            "init 0\n"
+            + "".join(f"loc {n}\n" for n in (0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 14))
+            + "edge 0 -> 1: int x = input()\n"
+            "edge 1 -> 2: int i = 0\n"
+            "edge 2 -> 4: x > 0\n"
+            "edge 2 -> 3: !(x > 0)\n"
+            "edge 3 -> 4: x = 0 - x\n"
+            "edge 4 -> 5: i < x\n"
+            "edge 4 -> 11: !(i < x)\n"
+            "edge 5 -> 7: i == 2\n"
+            "edge 5 -> 8: !(i == 2)\n"
+            "edge 7 -> 8: i++\n"
+            "edge 8 -> 8: i < 0\n"
+            "edge 8 -> 9: !(i < 0)\n"
+            "edge 9 -> 4: i = i + 1\n"
+            "edge 11 -> 12: x == 1\n"
+            "edge 11 -> 14: !(x == 1)\n"
+            "edge 12 -> 14: x--\n"
+        )
+
+    @pytest.mark.parametrize("source, message", [
+        ("int a = 0;\na++;\n1:\n", "exit label 1 is out of order (next free is 2)"),
+        # the first out-of-order label wins, over UseBeforeDef too
+        ("int a = b;\n3: a++;\n1: a++;\n0:\n", "location label 1 is out of order (next free is 4)"),
+    ])
+    def test_11_out_of_order_label_messages(self, source, message):
+        with pytest.raises(ParseError) as exc:
+            parse_program(source)
+        assert str(exc.value) == message
+
+    def test_12_later_syntax_error_wins_over_label(self):
+        with pytest.raises(ParseError) as exc:
+            parse_program("int a = 0;\n0: a++;\na = ;\n")
+        assert str(exc.value) == "expected an expression (found ';') at line 3, column 5"
 
 
 class TestStrongestPost:

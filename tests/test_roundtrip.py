@@ -1,4 +1,5 @@
-"""Property-based text round trips of programs, automata and predicates.
+"""Property-based text round trips of programs, automata, predicates and
+test cases.
 
 Hypothesis draws the seeds and the seeded generators of ``generators`` build
 the artifacts from them, so each example is one reproducible generator call.
@@ -10,9 +11,10 @@ import random
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import generators  # noqa: E402
+from coopverify import cli  # noqa: E402
 from coopverify import (  # noqa: E402
     parse_automaton,
     parse_cfa,
@@ -82,3 +84,14 @@ def test_03_predicate_text_reads_back_equivalent(seed):
         assert _outcome(read, state) == _outcome(pred, state), (text, state)
     again = pred_text(read)
     assert pred_text(parse_predicate(again)) == again
+
+
+@pinned
+@given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6), max_size=12))
+@example([])
+@example([-7, 0, 42, -1000, 123456])
+def test_04_test_case_text_round_trips(values):
+    """A test case, empty or not, with negative and multi-digit inputs, reads
+    back from the ``.test`` text that ``extract-test`` writes."""
+    values = tuple(values)
+    assert cli.parse_test_text(cli._test_text(values)) == values
