@@ -13,13 +13,14 @@ from __future__ import annotations
 import random
 
 from coopverify.automata import (
+    INPUT_TEMPLATE_TEXT,
     ArtifactAutomaton,
     AutomatonKind,
     EdgePattern,
     Transition,
     make_automaton,
 )
-from coopverify.lang import ControlFlowAutomaton, definitely_assigned, parse_program
+from coopverify.lang import ControlFlowAutomaton, InputOp, definitely_assigned, parse_program
 from coopverify.predicates import (
     CHI,
     FALSE,
@@ -300,7 +301,37 @@ def random_correctness_witness(rng: random.Random, program: ControlFlowAutomaton
                           ["s0", "s1"], "s0", (), transitions, {"s1": invariant})
 
 
-def random_condition(rng: random.Random, program: ControlFlowAutomaton) -> ArtifactAutomaton:
+def _rich_condition(rng: random.Random, program: ControlFlowAutomaton) -> ArtifactAutomaton:
+    """Two to four states, the last one final, and one to three guarded
+    transitions out of every other state.  A transition observes a program
+    edge, or any input edge through the input template with a guard on the
+    placeholder; a non-final state keeps an otherwise loop half the time."""
+    states = [f"q{i}" for i in range(rng.randint(2, 4))]
+    template = EdgePattern(None, INPUT_TEMPLATE_TEXT, None)
+    reads_input = any(isinstance(e.op, InputOp) for e in program.edges)
+    transitions = []
+    for state in states[:-1]:
+        for _ in range(rng.randint(1, 3)):
+            target = rng.choice(states)
+            if reads_input and rng.random() < 0.3:
+                guard = Comparison(rng.choice(_CMP_OPS), CHI, Const(rng.randint(-2, 2)))
+                transitions.append(Transition(state, target, template, guard))
+            else:
+                edge = rng.choice(program.edges)
+                transitions.append(Transition(state, target, _edge_pattern(edge),
+                                              _assumption(rng, program, edge)))
+        if rng.random() < 0.5:
+            transitions.append(_otherwise(state))
+    return make_automaton("random_rich_cond", AutomatonKind.CONDITION,
+                          states, states[0], (states[-1],), transitions)
+
+
+def random_condition(rng: random.Random, program: ControlFlowAutomaton,
+                     rich: bool = False) -> ArtifactAutomaton:
+    """A two-state condition accepting after one guarded edge observation,
+    or with ``rich`` the several-state shape of :func:`_rich_condition`."""
+    if rich:
+        return _rich_condition(rng, program)
     edge = rng.choice(program.edges)
     transitions = [Transition("q0", "q1", _edge_pattern(edge),
                               _assumption(rng, program, edge))]

@@ -22,9 +22,11 @@ from coopverify.automata import ArtifactAutomaton, AutomatonKind, FinalEntry, Ma
 from coopverify.engine import DEFAULT_CONFIG, AnalysisConfig
 from coopverify.errors import CoopVerifyError
 from coopverify.lang import (
+    EMPTY_STATE,
     ConcretePath,
     ControlFlowAutomaton,
     InputOp,
+    PathStep,
     enumerate_paths,
     strongest_post,
 )
@@ -197,18 +199,36 @@ def brute_force_oracle(program: ControlFlowAutomaton,
 
 
 # ---------------------------------------------------------------------------
-# Reducer comparison: the residual program's behavior, mapped back to
-# original operations, must be exactly the program behavior the condition
-# does not accept.  Both sides are compared as prefix-closed sets of
-# (original edge, data state) sequences, so that partial residual paths
-# (stuck mid-split) and partial program paths line up.
+# Reducer comparison.  The reducer's contract: the residual's complete paths,
+# mapped back to original operations, are exactly the program's complete
+# paths that the condition does not accept, and a residual path stuck at a
+# helper location has taken an operation that the condition covers (its
+# continuation was cut), so the condition accepts it with that operation.
+# Criterion 5 also compares both sides as prefix-closed sets of (original
+# edge, data state) sequences; that holds on the sample programs and
+# conditions only, since a residual path stuck after an uncovered prefix
+# keeps that prefix although no uncovered complete path may extend it.
+
+def residual_program_path(reduction, program: ControlFlowAutomaton,
+                          path: ConcretePath) -> ConcretePath:
+    """The program path a path of ``reduction.residual`` stands for: its
+    operations mapped back through ``reduction.origin``, inserted assume
+    edges dropped, a trailing operation into a helper location kept."""
+    steps = [PathStep(EMPTY_STATE, program.initial, None)]
+    for step in path.steps[1:]:
+        edge = reduction.origin.get(step.incoming)
+        if edge is not None:
+            steps.append(PathStep(step.state, edge.target, edge))
+    return ConcretePath(tuple(steps))
+
 
 def project_residual_path(reduction, path: ConcretePath) -> tuple:
     """Map a path of ``reduction.residual`` back to program operations.
 
     Returns the sequence of (original edge, post-state) pairs; inserted
     assume edges disappear, and a trailing operation into a helper location
-    (its valuation not yet taken) is dropped as incomplete.
+    (its valuation not yet taken) is dropped: the condition covers it (see
+    :func:`residual_program_path` for the path with it kept).
     """
     items = []
     for step in path.steps[1:]:

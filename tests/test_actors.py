@@ -59,6 +59,7 @@ from reference import (
     project_residual_path,
     replay_path,
     residual_prefixes,
+    residual_program_path,
     uncovered_prefixes,
 )
 
@@ -245,6 +246,37 @@ class TestReduce:
     def test_08_rejects_non_condition(self, p):
         with pytest.raises(InvalidArtifact):
             reduce(p, corpus.goals())
+
+    @pytest.mark.parametrize("rich", (False, True), ids=("simple", "rich"))
+    def test_09_generated_residuals_keep_exactly_the_uncovered_paths(self, rich):
+        """The reducer's contract on generated programs and conditions:
+        complete residual paths, mapped back to program edges, are the
+        program's complete paths that the condition does not accept, and a
+        residual path stuck at a helper location is accepted once its
+        trailing operation is counted."""
+        rng = random.Random(7315 if rich else 7314)
+        domain, max_steps = Interval(-2, 2), 60
+        stuck = split = 0
+        for _ in range(300):
+            program = generators.random_program(rng)
+            cond = generators.random_condition(rng, program, rich=rich)
+            reduction = reduce_with_origin(program, cond)
+            programs = enumerate_paths(program, domain, max_steps)
+            # an operation and the assume edge after it take two residual steps
+            residuals = enumerate_paths(reduction.residual, domain, 2 * max_steps)
+            assert not programs.truncated and not residuals.truncated
+            complete = set()
+            for path in residuals.paths:
+                mapped = residual_program_path(reduction, program, path)
+                if path.final_location in reduction.mid_locations:
+                    assert naive_match_path(cond, mapped).accepted
+                    stuck += 1
+                elif not program.edges_from(mapped.final_location):
+                    complete.add(mapped)
+            assert complete == {path for path in programs.paths
+                                if not naive_match_path(cond, path).accepted}
+            split += bool(reduction.mid_locations)
+        assert split > 50 and stuck > 300
 
 
 class TestConditionalVerify:
