@@ -30,6 +30,7 @@ from .automata import (
 )
 from .engine import (
     DEFAULT_CONFIG,
+    DEFAULT_MAX_STEPS,
     AnalysisConfig,
     Judgment,
     ProductVisit,
@@ -44,7 +45,6 @@ from .engine import (
     run_product,
 )
 from .errors import InvalidArtifact, NoViolatingPath
-from .kinds import validate_kind
 from .lang import (
     CFAEdge,
     ConcreteDataState,
@@ -248,8 +248,8 @@ class Reduction:
 
     ``origin`` maps each residual operation edge to the program edge it
     stems from; ``mid_locations`` are the helper locations inserted between
-    an operation and its condition-assumption split (a residual path ending
-    there has consumed an operation whose continuation was not chosen yet).
+    an operation and its condition-assumption split (a residual path stuck
+    there has taken an operation that the condition covers).
     """
 
     residual: ControlFlowAutomaton
@@ -257,31 +257,36 @@ class Reduction:
     mid_locations: frozenset
 
 
+def _instantiated(cond: ArtifactAutomaton, state: str, edge: CFAEdge):
+    """The target and guard of each explicit transition out of ``state`` that
+    matches ``edge``, the guard instantiated on the edge (the placeholder
+    bound to the variable it reads)."""
+    for t in cond.explicit_from(state):
+        if t.pattern.matches(edge):
+            guard = t.assumption
+            if t.pattern.is_input_template:
+                guard = substitute_template(guard, Var(edge.op.target))
+            yield t.target, guard
+
+
 def _condition_moves(cond: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge) -> tuple:
     """Distinct instantiated guards of condition transitions matching ``edge``,
-    and a closure computing the successor frontier for one guard valuation."""
-    matching: dict = {}
+    and a closure computing the successor frontier for one guard valuation
+    (a tuple of truth values, one per guard)."""
     guards: list = []
+    moves: list = []
     for q in sorted(frontier):
-        for t in cond.explicit_from(q):
-            if t.pattern.matches(edge):
-                guard = t.assumption
-                if t.pattern.is_input_template:
-                    guard = substitute_template(guard, Var(edge.op.target))
-                if guard not in guards:
-                    guards.append(guard)
-                matching.setdefault(q, []).append((t, guard))
+        for target, guard in _instantiated(cond, q, edge):
+            if guard not in guards:
+                guards.append(guard)
+            moves.append((q, target, guards.index(guard)))
 
-    def successor(valuation: dict) -> frozenset:
-        succ = set()
-        for q in frontier:
-            fired = False
-            for t, guard in matching.get(q, ()):
-                if valuation[guard]:
-                    succ.add(t.target)
-                    fired = True
+    def successor(values: tuple) -> frozenset:
+        fired = {q for q, _, i in moves if values[i]}
+        succ = {target for _, target, i in moves if values[i]}
+        for q in frontier - fired:
             ow = cond.otherwise_at(q)
-            if ow is not None and not fired:
+            if ow is not None:
                 succ.add(ow.target)
         return frozenset(succ)
 
@@ -292,123 +297,68 @@ def reduce_with_origin(program: ControlFlowAutomaton,
                        cond: ArtifactAutomaton) -> Reduction:
     """Subset-construction product of program and condition.
 
-    Residual locations are (program location, set of condition states); a
-    successor whose state set contains a final condition state is pruned,
-    because acceptance latches and everything beyond is covered.  Data-state
-    dependent condition assumptions are compiled to assume edges: the
-    operation runs into a helper location, from which one assume edge per
-    guard valuation selects the matching successor.  An empty state set means
-    the condition can never accept again, so the rest is copied verbatim
-    under its original location ids.
+    One worklist runs over pairs (program location, set of condition
+    states); a pair gets a fresh residual location, except that the empty
+    set, where the condition can never accept again, keeps the program
+    location's id and copies its edges verbatim.  A successor whose state
+    set contains a final condition state is pruned, because acceptance
+    latches and everything beyond is covered.  Data-state dependent
+    condition assumptions are compiled to assume edges: the operation runs
+    into a helper location, from which one assume edge per guard valuation
+    selects the matching successor.
+
+    So the residual's complete paths, mapped back through ``origin``, are
+    exactly the program's complete paths that the condition does not
+    accept, and a residual path stuck at a helper location has taken an
+    operation that the condition covers.
     """
-    report = validate_kind(cond, program, None)
-    if cond.kind is not AutomatonKind.CONDITION or not report.ok:
-        raise InvalidArtifact(
-            f"reduce needs a kind-valid condition automaton, got {cond.kind.value}:\n{report}",
-            report)
-
-    next_id = max(program.locations, default=0) + 1
-
-    def fresh() -> int:
-        nonlocal next_id
-        value = next_id
-        next_id += 1
-        return value
-
-    product_ids: dict = {}
-    locations: set = set()
+    require_valid_kind(cond, AutomatonKind.CONDITION, program, DEFAULT_CONFIG)
+    fresh = itertools.count(max(program.locations, default=0) + 1)
+    start = (program.initial, frozenset({cond.initial}))
+    ids = {start: next(fresh)}
+    worklist = [] if start[1] & cond.finals else [start]
     edges: list = []
     origin: dict = {}
     mids: set = set()
-    copied: set = set()
 
-    def product_id(location: int, frontier: frozenset) -> int:
-        if not frontier:
-            return location
+    def residual_id(location: int, frontier: frozenset) -> int:
         key = (location, frontier)
-        if key not in product_ids:
-            product_ids[key] = fresh()
-        return product_ids[key]
+        if key not in ids:
+            ids[key] = next(fresh) if frontier else location
+            worklist.append(key)
+        return ids[key]
 
-    def copy_plain(location: int) -> None:
-        """Copy the untouched part of the program reachable from ``location``."""
-        stack = [location]
-        while stack:
-            here = stack.pop()
-            if here in copied:
-                continue
-            copied.add(here)
-            locations.add(here)
-            for edge in program.edges_from(here):
-                edges.append(edge)
-                origin[edge] = edge
-                stack.append(edge.target)
+    while worklist:
+        location, frontier = worklist.pop()
+        here = ids[(location, frontier)]
+        for edge in program.edges_from(location):
+            guards, successor = _condition_moves(cond, frontier, edge)
+            targets = [(values, after)
+                       for values in itertools.product((True, False), repeat=len(guards))
+                       if not (after := successor(values)) & cond.finals]
+            if not targets:
+                continue  # covered from here on
+            split = next(fresh) if guards else residual_id(edge.target, targets[0][1])
+            produced = CFAEdge(here, edge.op, split, match_source=edge.match_src,
+                               match_target=edge.match_tgt) if frontier else edge
+            edges.append(produced)
+            origin[produced] = edge
+            if guards:
+                mids.add(split)
+                for values, after in targets:
+                    guard = conjoin([g if v else Not(g) for g, v in zip(guards, values)])
+                    edges.append(CFAEdge(split, assume_op(guard), residual_id(edge.target, after)))
 
-    initial_frontier = frozenset({cond.initial})
-    initial_id = product_id(program.initial, initial_frontier)
-    locations.add(initial_id)
-    if not initial_frontier & cond.finals:
-        worklist = [(program.initial, initial_frontier)]
-        seen = {(program.initial, initial_frontier)}
-        while worklist:
-            location, frontier = worklist.pop()
-            here = product_id(location, frontier)
-            for edge in program.edges_from(location):
-                guards, successor = _condition_moves(cond, frontier, edge)
-                targets = []
-                for values in itertools.product((True, False), repeat=len(guards)):
-                    valuation = dict(zip(guards, values))
-                    next_frontier = successor(valuation)
-                    if next_frontier & cond.finals:
-                        continue  # covered from here on
-                    guard = conjoin([g if valuation[g] else Not(g) for g in guards])
-                    targets.append((guard, next_frontier))
-                if not targets:
-                    continue
-                if not guards:
-                    (_, next_frontier), = targets
-                    _emit_product_edge(edge, here, product_id(edge.target, next_frontier),
-                                       edges, origin, locations)
-                    _schedule(edge.target, next_frontier, seen, worklist, copy_plain)
-                    continue
-                mid = fresh()
-                mids.add(mid)
-                locations.add(mid)
-                _emit_product_edge(edge, here, mid, edges, origin, locations)
-                for guard, next_frontier in targets:
-                    target_id = product_id(edge.target, next_frontier)
-                    locations.add(target_id)
-                    edges.append(CFAEdge(mid, assume_op(guard), target_id))
-                    _schedule(edge.target, next_frontier, seen, worklist, copy_plain)
-
-    residual = make_cfa(locations, initial_id, edges, program.variables)
+    locations = {ids[start]}.union(*((e.source, e.target) for e in edges))
+    residual = make_cfa(locations, ids[start], edges, program.variables)
     return Reduction(residual, origin, frozenset(mids))
-
-
-def _emit_product_edge(edge: CFAEdge, source: int, target: int,
-                       edges: list, origin: dict, locations: set) -> None:
-    produced = CFAEdge(source, edge.op, target,
-                       match_source=edge.match_src, match_target=edge.match_tgt)
-    edges.append(produced)
-    origin[produced] = edge
-    locations.add(source)
-    locations.add(target)
-
-
-def _schedule(location: int, frontier: frozenset, seen: set, worklist: list,
-              copy_plain) -> None:
-    if not frontier:
-        copy_plain(location)
-        return
-    key = (location, frontier)
-    if key not in seen:
-        seen.add(key)
-        worklist.append(key)
 
 
 def reduce(program: ControlFlowAutomaton, cond: ArtifactAutomaton) -> ControlFlowAutomaton:
     """Residual program containing exactly the behavior the condition does
-    not cover (see :func:`reduce_with_origin` for the construction)."""
+    not cover: its complete paths are the uncovered complete paths (see
+    :func:`reduce_with_origin` for the construction and for paths stuck at
+    a helper location)."""
     return reduce_with_origin(program, cond).residual
 
 
@@ -419,13 +369,9 @@ def _input_condition_disjuncts(cond: ArtifactAutomaton, input_edge: CFAEdge) -> 
     """Assumptions under which the input condition accepts right after the
     first input edge."""
     out = []
-    for t in cond.explicit_from(cond.initial):
-        if t.target in cond.finals and t.pattern.matches(input_edge):
-            guard = t.assumption
-            if t.pattern.is_input_template:
-                guard = substitute_template(guard, Var(input_edge.op.target))
-            if guard not in out:
-                out.append(guard)
+    for target, guard in _instantiated(cond, cond.initial, input_edge):
+        if target in cond.finals and guard not in out:
+            out.append(guard)
     return out
 
 
@@ -535,7 +481,7 @@ class ExecutionReport:
 
 def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
               prop: Optional[ArtifactAutomaton] = None,
-              max_steps: int = 500) -> ExecutionReport:
+              max_steps: int = DEFAULT_MAX_STEPS) -> ExecutionReport:
     """Run the program on a fixed input sequence, first enabled edge wins.
 
     The run ends at a sink (completed), at an exhausted input sequence, at a

@@ -40,6 +40,7 @@ from .predicates import (
     TRUE,
     BoolConst,
     Predicate,
+    _integer,
     evaluate,
     normalize_text,
     parse_predicate,
@@ -443,9 +444,9 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
         if m:
             src_text, op_field, tgt_text = m.group(3), m.group(4), m.group(5)
             pattern = EdgePattern(
-                None if src_text == "*" else int(src_text),
+                None if src_text == "*" else _integer(src_text, lineno),
                 None if op_field == "*" else op_field[1:-1],
-                None if tgt_text == "*" else int(tgt_text),
+                None if tgt_text == "*" else _integer(tgt_text, lineno),
             )
             assumption = TRUE
             if m.group(6) is not None:

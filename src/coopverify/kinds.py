@@ -127,8 +127,10 @@ def _non_blocking(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
     def visit(v) -> VisitAction:
         if v.truncated:
             return VisitAction.CONTINUE  # its steps lie beyond the bound
-        for q in sorted(v.frontiers[0] & watched):
-            for edge, post in successors(program, v.state, v.location, config.input_domain):
+        here = sorted(v.frontiers[0] & watched)
+        steps = successors(program, v.state, v.location, config.input_domain) if here else ()
+        for q in here:
+            for edge, post in steps:
                 if not _taken(aut, q, edge, post, _input_target(edge)):
                     found.append(NonBlocking(REFUTED, q, edge, dict(post)))
                     return VisitAction.STOP

@@ -37,6 +37,7 @@ from .predicates import (
     TokenStream,
     Var,
     _expr_vars,
+    _integer,
     eval_expr,
     evaluate,
     expr_text,
@@ -545,7 +546,8 @@ class _Lowering:
         ts = self.ts
         label = None
         if ts.peek().kind == "int" and ts.peek(1).text == ":":
-            label = int(ts.next().text)
+            tok = ts.next()
+            label = _integer(tok.text, tok.line, tok.column)
             ts.next()
         entry = self.locate(label)
         for record in pending:
@@ -589,7 +591,8 @@ def parse_program(source: str) -> ControlFlowAutomaton:
     while ts.peek().kind != "eof":
         if (ts.peek().kind == "int" and ts.peek(1).text == ":"
                 and ts.peek(2).kind == "eof"):
-            exit_label = int(ts.next().text)
+            tok = ts.next()
+            exit_label = _integer(tok.text, tok.line, tok.column)
             ts.next()
             break
         pending = lowering.statement(pending)
@@ -663,9 +666,9 @@ def parse_cfa(source: str) -> ControlFlowAutomaton:
         if line.startswith("vars "):
             variables.update(line.split()[1:])
         elif line.startswith("init "):
-            initial = int(line.split()[1])
+            initial = _integer(line.split()[1], lineno)
         elif line.startswith("loc "):
-            locations.add(int(line.split()[1]))
+            locations.add(_integer(line.split()[1], lineno))
         elif line.startswith("edge "):
             head, sep, op_text = line.partition(":")
             if not sep:
@@ -689,7 +692,8 @@ def parse_cfa(source: str) -> ControlFlowAutomaton:
                 op = parse_operation(op_text.strip())
             except ParseError as err:
                 raise ParseError(f"bad operation on edge line: {err}", lineno) from None
-            edges.append(CFAEdge(int(src), op, int(tgt), match_source, match_target))
+            edges.append(CFAEdge(_integer(src, lineno), op, _integer(tgt, lineno),
+                                 match_source, match_target))
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if initial is None:

@@ -307,6 +307,17 @@ class Token:
     column: int
 
 
+def _integer(text: str, line: Optional[int] = None, column: Optional[int] = None) -> int:
+    """The value of an integer field of input text; one that is not an
+    integer, or too long for ``int`` to convert, is a :class:`ParseError`
+    at its position."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 24 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise ParseError(f"expected an integer, found {shown}", line, column) from None
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0
@@ -395,7 +406,7 @@ def _parse_factor(ts: TokenStream) -> Expr:
     tok = ts.peek()
     if tok.kind == "int":
         ts.next()
-        return Const(int(tok.text))
+        return Const(_integer(tok.text, tok.line, tok.column))
     if tok.kind == "op" and tok.text == "-":
         ts.next()
         operand = _parse_factor(ts)

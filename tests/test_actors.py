@@ -685,7 +685,7 @@ class TestOneExploration:
         """One kind check per verify (the property), two per validate_result
         (the property and the witness), of either witness kind."""
         checks = self._count(monkeypatch, "validate_kind",
-                             (kinds_module, engine_module, actors_module, cli_module))
+                             (kinds_module, engine_module, cli_module))
         for program, sample in ((p, corpus.witness_correct()),
                                 (p_prime, corpus.witness_violation())):
             checks.clear()

@@ -4,6 +4,8 @@ import ast
 import json
 import random
 
+import pytest
+
 import corpus
 from coopverify import (
     AutomatonKind,
@@ -525,6 +527,27 @@ class TestErrorHandling:
         assert code == 70
         assert out == ""
         assert err.startswith("internal error: RuntimeError: no such thing (at test_cli.py:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, text, where", [
+        ("label.imp", "int x = 1;\n" + "9" * 5000 + ": x = 2;\n", "at line 2, column 1"),
+        ("const.imp", "int x = 1;\nx = " + "9" * 5000 + ";\n", "at line 2, column 5"),
+        ("init.cfa", "cfa\ninit x\nedge 0 -> 1: int x = 1\n", "at line 2"),
+        ("loc.cfa", "cfa\ninit 0\nloc x\nedge 0 -> 1: int x = 1\n", "at line 3"),
+        ("edge.cfa", "cfa\ninit 0\nedge 0 -> q: int x = 1\n", "at line 3"),
+        ("end.aut", "automaton a kind=property\nstate q0 init\nstate qe final\n"
+                    "trans q0 -> q0 otherwise\ntrans q0 -> qe on (" + "9" * 5000 + ", *, *)\n",
+         "at line 5"),
+    ])
+    def test_10_bad_integer_field_is_a_positioned_parse_error(self, capsys, tmp_path,
+                                                             name, text, where):
+        path = tmp_path / name
+        path.write_text(text)
+        flag = "--property" if name.endswith(".aut") else "--program"
+        code, _, err = run_cli(capsys, "parse", flag, str(path))
+        assert code == 65
+        assert err.startswith("error: expected an integer, found ")
+        assert err.rstrip().endswith(where)
         assert err.count("\n") == 1
 
 

@@ -1,5 +1,7 @@
 """The public API: the names ``coopverify`` exports stay exported."""
 
+import pathlib
+
 import coopverify
 
 PUBLIC_NAMES = {
@@ -71,3 +73,10 @@ def test_01_all_is_the_pinned_public_api():
     assert sorted(coopverify.__all__) == sorted(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
         assert hasattr(coopverify, name), name
+
+
+def test_02_the_suite_imports_this_checkouts_sources():
+    """``python -m pytest`` from a fresh checkout tests the package in its
+    ``src/`` (``pythonpath`` in pyproject.toml), not an installed copy."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    assert pathlib.Path(coopverify.__file__).resolve().parent == src / "coopverify"
