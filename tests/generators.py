@@ -20,7 +20,13 @@ from coopverify.automata import (
     Transition,
     make_automaton,
 )
-from coopverify.lang import ControlFlowAutomaton, InputOp, definitely_assigned, parse_program
+from coopverify.lang import (
+    ControlFlowAutomaton,
+    InputOp,
+    definitely_assigned,
+    enumerate_paths,
+    parse_program,
+)
 from coopverify.predicates import (
     CHI,
     FALSE,
@@ -29,6 +35,7 @@ from coopverify.predicates import (
     BinExpr,
     Comparison,
     Const,
+    Interval,
     Neg,
     Not,
     Or,
@@ -207,8 +214,29 @@ def _otherwise(state: str) -> Transition:
     return Transition(state, state, None, TRUE, otherwise=True)
 
 
+def _unreachable_guard(rng: random.Random, program: ControlFlowAutomaton, edge, paths):
+    """A guard over variables assigned after ``edge`` that is false on the
+    post-state of every step over the edge in ``paths``: one variable
+    bounded just outside the values it takes there, sometimes conjoined with
+    a comparison like :func:`_assumption`'s."""
+    names = sorted(definitely_assigned(program)[edge.target])
+    if not names:
+        return FALSE
+    v = rng.choice(names)
+    values = [step.state[v] for path in paths for step in path.steps[1:]
+              if step.incoming is edge] or [0]
+    if rng.random() < 0.5:
+        guard = Comparison(">", Var(v), Const(max(values) + rng.randint(0, 1)))
+    else:
+        guard = Comparison("<", Var(v), Const(min(values) - rng.randint(0, 1)))
+    if rng.random() < 0.3:
+        guard = And(guard, _comparison(rng, names))
+    return guard
+
+
 def random_property(rng: random.Random, program: ControlFlowAutomaton,
-                    otherwise: bool = True) -> ArtifactAutomaton:
+                    otherwise: bool = True, holds: bool = False,
+                    domain: Interval = Interval(-2, 2)) -> ArtifactAutomaton:
     """One accepting state fed by one or two guarded edge observations.
 
     By default the waiting state keeps an otherwise loop, so it never blocks
@@ -217,6 +245,11 @@ def random_property(rng: random.Random, program: ControlFlowAutomaton,
     unguarded and the rest guarded like the observations (over variables
     assigned after the edge), and the property blocks wherever every guard
     at a reached edge fails.
+
+    With ``holds`` each observation's guard is false on every post-state
+    its edge reaches with inputs from ``domain`` (see
+    :func:`_unreachable_guard`), so the program fulfils the property there.
+    The default draws are those of a property without ``holds``.
     """
     edges = rng.sample(program.edges, k=min(len(program.edges), rng.randint(1, 2)))
     if otherwise:
@@ -225,9 +258,11 @@ def random_property(rng: random.Random, program: ControlFlowAutomaton,
         transitions = [Transition("q0", "q0", _edge_pattern(edge),
                                   TRUE if rng.random() < 0.7 else _assumption(rng, program, edge))
                        for edge in program.edges]
+    paths = enumerate_paths(program, domain, 200).paths if holds else ()
     for edge in edges:
-        transitions.append(Transition("q0", "qe", _edge_pattern(edge),
-                                      _assumption(rng, program, edge)))
+        guard = (_unreachable_guard(rng, program, edge, paths) if holds
+                 else _assumption(rng, program, edge))
+        transitions.append(Transition("q0", "qe", _edge_pattern(edge), guard))
     return make_automaton("random_property", AutomatonKind.PROPERTY,
                           ["q0", "qe"], "q0", ("qe",), transitions)
 
@@ -299,6 +334,28 @@ def random_correctness_witness(rng: random.Random, program: ControlFlowAutomaton
     ]
     return make_automaton("random_cw", AutomatonKind.CORRECTNESS_WITNESS,
                           ["s0", "s1"], "s0", (), transitions, {"s1": invariant})
+
+
+def replace_invariant(rng: random.Random, program: ControlFlowAutomaton,
+                      witness: ArtifactAutomaton) -> ArtifactAutomaton:
+    """A location-mirroring correctness witness (states ``s<location>``,
+    as :func:`coopverify.actors.verify` writes them) with one state's
+    invariant replaced by a comparison of one variable assigned there with a
+    constant.  A third of the time the state is the one entered by an edge
+    ``d = input()`` and the variable is ``d``, which the program never reads
+    before overwriting it."""
+    assigned = definitely_assigned(program)
+    reads_d = [e.target for e in program.edges
+               if isinstance(e.op, InputOp) and e.op.target == "d"]
+    if reads_d and rng.random() < 1 / 3:
+        location, names = rng.choice(reads_d), ["d"]
+    else:
+        location = rng.choice(sorted(l for l in program.locations if assigned[l]))
+        names = sorted(assigned[location])
+    invariants = dict(witness.invariants)
+    invariants[f"s{location}"] = _comparison(rng, [rng.choice(names)])
+    return make_automaton(witness.name, witness.kind, witness.states, witness.initial,
+                          witness.finals, witness.transitions, invariants)
 
 
 def _rich_condition(rng: random.Random, program: ControlFlowAutomaton) -> ArtifactAutomaton:

@@ -55,6 +55,7 @@ from coopverify.actors import (
 from coopverify.lang import EMPTY_STATE, ConcretePath, InputOp, PathStep
 from reference import (
     all_runs,
+    brute_force_oracle,
     naive_match_path,
     project_residual_path,
     replay_path,
@@ -696,6 +697,43 @@ class TestOneExploration:
                 assert validate_result(program, corpus.prop(), witness, cfg4).witness is not None
                 assert [args[0].kind for args in checks] == [AutomatonKind.PROPERTY,
                                                              witness.kind]
+
+
+class TestHoldingProperties:
+    """Generated properties that hold, so verify answers true and hands its
+    correctness witness on: programs with a dead input copy ``d``, where a
+    witness may read what the program never does."""
+
+    def test_01_correctness_witnesses_validate_and_mutants_match_the_oracle(self):
+        """verify says true; validating its witness read back from its text
+        re-derives the same text; and with one invariant replaced by a
+        comparison over one variable (``d`` right after ``d = input()`` in a
+        third of them), the witness judgment agrees with whether the mutant
+        covers every path."""
+        rng = random.Random(1616)
+        config = AnalysisConfig(Interval(-1, 1), 200)
+        outcomes = {True: 0, False: 0}
+        dead_copy_mutants = 0
+        for _ in range(300):
+            program = generators.random_dead_copy_program(rng)
+            prop = generators.random_property(rng, program, holds=True,
+                                              domain=config.input_domain)
+            claimed = verify(program, prop, config)
+            assert claimed.result is Result.TRUE
+            text = serialize_automaton(claimed.witness)
+            echoed = validate_result(program, prop, parse_automaton(text), config)
+            assert echoed.result is Result.TRUE
+            assert serialize_automaton(echoed.witness) == text
+
+            mutant = generators.replace_invariant(rng, program, claimed.witness)
+            dead_copy_mutants += "d" in mutant.reads - claimed.witness.reads
+            covered = (brute_force_oracle(program, [mutant], ["cover"], config)
+                       == brute_force_oracle(program, [], [], config))
+            judgment = check_correctness_witness(program, prop, mutant, config)
+            assert (judgment.verdict is Verdict.HOLDS) == covered
+            outcomes[covered] += 1
+        assert min(outcomes.values()) >= 50
+        assert dead_copy_mutants >= 40
 
 
 def _judged(program, prop, witness, config) -> Verdict:
