@@ -150,11 +150,14 @@ def correctness_witness_from_observations(program: ControlFlowAutomaton,
     locations); transitions mirror the edges with trivial assumptions, so the
     witness covers every path the exploration covered.  Facts are kept only
     over the variables live at the location: those the program may still
-    read and those the property reads.  The explorer keys configurations on
-    at least these (see :mod:`coopverify.product`), so an untruncated search
-    observes every reachable value of them, whatever else it keys on, while
-    the values it saw of a dead variable depend on which prefixes it
-    skipped.
+    read and those the property reads anywhere.  The explorer keys
+    configurations on at least these (see :mod:`coopverify.product`), so an
+    untruncated search observes every reachable value of them, whatever
+    else it keys on, while the values it saw of a dead variable depend on
+    which prefixes it skipped.  The property's global read set stays in the
+    key for this reason: narrowed to what its current states can read, the
+    key would let the search skip values the facts range over, and an
+    invariant could come out stronger than the paths it must cover.
     """
     def state_name(location: int) -> str:
         return f"s{location}"

@@ -139,6 +139,8 @@ class ArtifactAutomaton:
     _moves: dict = field(init=False, repr=False, compare=False, default=None)
     # the read set, computed on first use (see ``reads``)
     _reads: frozenset = field(init=False, repr=False, compare=False, default=None)
+    # the reading transitions, computed on first use (see ``_transition_reads``)
+    _read_sites: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         declared = set(self.states)
@@ -181,6 +183,27 @@ class ArtifactAutomaton:
                 out |= variables_of(inv)
             object.__setattr__(self, "_reads", frozenset(out))
         return self._reads
+
+    @property
+    def _transition_reads(self) -> tuple:
+        """(transition, variables) for each transition whose taking reads
+        some variable: those of its assumption and of its target's
+        invariant, both evaluated on the post-state of the edge it consumes
+        (the template placeholder excluded).  Computed once, like ``reads``,
+        for the product explorer's keys (see :mod:`coopverify.product`)."""
+        if self._read_sites is None:
+            sites = []
+            invariants = self.invariants
+            for t in self.transitions:
+                names = _NOTHING
+                if t.target in invariants:
+                    names = variables_of(invariants[t.target])
+                if t.assumption is not TRUE:
+                    names |= variables_of(t.assumption)
+                if names:
+                    sites.append((t, names))
+            object.__setattr__(self, "_read_sites", tuple(sites))
+        return self._read_sites
 
     def explicit_from(self, state: str) -> tuple:
         return self._moves.get(state, _NO_MOVES)[0]

@@ -17,17 +17,31 @@ other prefix reaching it is skipped.  So each configuration is explored at
 its smallest depth, and usually once.
 
 Configurations are told apart only by what can still matter.  At a
-location, the data state enters the key through the variables live there:
-those the program may read before writing them, and those any assumption or
-invariant of an automaton in the product reads anywhere (after Bozga,
-Fernandez & Ghirvu, "State Space Reduction Based on Live Variables
-Analysis", SAS 1999).  A skipped prefix agrees with its representative on
-location, frontiers, final entries and every variable that any later step
-can observe: the program's steps read only live variables, dead ones are
-written before they are read, and the automata read only watched ones.  So
-everything it can lead to matches what the representative leads to, step
-for step, and it steers every visitor the same way; it would only have
-explored the same successors again, no nearer the bound.  Hence:
+location, the data state enters the key through the variables live there
+(after Bozga, Fernandez & Ghirvu, "State Space Reduction Based on Live
+Variables Analysis", SAS 1999):
+
+* those the program may read before writing them;
+* those the first automaton, the property of every judgment, reads
+  anywhere, so that a correctness witness can state facts over them (see
+  :func:`coopverify.actors.correctness_witness_from_observations`);
+* for every later automaton, those that a run from one of its frontier's
+  states may read before the program overwrites them.  This pair liveness
+  of (location, automaton state) is a backward fixpoint over program edges
+  and the transitions matching them, computed once per exploration (after
+  Self & Mercer, "On-the-Fly Dead Variable Analysis", SPIN 2007).  Taking a
+  transition reads its assumption and its target's invariant on the
+  post-state of the edge, so the edge's own writes are never read by it.
+
+A skipped prefix agrees with its representative on the location, the
+frontiers, the final entries and every variable that the program, the
+property, or another automaton from its current states can read before the
+variable is overwritten: the program's steps read only live variables, the
+property reads only its own, and every other automaton's runs from these
+states read only pair-live ones.  So everything it can lead to matches what
+the representative leads to, step for step, and it steers every visitor the
+same way; it would only have explored the same successors again, no nearer
+the bound.  Hence:
 
 * revisiting a configuration on a cycle is not a truncation, so a loop whose
   configuration repeats ends ``holds, exhausted`` rather than ``unknown``;
@@ -51,7 +65,7 @@ from typing import Callable, Sequence
 
 from .automata import ArtifactAutomaton, initial_frontier, step_frontier
 from .lang import (EMPTY_STATE, ConcreteDataState, ConcretePath, ControlFlowAutomaton, PathStep,
-                   successors)
+                   op_writes, successors)
 from .predicates import Interval
 
 DEFAULT_DOMAIN = Interval(-8, 8)
@@ -127,6 +141,69 @@ class ProductVisit:
 Visitor = Callable[[ProductVisit], VisitAction]
 
 
+def _pair_liveness(program: ControlFlowAutomaton, aut: ArtifactAutomaton) -> dict:
+    """For each pair (program location, state of ``aut``), the variables a
+    run of ``aut`` from that state at that location may read before the
+    program overwrites them; only nonempty entries are stored.
+
+    A transition taken over an edge reads its assumption and its target's
+    invariant on the post-state, so it reads what the edge does not write,
+    and over that edge it also carries what its target pair reads, less the
+    edge's writes.  The least fixpoint is found by a backward worklist from
+    the reading transitions, matching transitions to edges only as the
+    worklist needs them; an otherwise transition is taken to match every
+    edge, which can only add variables.  With no read surviving its edge's
+    writes, as for path-shaped witnesses and test cases, the result is empty
+    and nothing else is built.
+    """
+    live: dict = {}
+    work: list = []
+
+    def add(pair, names) -> None:
+        known = live.get(pair)
+        if known is None:
+            live[pair] = names
+        elif names <= known:
+            return
+        else:
+            live[pair] = known | names
+        work.append(pair)
+
+    for t, reads in aut._transition_reads:
+        for edge in program.edges:
+            if t.otherwise or t.pattern.matches(edge):
+                names = reads - op_writes(edge.op)
+                if names:
+                    add((edge.source, t.source), names)
+    if not live:
+        return live
+    into_location: dict = {}
+    for edge in program.edges:
+        into_location.setdefault(edge.target, []).append(edge)
+    into_state: dict = {}
+    for t in aut.transitions:
+        into_state.setdefault(t.target, []).append(t)
+    while work:
+        location, state = pair = work.pop()
+        carried = live[pair]
+        for edge in into_location.get(location, ()):
+            names = carried - op_writes(edge.op)
+            if names:
+                for t in into_state.get(state, ()):
+                    if t.otherwise or t.pattern.matches(edge):
+                        add((edge.source, t.source), names)
+    return live
+
+
+def _with_pair_liveness(names: tuple, location: int, frontiers: tuple,
+                        liveness: list) -> tuple:
+    """``names`` joined with what each automaton of ``liveness`` (index,
+    pair liveness) can read from its frontier's states at ``location``."""
+    extra = {name for i, live in liveness for state in frontiers[i]
+             for name in live.get((location, state), ())}
+    return names if extra.issubset(names) else tuple(sorted(extra.union(names)))
+
+
 def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton],
                 config: AnalysisConfig, visit: Visitor) -> bool:
     """Depth-first bounded exploration of program x automata.
@@ -136,8 +213,10 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     (see the module docstring), in deterministic order (per program
     location: edge order, input values ascending).  A configuration is
     keyed on its location, frontiers, final entries and the values of the
-    variables live there: those the program may still read and those any
-    assumption or invariant of ``automata`` reads.  A prefix whose key was
+    variables live there: those the program may still read, those the
+    first of ``automata`` reads anywhere, and those each later one may read
+    from its frontier's states before they are overwritten (see the module
+    docstring).  A prefix whose key was
     already explored at no greater depth is skipped without a visit.  Only
     configurations at the program's ``meeting_locations`` are recorded,
     which keeps the record small where prefixes never meet.  The visitor
@@ -147,7 +226,10 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     the visit itself still carries the whole data state.  Returns whether
     any configuration was truncated by the step bound.
     """
-    kept = program.observable_at(frozenset().union(*(a.reads for a in automata)))
+    kept = program.observable_at(automata[0].reads if automata else frozenset())
+    liveness = [(i, live) for i, live in
+                ((i, _pair_liveness(program, a)) for i, a in enumerate(automata) if i) if live]
+    names_at: dict = {}  # (location, frontiers) -> key names, where liveness adds some
     explored_at: dict = {}  # configuration key at a meeting location -> depth
     interned: dict = {}  # frontier and final-entry sets stored in keys
     pairs = [initial_frontier(a, EMPTY_STATE) for a in automata]
@@ -160,6 +242,13 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
         location, state = step.location, step.state
         names = kept.get(location)
         if names is not None:
+            if liveness:
+                at = (location, frontiers)
+                extended = names_at.get(at)
+                if extended is None:
+                    extended = names_at[at] = _with_pair_liveness(names, location, frontiers,
+                                                                  liveness)
+                names = extended
             # flat, each set interned: a frontier that many configurations
             # share is stored once
             key = (location, *state.project(names),

@@ -2,7 +2,9 @@
 are checked against."""
 
 import ast
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,8 +14,8 @@ import generators
 import reference
 from coopverify import automata as automata_module
 from coopverify import lang as lang_module
-from coopverify.actors import Result, generate_tests, verify
-from coopverify.automata import FinalEntry, match_path, parse_automaton
+from coopverify.actors import Result, generate_tests, validate_result, verify
+from coopverify.automata import FinalEntry, match_path, parse_automaton, serialize_automaton
 from coopverify.engine import (
     AnalysisConfig,
     DEFAULT_CONFIG,
@@ -480,6 +482,62 @@ int e = 1;
             calls.clear()
             run_product(program, (prop,), config, lambda v: VisitAction.CONTINUE)
             assert bool(calls) is expect_analysis
+
+
+    # FANOUT with v read once after its input, so v is live only between
+    # v = input() and v = v + 1, and dead at the loop head
+    READ_ONCE = FANOUT.replace("i++;", "v = v + 1;\n  i++;")
+
+    def _witnessed(self):
+        program = parse_program(self.READ_ONCE)
+        prop = parse_automaton(self.NEVER.format(guard="i > 4"))
+        config = AnalysisConfig(Interval(-5, 5), 500)
+        return program, prop, verify(program, prop, config).witness, config
+
+    def test_08_witness_adds_no_configuration_where_its_reads_are_dead(self):
+        """verify's witness reads v after v = input(), where the program
+        reads it too; at the loop head no state of the witness can read v
+        before the next input overwrites it, so v stays out of the key there
+        and the product with the witness makes exactly the property's
+        visits."""
+        program, prop, witness, config = self._witnessed()
+        assert "v" in witness.reads
+        visits = []
+        for automata in ((prop,), (prop, witness)):
+            calls = []
+            run_product(program, automata, config,
+                        lambda v: calls.append(v) or VisitAction.CONTINUE)
+            visits.append(len(calls))
+        assert visits[0] == visits[1] == 100
+
+    def test_09_pair_liveness_reads_no_predicate_twice(self, monkeypatch):
+        """The read sets of a witness's transitions stay on the witness, so
+        a second exploration of a (property, witness) product reads no
+        operation or predicate for its key."""
+        program, prop, witness, config = self._witnessed()
+        calls = []
+        for module, name in ((lang_module, "op_reads"), (lang_module, "variables_of"),
+                             (automata_module, "variables_of")):
+            def counting(*args, original=getattr(module, name)):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        for expect_analysis in (True, False):
+            calls.clear()
+            run_product(program, (prop, witness), config, lambda v: VisitAction.CONTINUE)
+            assert bool(calls) is expect_analysis
+
+    def test_10_validated_witness_is_not_kept_alive(self):
+        """Every validation reads a fresh witness, so nothing the explorer
+        computes for one may outlive the call."""
+        program, prop, emitted, config = self._witnessed()
+        witness = parse_automaton(serialize_automaton(emitted))
+        collected = weakref.ref(witness)
+        assert validate_result(program, prop, witness, config).result is Result.TRUE
+        del witness
+        gc.collect()
+        assert collected() is None
 
 
 class TestDeadVariables:
