@@ -32,7 +32,7 @@ from .errors import CoopVerifyError, NoViolatingPath, ParseError
 from .kinds import validate_kind
 from .lang import ControlFlowAutomaton, parse_cfa, parse_program, serialize_cfa
 from .pipeline import Role
-from .predicates import Interval
+from .predicates import Interval, _integer
 
 
 class _UsageError(Exception):
@@ -84,10 +84,7 @@ def parse_test_text(text: str) -> tuple:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            values.append(int(line))
-        except ValueError:
-            raise ParseError(f"not an integer: {line!r}", lineno) from None
+        values.append(_integer(line, lineno))
     return tuple(values)
 
 

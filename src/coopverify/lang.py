@@ -665,34 +665,35 @@ def parse_cfa(source: str) -> ControlFlowAutomaton:
             continue
         if line.startswith("vars "):
             variables.update(line.split()[1:])
-        elif line.startswith("init "):
-            initial = _integer(line.split()[1], lineno)
-        elif line.startswith("loc "):
-            locations.add(_integer(line.split()[1], lineno))
+        elif line.startswith(("init ", "loc ")):
+            words = line.split()
+            if len(words) != 2:
+                raise ParseError(f"expected '{words[0]} <location>'", lineno)
+            if words[0] == "init":
+                initial = _integer(words[1], lineno)
+            else:
+                locations.add(_integer(words[1], lineno))
         elif line.startswith("edge "):
             head, sep, op_text = line.partition(":")
             if not sep:
                 raise ParseError("edge line needs ': <operation>'", lineno)
-            parts = head.split()
-            try:
-                src, arrow, tgt = parts[1], parts[2], parts[3]
-                if arrow != "->":
-                    raise IndexError
-            except IndexError:
-                raise ParseError("malformed edge header", lineno) from None
+            head, annotated, annot = head.partition("[match")
+            words = head.split()
+            if len(words) != 4 or words[2] != "->":
+                raise ParseError("malformed edge header", lineno)
             match_source = match_target = None
-            if "[match" in head:
-                try:
-                    annot = head[head.index("[match") + len("[match"): head.index("]")]
-                    ms, _, mt = annot.partition("->")
-                    match_source, match_target = int(ms), int(mt)
-                except ValueError:
-                    raise ParseError("malformed match annotation", lineno) from None
+            if annotated:
+                pair, closed, rest = annot.partition("]")
+                ms, arrow, mt = pair.partition("->")
+                if not (closed and arrow) or rest.strip():
+                    raise ParseError("malformed match annotation", lineno)
+                match_source = _integer(ms.strip(), lineno)
+                match_target = _integer(mt.strip(), lineno)
             try:
                 op = parse_operation(op_text.strip())
             except ParseError as err:
                 raise ParseError(f"bad operation on edge line: {err}", lineno) from None
-            edges.append(CFAEdge(_integer(src, lineno), op, _integer(tgt, lineno),
+            edges.append(CFAEdge(_integer(words[1], lineno), op, _integer(words[3], lineno),
                                  match_source, match_target))
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)

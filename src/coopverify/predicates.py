@@ -307,15 +307,21 @@ class Token:
     column: int
 
 
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
 def _integer(text: str, line: Optional[int] = None, column: Optional[int] = None) -> int:
-    """The value of an integer field of input text; one that is not an
-    integer, or too long for ``int`` to convert, is a :class:`ParseError`
-    at its position."""
+    """The value of an integer field of input text, written as ASCII
+    ``-?[0-9]+``; anything else (``1_0``, ``+4``, other scripts' digits,
+    surrounding space), or a number too long for ``int`` to convert, is a
+    :class:`ParseError` at its position."""
     try:
-        return int(text)
+        if _INTEGER_RE.fullmatch(text):
+            return int(text)
     except ValueError:
-        shown = repr(text) if len(text) <= 24 else f"{text[:20]!r}... ({len(text)} characters)"
-        raise ParseError(f"expected an integer, found {shown}", line, column) from None
+        pass
+    shown = repr(text) if len(text) <= 24 else f"{text[:20]!r}... ({len(text)} characters)"
+    raise ParseError(f"expected an integer, found {shown}", line, column)
 
 
 def tokenize(source: str) -> list[Token]:

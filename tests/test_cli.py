@@ -550,6 +550,46 @@ class TestErrorHandling:
         assert err.rstrip().endswith(where)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("init.cfa", "cfa\ninit 0_0\nedge 0 -> 1: int x = 1\n",
+         "expected an integer, found '0_0' at line 2"),
+        ("init-words.cfa", "cfa\ninit 0 junk\nedge 0 -> 1: int x = 1\n",
+         "expected 'init <location>' at line 2"),
+        ("loc.cfa", "cfa\ninit 0\nloc 1_0\nedge 0 -> 1: int x = 1\n",
+         "expected an integer, found '1_0' at line 3"),
+        ("loc-words.cfa", "cfa\ninit 0\nloc 1 2\nedge 0 -> 1: int x = 1\n",
+         "expected 'loc <location>' at line 3"),
+        ("source.cfa", "cfa\ninit 0\nedge +0 -> 1: int x = 1\n",
+         "expected an integer, found '+0' at line 3"),
+        ("target.cfa", "cfa\ninit 0\nedge 0 -> 1_0: int x = 1\n",
+         "expected an integer, found '1_0' at line 3"),
+        ("edge-words.cfa", "cfa\ninit 0\nedge 0 -> 1 trailing: int x = 1\n",
+         "malformed edge header at line 3"),
+        ("match-source.cfa", "cfa\ninit 0\nedge 0 -> 1 [match 0_0 -> 1]: int x = 1\n",
+         "expected an integer, found '0_0' at line 3"),
+        ("match-target.cfa", "cfa\ninit 0\nedge 0 -> 1 [match 0 -> +1]: int x = 1\n",
+         "expected an integer, found '+1' at line 3"),
+        ("match-words.cfa", "cfa\ninit 0\nedge 0 -> 1 [match 0 -> 1] x: int x = 1\n",
+         "malformed match annotation at line 3"),
+        ("digits.aut", "automaton a kind=property\nstate q0 init\nstate qe final\n"
+                       "trans q0 -> q0 otherwise\ntrans q0 -> qe on (\u0663, *, *)\n",
+         "expected an integer, found '\u0663' at line 5"),
+        ("underscore.test", "1\n1_0\n", "expected an integer, found '1_0' at line 2"),
+        ("plus.test", "# inputs\n+4\n", "expected an integer, found '+4' at line 2"),
+    ])
+    def test_11_integer_fields_are_strict(self, capsys, tmp_path, name, text, message):
+        """Integer fields are ASCII ``-?[0-9]+`` and header lines have
+        exactly their words; anything else is refused with its line."""
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        if name.endswith(".test"):
+            argv = ("exec-test", "--program", sample("p.imp"), "--test", str(path))
+        else:
+            argv = ("parse", "--property" if name.endswith(".aut") else "--program", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (65, "")
+        assert err == f"error: {message}\n"
+
 
 def two_guard_cell(tmp_path, terms):
     """A program and a property with no otherwise loop whose two guards,
