@@ -22,7 +22,7 @@ location, the data state enters the key through the variables live there
 Variables Analysis", SAS 1999):
 
 * those the program may read before writing them;
-* those the first automaton, the property of every judgment, reads
+* those the first automaton (the property, where there is one) reads
   anywhere, so that a correctness witness can state facts over them (see
   :func:`coopverify.actors.correctness_witness_from_observations`);
 * for every later automaton, those that a run from one of its frontier's
@@ -216,10 +216,10 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     variables live there: those the program may still read, those the
     first of ``automata`` reads anywhere, and those each later one may read
     from its frontier's states before they are overwritten (see the module
-    docstring).  A prefix whose key was
-    already explored at no greater depth is skipped without a visit.  Only
-    configurations at the program's ``meeting_locations`` are recorded,
-    which keeps the record small where prefixes never meet.  The visitor
+    docstring).  A prefix whose key was already explored at no greater
+    depth is skipped without a visit.  Only configurations at the program's
+    ``meeting_locations`` are recorded, which keeps the record small where
+    prefixes never meet.  The visitor
     steers: PRUNE abandons the configuration's extensions, STOP abandons the
     whole exploration.  A skipped prefix is taken to steer as the key's
     earlier visit did, so a visitor's answer must depend on the key alone;
@@ -227,9 +227,13 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     any configuration was truncated by the step bound.
     """
     kept = program.observable_at(automata[0].reads if automata else frozenset())
-    liveness = [(i, live) for i, live in
-                ((i, _pair_liveness(program, a)) for i, a in enumerate(automata) if i) if live]
-    names_at: dict = {}  # (location, frontiers) -> key names, where liveness adds some
+    liveness = [(i, _pair_liveness(program, a)) for i, a in enumerate(automata) if i]
+    liveness = [(i, live) for i, live in liveness if live]  # those that read anything
+    # the meeting locations where some automaton state reads beyond ``kept``;
+    # none for a witness whose reads the program or the property read too
+    widened = {location for _, live in liveness for (location, _), names in live.items()
+               if location in kept and not names.issubset(kept[location])}
+    names_at: dict = {}  # (location, frontiers) -> key names at a widened location
     explored_at: dict = {}  # configuration key at a meeting location -> depth
     interned: dict = {}  # frontier and final-entry sets stored in keys
     pairs = [initial_frontier(a, EMPTY_STATE) for a in automata]
@@ -242,7 +246,7 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
         location, state = step.location, step.state
         names = kept.get(location)
         if names is not None:
-            if liveness:
+            if location in widened:
                 at = (location, frontiers)
                 extended = names_at.get(at)
                 if extended is None:
