@@ -192,14 +192,12 @@ class ArtifactAutomaton:
         (the template placeholder excluded).  Computed once, like ``reads``,
         for the product explorer's keys (see :mod:`coopverify.product`)."""
         if self._read_sites is None:
+            invariant_reads = {q: variables_of(p) for q, p in self.invariants.items()}
             sites = []
-            invariants = self.invariants
             for t in self.transitions:
-                names = _NOTHING
-                if t.target in invariants:
-                    names = variables_of(invariants[t.target])
+                names = invariant_reads.get(t.target, _NOTHING)
                 if t.assumption is not TRUE:
-                    names |= variables_of(t.assumption)
+                    names = names | variables_of(t.assumption)
                 if names:
                     sites.append((t, names))
             object.__setattr__(self, "_read_sites", tuple(sites))
