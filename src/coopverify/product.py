@@ -219,12 +219,12 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     docstring).  A prefix whose key was already explored at no greater
     depth is skipped without a visit.  Only configurations at the program's
     ``meeting_locations`` are recorded, which keeps the record small where
-    prefixes never meet.  The visitor
-    steers: PRUNE abandons the configuration's extensions, STOP abandons the
-    whole exploration.  A skipped prefix is taken to steer as the key's
-    earlier visit did, so a visitor's answer must depend on the key alone;
-    the visit itself still carries the whole data state.  Returns whether
-    any configuration was truncated by the step bound.
+    prefixes never meet.  The visitor steers: PRUNE abandons the
+    configuration's extensions, STOP abandons the whole exploration.  A
+    skipped prefix is taken to steer as the key's earlier visit did, so a
+    visitor's answer must depend on the key alone; the visit itself still
+    carries the whole data state.  Returns whether any configuration was
+    truncated by the step bound.
     """
     kept = program.observable_at(automata[0].reads if automata else frozenset())
     liveness = [(i, _pair_liveness(program, a)) for i, a in enumerate(automata) if i]
