@@ -105,13 +105,16 @@ def violation_witness_from_path(path: ConcretePath,
 
     One state per path step; each transition consumes exactly the step's edge
     and, on input edges, pins the read value (`x == v`), so replaying the
-    witness forces the same inputs.
+    witness forces the same inputs.  Transitions over equal edges share one
+    pattern.
     """
     states = [f"w{i}" for i in range(path.length + 1)]
     transitions = []
+    patterns: dict = {}  # (match source, op text, match target) -> pattern
     for i, step in enumerate(path.steps[1:]):
         edge = step.incoming
-        pattern = EdgePattern(edge.match_src, edge.op.text, edge.match_tgt)
+        fields = (edge.match_src, edge.op.text, edge.match_tgt)
+        pattern = patterns.get(fields) or patterns.setdefault(fields, EdgePattern(*fields))
         assumption = TRUE
         if isinstance(edge.op, InputOp):
             assumption = Comparison("==", Var(edge.op.target),

@@ -409,6 +409,7 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
     finals: list = []
     invariants: dict = {}
     transitions: list = []
+    patterns: dict = {}  # (src, "op", tgt) fields of trans lines -> their shared pattern
     initial = None
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
@@ -463,12 +464,11 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
             continue
         m = _TRANS_RE.match(line)
         if m:
-            src_text, op_field, tgt_text = m.group(3), m.group(4), m.group(5)
-            pattern = EdgePattern(
+            src_text, op_field, tgt_text = fields = m.group(3, 4, 5)
+            pattern = patterns.get(fields) or patterns.setdefault(fields, EdgePattern(
                 None if src_text == "*" else _integer(src_text, lineno),
                 None if op_field == "*" else op_field[1:-1],
-                None if tgt_text == "*" else _integer(tgt_text, lineno),
-            )
+                None if tgt_text == "*" else _integer(tgt_text, lineno)))
             assumption = TRUE
             if m.group(6) is not None:
                 try:

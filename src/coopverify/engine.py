@@ -16,6 +16,13 @@ and makes an existential one ("some path must") hold:
 * ``check_test_covers`` - some complete path must be covered by the
   test-case automaton while reaching a test goal.
 
+The witness and condition checks prune a prefix once automaton 1 can no
+longer accept (empty frontier, no final state entered), the test check once
+the test case stops covering it.  A hit needs that automaton to accept or
+cover, and an empty frontier stays empty, so no extension of a pruned prefix
+is a hit: pruning keeps the first hit and drops only truncations that hide
+none, which can change a verdict only from unknown to a definite one.
+
 Verdicts are relative to the analysis configuration (finite input domain,
 step bound); ``holds`` is only reported when no truncation could have hidden
 a counterexample.  The independent check the explorer is tested against, a
@@ -154,7 +161,7 @@ def _both_accept(v: ProductVisit) -> bool:
     return v.accepted(0) and v.accepted(1)
 
 
-def _witness_lost(v: ProductVisit) -> bool:
+def _automaton_1_cannot_accept(v: ProductVisit) -> bool:
     return not v.frontiers[1] and not v.accepted(1)
 
 
@@ -196,20 +203,21 @@ def check_violation_witness(program: ControlFlowAutomaton, prop: ArtifactAutomat
     if not prop.finals or not witness.finals:
         return _verdict(config, universal=False)
     return _verdict(config, *_search(program, (prop, witness), config, _both_accept,
-                                     prune=_witness_lost), universal=False)
+                                     prune=_automaton_1_cannot_accept), universal=False)
 
 
 def check_condition_correct(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
                             condition: ArtifactAutomaton,
                             config: AnalysisConfig = DEFAULT_CONFIG) -> Judgment:
     """No program path may be accepted by condition and property together,
-    i.e. the part the condition declares covered is actually violation-free."""
+    i.e. the part the condition declares covered is actually violation-free.
+    Only the paths the condition can still accept are explored."""
     require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
     require_valid_kind(condition, AutomatonKind.CONDITION, program, config)
     if not prop.finals or not condition.finals:
         return _verdict(config, universal=True)
-    return _verdict(config, *_search(program, (prop, condition), config, _both_accept),
-                    universal=True)
+    return _verdict(config, *_search(program, (prop, condition), config, _both_accept,
+                                     prune=_automaton_1_cannot_accept), universal=True)
 
 
 def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],

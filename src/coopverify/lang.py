@@ -32,6 +32,7 @@ from .predicates import (
     Const,
     Expr,
     Interval,
+    KEYWORDS,
     Not,
     Predicate,
     TokenStream,
@@ -588,14 +589,17 @@ def parse_program(source: str) -> ControlFlowAutomaton:
     ts = lowering.ts
     pending: list = []
     exit_label = None
-    while ts.peek().kind != "eof":
-        if (ts.peek().kind == "int" and ts.peek(1).text == ":"
-                and ts.peek(2).kind == "eof"):
-            tok = ts.next()
-            exit_label = _integer(tok.text, tok.line, tok.column)
-            ts.next()
-            break
-        pending = lowering.statement(pending)
+    try:
+        while ts.peek().kind != "eof":
+            if (ts.peek().kind == "int" and ts.peek(1).text == ":"
+                    and ts.peek(2).kind == "eof"):
+                tok = ts.next()
+                exit_label = _integer(tok.text, tok.line, tok.column)
+                ts.next()
+                break
+            pending = lowering.statement(pending)
+    except RecursionError:
+        raise ts.error("input nested too deeply to process") from None
     exit_location = lowering.locate(exit_label, "exit")
     if lowering.label_error is not None:
         raise lowering.label_error
@@ -659,12 +663,15 @@ def parse_cfa(source: str) -> ControlFlowAutomaton:
         if not line or line.startswith("#"):
             continue
         if not seen_header:
-            if line != "cfa" and not line.startswith("cfa "):
+            if line != "cfa":
                 raise ParseError("expected 'cfa' header", lineno)
             seen_header = True
             continue
         if line.startswith("vars "):
-            variables.update(line.split()[1:])
+            for word in line.split()[1:]:
+                if not (word.isascii() and word.isidentifier()) or word in KEYWORDS:
+                    raise ParseError(f"expected a variable name, found {word!r}", lineno)
+                variables.add(word)
         elif line.startswith(("init ", "loc ")):
             words = line.split()
             if len(words) != 2:

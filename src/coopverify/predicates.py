@@ -479,7 +479,10 @@ def _parse_comparison(ts: TokenStream) -> Predicate:
 
 def _parse_all(source: str, parser) -> object:
     ts = TokenStream(tokenize(source))
-    result = parser(ts)
+    try:
+        result = parser(ts)
+    except RecursionError:
+        raise ts.error("input nested too deeply to process") from None
     tok = ts.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)

@@ -274,13 +274,12 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
         if action is VisitAction.PRUNE or truncated:
             continue
         for edge, post in reversed(succ):
-            stepped = [step_frontier(a, fr, edge, post)
-                       for a, fr in zip(automata, frontiers)]
-            stack.append((
-                depth + 1,
-                PathStep(post, edge.target, edge),
-                tuple(fr for fr, _ in stepped),
-                tuple(en | new if new else en
-                      for (_, new), en in zip(stepped, entries)),
-            ))
+            next_frontiers = []
+            next_entries = []
+            for a, fr, en in zip(automata, frontiers, entries):
+                fr, new = step_frontier(a, fr, edge, post)
+                next_frontiers.append(fr)
+                next_entries.append(en | new if new else en)
+            stack.append((depth + 1, PathStep(post, edge.target, edge),
+                          tuple(next_frontiers), tuple(next_entries)))
     return saw_truncation

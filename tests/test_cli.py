@@ -3,6 +3,9 @@
 import ast
 import json
 import random
+import re
+import shlex
+import shutil
 
 import pytest
 
@@ -574,6 +577,14 @@ class TestErrorHandling:
         ("digits.aut", "automaton a kind=property\nstate q0 init\nstate qe final\n"
                        "trans q0 -> q0 otherwise\ntrans q0 -> qe on (\u0663, *, *)\n",
          "expected an integer, found '\u0663' at line 5"),
+        ("header.cfa", "cfa junk words\ninit 0\nedge 0 -> 1: int x = 1\n",
+         "expected 'cfa' header at line 1"),
+        ("vars.cfa", "cfa\nvars 1_0 +x\ninit 0\nedge 0 -> 1: int x = 1\n",
+         "expected a variable name, found '1_0' at line 2"),
+        ("vars-sign.cfa", "cfa\nvars x +x\ninit 0\nedge 0 -> 1: int x = 1\n",
+         "expected a variable name, found '+x' at line 2"),
+        ("vars-keyword.cfa", "cfa\nvars while\ninit 0\nedge 0 -> 1: int x = 1\n",
+         "expected a variable name, found 'while' at line 2"),
         ("underscore.test", "1\n1_0\n", "expected an integer, found '1_0' at line 2"),
         ("plus.test", "# inputs\n+4\n", "expected an integer, found '+4' at line 2"),
     ])
@@ -589,6 +600,78 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (65, "")
         assert err == f"error: {message}\n"
+
+
+class TestNestingDepth:
+    """Too deep a nesting is a parse error at the line being parsed; the
+    1500 levels are far past the interpreter's recursion limit, the 100 far
+    below it."""
+
+    @staticmethod
+    def nested(depth):
+        return "(" * depth + "x" + ")" * depth
+
+    def deep_files(self, tmp_path, depth):
+        """A program and a property, each nested ``depth`` deep on line 2."""
+        program = tmp_path / "deep.imp"
+        program.write_text(f"int x = input();\nint y = {self.nested(depth)};\n")
+        prop = tmp_path / "deep.aut"
+        prop.write_text("automaton deep kind=property\n"
+                        f"trans q0 -> qe on (*, *, *) assume {self.nested(depth)} < -100\n"
+                        "state q0 init\nstate qe final\ntrans q0 -> q0 otherwise\n")
+        return str(program), str(prop)
+
+    @pytest.mark.parametrize("flag", ["--program", "--property"])
+    def test_01_too_deep_nesting_names_its_line(self, capsys, tmp_path, flag):
+        program, prop = self.deep_files(tmp_path, 1500)
+        code, out, err = run_cli(capsys, "parse", flag, program if flag == "--program" else prop)
+        assert (code, out) == (65, "")
+        assert err.startswith("error: ") and "nested too deeply" in err
+        assert re.search(r"at line 2(, column \d+)?$", err.rstrip())
+        assert err.count("\n") == 1
+
+    def test_02_moderate_nesting_parses_and_runs(self, capsys, tmp_path):
+        program, prop = self.deep_files(tmp_path, 100)
+        code, out, _ = run_cli(capsys, "verify", "--program", program, "--property", prop,
+                               "--out", str(tmp_path))
+        assert code == 0
+        assert "verdict: true" in out
+
+
+class TestReadmeQuickStart:
+    """Every ``coopverify`` command of the README's fenced blocks runs in a
+    directory holding a copy of ``samples/``, in order, and exits with the
+    code of the verdict its comment states."""
+
+    EXIT_CODES = {"true": 0, "holds": 0, "ok": 0, "completed": 0, "false": 1,
+                  "violated": 1, "violation-observed": 1, "no-violating-path": 1,
+                  "unknown": 2}
+
+    @staticmethod
+    def commands():
+        """(argv, stated verdict or None) of each command, in README order."""
+        text = (corpus.SAMPLES.parent / "README.md").read_text(encoding="utf-8")
+        found = []
+        for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
+            for line in block.replace("\\\n", " ").splitlines():
+                if line.startswith("coopverify "):
+                    found.append([shlex.split(line)[1:], None])
+                elif line.startswith("# verdict: ") and found and found[-1][1] is None:
+                    found[-1][1] = re.match(r"# verdict: ([\w-]+)", line).group(1)
+        return found
+
+    def test_01_every_command_gives_its_stated_verdict(self, capsys, tmp_path, monkeypatch):
+        shutil.copytree(corpus.SAMPLES, tmp_path / "samples")
+        monkeypatch.chdir(tmp_path)
+        commands = self.commands()
+        assert len(commands) >= 9
+        assert sum(verdict is not None for _, verdict in commands) >= 4
+        for argv, verdict in commands:
+            code, out, err = run_cli(capsys, *argv)
+            assert code in (0, 1, 2), (argv, err)
+            if verdict is not None:
+                assert f"verdict: {verdict}\n" in out, argv
+                assert code == self.EXIT_CODES[verdict], argv
 
 
 def two_guard_cell(tmp_path, terms):

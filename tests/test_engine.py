@@ -14,7 +14,8 @@ import generators
 import reference
 from coopverify import automata as automata_module
 from coopverify import lang as lang_module
-from coopverify.actors import Result, generate_tests, validate_result, verify
+from coopverify.actors import (Result, conditional_verify, generate_tests, validate_result,
+                               verify)
 from coopverify.automata import FinalEntry, match_path, parse_automaton, serialize_automaton
 from coopverify.engine import (
     AnalysisConfig,
@@ -161,6 +162,44 @@ class TestConditionCorrect:
         for program in (p, p_prime):
             assert check_condition_correct(program, corpus.prop(), aut, CFG4).verdict \
                 is Verdict.HOLDS
+
+    def test_05_paths_the_condition_cannot_accept_are_not_explored(self, p):
+        """The condition dies right after a positive input, so four steps
+        complete every path it can accept (x <= 0) and cut only x > 0 paths,
+        whose truncation can hide no hit: holds, not unknown."""
+        judgment = check_condition_correct(p, corpus.prop(), corpus.cond(),
+                                           AnalysisConfig(Interval(-4, 4), 4))
+        assert judgment.verdict is Verdict.HOLDS
+        assert judgment.exhausted
+        # at three steps an x <= 0 path is itself cut
+        judgment = check_condition_correct(p, corpus.prop(), corpus.cond(),
+                                           AnalysisConfig(Interval(-4, 4), 3))
+        assert judgment.verdict is Verdict.UNKNOWN
+
+    def test_06_pruned_check_agrees_with_oracle_and_conditional_verify(self):
+        """Generated triples, about half with a holding property: every
+        ``holds`` is exhausted, the verdict at a bound no path reaches is the
+        oracle's, and a condition that turns ``verify``'s false into
+        ``conditional_verify``'s true is rejected."""
+        rng = random.Random(4242)
+        flipped = 0
+        for n in range(300):
+            program = generators.random_program(rng)
+            prop = generators.random_property(rng, program, holds=n % 2 == 0)
+            cond = generators.random_condition(rng, program, rich=rng.random() < 0.5)
+            for steps in (4, 8, 60):
+                cfg = AnalysisConfig(Interval(-2, 2), steps)
+                judgment = check_condition_correct(program, prop, cond, cfg)
+                if judgment.verdict is Verdict.HOLDS:
+                    assert judgment.exhausted
+            # cfg and judgment are now those of 60 steps, a bound no path reaches
+            joint = brute_force_oracle(program, [prop, cond], ["accept", "accept"], cfg)
+            assert (judgment.verdict is Verdict.HOLDS) == (not joint)
+            if (conditional_verify(program, prop, cond, cfg).result is Result.TRUE
+                    and verify(program, prop, cfg).result is Result.FALSE):
+                flipped += 1
+                assert judgment.verdict is Verdict.VIOLATED
+        assert flipped >= 10
 
 
 class TestTestCovers:
