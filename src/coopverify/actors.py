@@ -39,7 +39,6 @@ from .engine import (
     _property_accepts,
     _search,
     _uncovered_or_accepted,
-    _verdict,
     check_violation_witness,
     require_valid_kind,
     run_product,
@@ -92,15 +91,13 @@ class VerdictBundle:
     result: Result
     witness: Optional[ArtifactAutomaton]
     condition: Optional[ArtifactAutomaton]
-    config: AnalysisConfig
     judgment: Judgment
 
 
 # ---------------------------------------------------------------------------
 # Witness synthesis
 
-def violation_witness_from_path(path: ConcretePath,
-                                name: str = "violation_witness") -> ArtifactAutomaton:
+def violation_witness_from_path(path: ConcretePath) -> ArtifactAutomaton:
     """A single-path violation witness mirroring one concrete path.
 
     One state per path step; each transition consumes exactly the step's edge
@@ -120,8 +117,8 @@ def violation_witness_from_path(path: ConcretePath,
             assumption = Comparison("==", Var(edge.op.target),
                                     Const(step.state[edge.op.target]))
         transitions.append(Transition(states[i], states[i + 1], pattern, assumption))
-    return make_automaton(name, AutomatonKind.VIOLATION_WITNESS, states, states[0],
-                          (states[-1],), transitions)
+    return make_automaton("violation_witness", AutomatonKind.VIOLATION_WITNESS, states,
+                          states[0], (states[-1],), transitions)
 
 
 def _location_facts(observed: Sequence[ConcreteDataState], live: frozenset) -> Predicate:
@@ -143,9 +140,8 @@ def _location_facts(observed: Sequence[ConcreteDataState], live: frozenset) -> P
     return conjoin(facts)
 
 
-def correctness_witness_from_observations(program: ControlFlowAutomaton,
-                                          prop: ArtifactAutomaton, observed: dict,
-                                          name: str = "correctness_witness") -> ArtifactAutomaton:
+def correctness_witness_from_observations(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
+                                          observed: dict) -> ArtifactAutomaton:
     """A correctness witness mirroring the program's locations.
 
     One state per location whose invariant conjoins the facts holding in all
@@ -178,7 +174,7 @@ def correctness_witness_from_observations(program: ControlFlowAutomaton,
                    EdgePattern(e.match_src, e.op.text, e.match_tgt), TRUE)
         for e in program.edges
     ]
-    return make_automaton(name, AutomatonKind.CORRECTNESS_WITNESS,
+    return make_automaton("correctness_witness", AutomatonKind.CORRECTNESS_WITNESS,
                           [state_name(l) for l in locations],
                           state_name(program.initial), (), transitions, invariants)
 
@@ -198,16 +194,15 @@ def verify(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     """
     require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
     observed: dict = defaultdict(list)
-    evidence, truncated = _search(program, (prop,), config, _property_accepts,
-                                  observed=observed)
-    judgment = _verdict(config, evidence, truncated, universal=True)
+    judgment = _search(program, (prop,), config, _property_accepts, universal=True,
+                       observed=observed)
     if judgment.verdict is Verdict.UNKNOWN:
-        return VerdictBundle(Result.UNKNOWN, None, None, config, judgment)
-    if evidence is not None:
-        result, witness = Result.FALSE, violation_witness_from_path(evidence)
+        return VerdictBundle(Result.UNKNOWN, None, None, judgment)
+    if judgment.evidence is not None:
+        result, witness = Result.FALSE, violation_witness_from_path(judgment.evidence)
     else:
         result, witness = Result.TRUE, correctness_witness_from_observations(program, prop, observed)
-    return VerdictBundle(result, witness, None, config, judgment)
+    return VerdictBundle(result, witness, None, judgment)
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +223,18 @@ def validate_result(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
         judgment = check_violation_witness(program, prop, witness, config)
         if judgment.verdict is Verdict.HOLDS:
             rederived = violation_witness_from_path(judgment.evidence)
-            return VerdictBundle(Result.FALSE, rederived, None, config, judgment)
-        return VerdictBundle(Result.UNKNOWN, None, None, config, judgment)
+            return VerdictBundle(Result.FALSE, rederived, None, judgment)
+        return VerdictBundle(Result.UNKNOWN, None, None, judgment)
     if witness.kind is AutomatonKind.CORRECTNESS_WITNESS:
         require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
         require_valid_kind(witness, AutomatonKind.CORRECTNESS_WITNESS, program, config)
         observed: dict = defaultdict(list)
-        judgment = _verdict(config, *_search(program, (prop, witness), config,
-                                             _uncovered_or_accepted, observed=observed),
-                            universal=True)
+        judgment = _search(program, (prop, witness), config, _uncovered_or_accepted,
+                           universal=True, observed=observed)
         if judgment.verdict is Verdict.HOLDS:
             rederived = correctness_witness_from_observations(program, prop, observed)
-            return VerdictBundle(Result.TRUE, rederived, None, config, judgment)
-        return VerdictBundle(Result.UNKNOWN, None, None, config, judgment)
+            return VerdictBundle(Result.TRUE, rederived, None, judgment)
+        return VerdictBundle(Result.UNKNOWN, None, None, judgment)
     raise InvalidArtifact(
         f"expected a violation or correctness witness, got {witness.kind.value}")
 
@@ -436,8 +430,7 @@ def conditional_verify(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     condition = None
     if bundle.result is Result.TRUE:
         condition = _output_condition(program, cond, reduction.residual, config)
-    return VerdictBundle(bundle.result, bundle.witness, condition, config,
-                         bundle.judgment)
+    return VerdictBundle(bundle.result, bundle.witness, condition, bundle.judgment)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +451,7 @@ def extract_test(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     if judgment.verdict is not Verdict.HOLDS:
         raise NoViolatingPath(
             f"witness {witness.name} yields no violating path within {config}")
-    return tuple(judgment.evidence.inputs())
+    return judgment.evidence.inputs()
 
 
 STATUS_COMPLETED = "completed"
@@ -498,35 +491,24 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
     inputs = list(test)
     consumed = 0
     steps = [PathStep(EMPTY_STATE, program.initial, None)]
-    status = STATUS_COMPLETED
     for _ in range(max_steps):
         state = steps[-1].state
         outgoing = program.edges_from(steps[-1].location)
-        if not outgoing:
-            status = STATUS_COMPLETED
-            break
-        taken = None
-        saw_starved_input = False
+        status = STATUS_BLOCKED_ASSUME if outgoing else STATUS_COMPLETED
         for edge in outgoing:
-            if isinstance(edge.op, InputOp):
-                if consumed < len(inputs):
-                    post = strongest_post(state, edge.op, inputs[consumed])
-                    taken = (edge, post, True)
-                    break
-                saw_starved_input = True
+            if not isinstance(edge.op, InputOp):
+                post = strongest_post(state, edge.op)
+            elif consumed < len(inputs):
+                post = strongest_post(state, edge.op, inputs[consumed])
+                consumed += 1
+            else:
+                status = STATUS_NO_INPUT  # it names the block, whatever else blocks
                 continue
-            post = strongest_post(state, edge.op)
-            if post is BLOCKED:
-                continue
-            taken = (edge, post, False)
-            break
-        if taken is None:
-            status = STATUS_NO_INPUT if saw_starved_input else STATUS_BLOCKED_ASSUME
-            break
-        edge, post, used_input = taken
-        if used_input:
-            consumed += 1
-        steps.append(PathStep(post, edge.target, edge))
+            if post is not BLOCKED:
+                steps.append(PathStep(post, edge.target, edge))
+                break
+        else:
+            break  # no edge taken
     else:
         status = STATUS_STEP_LIMIT
     path = ConcretePath(tuple(steps))
@@ -580,8 +562,8 @@ def generate_tests(program: ControlFlowAutomaton, goals: ArtifactAutomaton,
     candidates: list = []
 
     def visit(v: ProductVisit) -> VisitAction:
-        if v.is_maximal and v.final_entries[0]:
-            candidates.append((tuple(v.path.inputs()), frozenset(v.final_entries[0])))
+        if not v.successors and v.final_entries[0]:
+            candidates.append((v.path.inputs(), frozenset(v.final_entries[0])))
         return VisitAction.CONTINUE
 
     run_product(program, (goals,), config, visit)

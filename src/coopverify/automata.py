@@ -293,8 +293,15 @@ class FinalEntry:
 
 def initial_frontier(aut: ArtifactAutomaton, initial_state) -> tuple:
     """Frontier for the empty prefix: the initial automaton state, provided
-    its invariant holds on the (empty) initial data state."""
-    if not evaluate(aut.invariant(aut.initial), initial_state):
+    its invariant holds on the (empty) initial data state.  An invariant
+    reading a variable that state does not bind raises
+    :class:`InvalidArtifact` naming the automaton and its initial state."""
+    try:
+        holds = evaluate(aut.invariant(aut.initial), initial_state)
+    except UndefinedVariable as err:
+        raise InvalidArtifact(
+            f"automaton {aut.name}, state {aut.initial}, empty prefix: {err}") from err
+    if not holds:
         return frozenset(), frozenset()
     entries = frozenset(
         {FinalEntry(None, aut.initial)} if aut.initial in aut.finals else ()
@@ -452,9 +459,9 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
                     raise ParseError(f"unknown state flag {flag!r}", lineno)
             if inv_text is not None:
                 try:
-                    invariants[state_id] = parse_predicate(inv_text.strip())
+                    invariants[state_id] = parse_predicate(inv_text)
                 except ParseError as err:
-                    raise ParseError(f"bad invariant: {err}", lineno) from None
+                    raise err.within("bad invariant", lineno, raw, inv_text) from None
             continue
         m = _OTHERWISE_RE.match(line)
         if m:
@@ -472,9 +479,9 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
             assumption = TRUE
             if m.group(6) is not None:
                 try:
-                    assumption = parse_predicate(m.group(6).strip())
+                    assumption = parse_predicate(m.group(6))
                 except ParseError as err:
-                    raise ParseError(f"bad assumption: {err}", lineno) from None
+                    raise err.within("bad assumption", lineno, raw, m.group(6)) from None
             transitions.append(Transition(m.group(1), m.group(2), pattern, assumption))
             continue
         raise ParseError(f"unrecognized line {line!r}", lineno)

@@ -107,15 +107,15 @@ def require_valid_kind(aut: ArtifactAutomaton, kind: AutomatonKind,
 
 
 def _search(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton],
-            config: AnalysisConfig, hit: Callable[[ProductVisit], bool],
+            config: AnalysisConfig, hit: Callable[[ProductVisit], bool], *, universal: bool,
             prune: Optional[Callable[[ProductVisit], bool]] = None,
-            observed: Optional[dict] = None) -> tuple:
-    """The prefix reaching the first configuration in depth-first order that
-    satisfies ``hit`` (or None), and whether the step bound truncated the
-    search.  ``prune`` cuts a configuration's extensions; ``observed``, a
-    ``defaultdict(list)``, collects each explored data state per location,
-    where prefixes meet one per value of the live variables (see
-    :func:`run_product`)."""
+            observed: Optional[dict] = None) -> Judgment:
+    """The judgment of a search for the first configuration in depth-first
+    order that satisfies ``hit``, its prefix the evidence (see
+    :func:`_verdict`).  ``prune`` cuts a configuration's extensions;
+    ``observed``, a ``defaultdict(list)``, collects each explored data state
+    per location, where prefixes meet one per value of the live variables
+    (see :func:`run_product`)."""
     found: list = []
 
     def visit(v: ProductVisit) -> VisitAction:
@@ -129,7 +129,7 @@ def _search(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton]
         return VisitAction.CONTINUE
 
     truncated = run_product(program, automata, config, visit)
-    return (found[0] if found else None), truncated
+    return _verdict(config, found[0] if found else None, truncated, universal=universal)
 
 
 def _verdict(config: AnalysisConfig, evidence: Optional[ConcretePath] = None,
@@ -171,8 +171,7 @@ def check_fulfills(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
     if not prop.finals:
         return _verdict(config, universal=True)
-    return _verdict(config, *_search(program, (prop,), config, _property_accepts),
-                    universal=True)
+    return _search(program, (prop,), config, _property_accepts, universal=True)
 
 
 def check_correctness_witness(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
@@ -183,8 +182,7 @@ def check_correctness_witness(program: ControlFlowAutomaton, prop: ArtifactAutom
     prefix."""
     require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
     require_valid_kind(witness, AutomatonKind.CORRECTNESS_WITNESS, program, config)
-    return _verdict(config, *_search(program, (prop, witness), config,
-                                     _uncovered_or_accepted), universal=True)
+    return _search(program, (prop, witness), config, _uncovered_or_accepted, universal=True)
 
 
 def check_violation_witness(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
@@ -202,8 +200,8 @@ def check_violation_witness(program: ControlFlowAutomaton, prop: ArtifactAutomat
     require_valid_kind(witness, AutomatonKind.VIOLATION_WITNESS, program, config)
     if not prop.finals or not witness.finals:
         return _verdict(config, universal=False)
-    return _verdict(config, *_search(program, (prop, witness), config, _both_accept,
-                                     prune=_automaton_1_cannot_accept), universal=False)
+    return _search(program, (prop, witness), config, _both_accept, universal=False,
+                   prune=_automaton_1_cannot_accept)
 
 
 def check_condition_correct(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
@@ -216,8 +214,8 @@ def check_condition_correct(program: ControlFlowAutomaton, prop: ArtifactAutomat
     require_valid_kind(condition, AutomatonKind.CONDITION, program, config)
     if not prop.finals or not condition.finals:
         return _verdict(config, universal=True)
-    return _verdict(config, *_search(program, (prop, condition), config, _both_accept,
-                                     prune=_automaton_1_cannot_accept), universal=True)
+    return _search(program, (prop, condition), config, _both_accept, universal=True,
+                   prune=_automaton_1_cannot_accept)
 
 
 def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],
@@ -240,7 +238,7 @@ def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],
     def visit(v: ProductVisit) -> VisitAction:
         if not v.frontiers[1]:
             return VisitAction.PRUNE
-        if v.is_maximal and v.final_entries[0]:
+        if not v.successors and v.final_entries[0]:
             if not found:
                 found.append(v.path)
             covered.update(v.final_entries[0])

@@ -14,12 +14,19 @@ class ParseError(CoopVerifyError):
     """
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.message = message
         self.line = line
         self.column = column
         where = ""
         if line is not None:
             where = f" at line {line}" + (f", column {column}" if column is not None else "")
         super().__init__(message + where)
+
+    def within(self, context: str, line: int, text: str, field: str) -> "ParseError":
+        """This error of parsing ``field``, which ends input line ``text`` but
+        for trailing space, as an error of ``line`` headed by ``context``."""
+        at = None if self.column is None else len(text.rstrip()) - len(field) + self.column
+        return ParseError(f"{context}: {self.message}", line, at)
 
 
 class UnknownKind(ParseError):

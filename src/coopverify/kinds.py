@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .automata import (INPUT_TEMPLATE_TEXT, ArtifactAutomaton, AutomatonKind, EdgePattern,
                        Transition, _input_target, _taken, make_automaton)
-from .lang import CFAEdge, ControlFlowAutomaton, successors
+from .lang import CFAEdge, ControlFlowAutomaton
 from .predicates import CHI, TRUE, Comparison, Const, Interval, mentions_template, pred_text
 from .product import DEFAULT_MAX_STEPS, AnalysisConfig, VisitAction, run_product
 
@@ -127,10 +127,8 @@ def _non_blocking(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
     def visit(v) -> VisitAction:
         if v.truncated:
             return VisitAction.CONTINUE  # its steps lie beyond the bound
-        here = sorted(v.frontiers[0] & watched)
-        steps = successors(program, v.state, v.location, config.input_domain) if here else ()
-        for q in here:
-            for edge, post in steps:
+        for q in sorted(v.frontiers[0] & watched):
+            for edge, post in v.successors:
                 if not _taken(aut, q, edge, post, _input_target(edge)):
                     found.append(NonBlocking(REFUTED, q, edge, dict(post)))
                     return VisitAction.STOP
@@ -253,7 +251,7 @@ def validate_kind(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
     return KindReport(kind, tuple(violations), non_blocking)
 
 
-def build_test_case_automaton(values: Sequence[int], name: str = "test_case") -> ArtifactAutomaton:
+def build_test_case_automaton(values: Sequence[int]) -> ArtifactAutomaton:
     """The chain automaton replaying one input sequence.
 
     One state per consumed input; each chain transition reads the next input
@@ -269,5 +267,5 @@ def build_test_case_automaton(values: Sequence[int], name: str = "test_case") ->
         for i, value in enumerate(values)
     ]
     transitions += [Transition(q, q, None, TRUE, otherwise=True) for q in states]
-    return make_automaton(name, AutomatonKind.TEST_CASE, states, states[0],
+    return make_automaton("test_case", AutomatonKind.TEST_CASE, states, states[0],
                           (), transitions)

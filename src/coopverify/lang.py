@@ -37,8 +37,8 @@ from .predicates import (
     Predicate,
     TokenStream,
     Var,
-    _expr_vars,
     _integer,
+    _parse_all,
     eval_expr,
     evaluate,
     expr_text,
@@ -96,13 +96,9 @@ def input_op(target: str, declare: bool = False) -> InputOp:
 
 
 def op_reads(op: Operation) -> frozenset:
-    if isinstance(op, Assignment):
-        out: set = set()
-        _expr_vars(op.expr, out)
-        return frozenset(out)
-    if isinstance(op, Assume):
-        return variables_of(op.condition)
-    return frozenset()
+    if isinstance(op, InputOp):
+        return frozenset()
+    return variables_of(op.expr if isinstance(op, Assignment) else op.condition)
 
 
 def op_writes(op: Operation) -> frozenset:
@@ -342,21 +338,7 @@ class ConcretePath:
 # ---------------------------------------------------------------------------
 # Strongest post
 
-class _BlockedType:
-    """Returned by strongest_post when an assume does not hold."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Blocked"
-
-
-BLOCKED = _BlockedType()
+BLOCKED = object()  # returned by strongest_post when an assume does not hold
 
 
 def strongest_post(state: ConcreteDataState, op: Operation,
@@ -502,7 +484,7 @@ def _parse_simple(ts: TokenStream) -> Operation:
         ts.expect(")")
         return input_op(name.text, declare)
     expr = parse_arith(ts)
-    _reject_template(_expr_vars(expr, set()), ts)
+    _reject_template(mentions_template(expr), ts)
     return assignment_op(name.text, expr, declare)
 
 
@@ -617,19 +599,17 @@ def parse_program(source: str) -> ControlFlowAutomaton:
 
 def parse_operation(text: str) -> Operation:
     """Parse a single edge operation: statement forms or a bare condition."""
-    ts = TokenStream(tokenize(text))
+    return _parse_all(text, _parse_operation)
+
+
+def _parse_operation(ts: TokenStream) -> Operation:
     tok = ts.peek()
     if (tok.kind == "keyword" and tok.text == "int") or (
             tok.kind == "ident" and ts.peek(1).kind == "op" and ts.peek(1).text in ("=", "++", "--")):
-        op = _parse_simple(ts)
-    else:
-        cond = parse_pred(ts)
-        _reject_template(mentions_template(cond), ts)
-        op = assume_op(cond)
-    tail = ts.peek()
-    if tail.kind != "eof":
-        raise ParseError(f"trailing input {tail.text!r} in operation", tail.line, tail.column)
-    return op
+        return _parse_simple(ts)
+    cond = parse_pred(ts)
+    _reject_template(mentions_template(cond), ts)
+    return assume_op(cond)
 
 
 def serialize_cfa(cfa: ControlFlowAutomaton) -> str:
@@ -697,9 +677,9 @@ def parse_cfa(source: str) -> ControlFlowAutomaton:
                 match_source = _integer(ms.strip(), lineno)
                 match_target = _integer(mt.strip(), lineno)
             try:
-                op = parse_operation(op_text.strip())
+                op = parse_operation(op_text)
             except ParseError as err:
-                raise ParseError(f"bad operation on edge line: {err}", lineno) from None
+                raise err.within("bad operation on edge line", lineno, raw, op_text) from None
             edges.append(CFAEdge(_integer(words[1], lineno), op, _integer(words[3], lineno),
                                  match_source, match_target))
         else:

@@ -21,7 +21,7 @@ import ast
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence
 
 from .errors import ParseError, UnboundTemplate, UndefinedVariable
@@ -154,74 +154,51 @@ def eval_expr(expr: Expr, state: Mapping[str, int], chi: Optional[str] = None) -
         raise UndefinedVariable(missing.args[0]) from None
 
 
-def _expr_vars(expr: Expr, out: set) -> bool:
-    """Collect variable names into ``out``; return True if chi occurs."""
-    if isinstance(expr, Var):
-        out.add(expr.name)
-        return False
-    if isinstance(expr, TemplateVar):
-        return True
-    if isinstance(expr, Neg):
-        return _expr_vars(expr.operand, out)
-    if isinstance(expr, BinExpr):
-        a = _expr_vars(expr.left, out)
-        b = _expr_vars(expr.right, out)
-        return a or b
-    return False
+# The child fields of each inner node, in field order; every other node is
+# a leaf.  One walk over this table serves expressions and predicates alike.
+_CHILDREN = {Neg: ("operand",), BinExpr: ("left", "right"), Comparison: ("left", "right"),
+             Not: ("operand",), And: ("left", "right"), Or: ("left", "right")}
 
 
-def _pred_vars(pred: Predicate, out: set) -> bool:
-    if isinstance(pred, BoolConst):
-        return False
-    if isinstance(pred, Comparison):
-        a = _expr_vars(pred.left, out)
-        b = _expr_vars(pred.right, out)
-        return a or b
-    if isinstance(pred, Not):
-        return _pred_vars(pred.operand, out)
-    if isinstance(pred, (And, Or)):
-        a = _pred_vars(pred.left, out)
-        b = _pred_vars(pred.right, out)
-        return a or b
-    raise TypeError(f"not a predicate: {pred!r}")
+def _postorder(tree: Expr | Predicate) -> Iterator:
+    """The nodes of an expression or predicate, each after its children;
+    iterative, so it walks a tree of any depth the parser builds."""
+    stack = [(tree, False)]
+    while stack:
+        node, expanded = stack.pop()
+        names = _CHILDREN.get(type(node), ())
+        if expanded or not names:
+            yield node
+        else:
+            stack.append((node, True))
+            stack.extend((getattr(node, name), False) for name in reversed(names))
 
 
-def variables_of(pred: Predicate) -> frozenset:
-    """Variable names read by ``pred`` (the template placeholder excluded)."""
-    out: set = set()
-    _pred_vars(pred, out)
-    return frozenset(out)
+def variables_of(tree: Expr | Predicate) -> frozenset:
+    """Variable names read by an expression or predicate (the template
+    placeholder excluded)."""
+    return frozenset(node.name for node in _postorder(tree) if isinstance(node, Var))
 
 
-def mentions_template(pred: Predicate) -> bool:
-    return _pred_vars(pred, set())
+def mentions_template(tree: Expr | Predicate) -> bool:
+    return any(isinstance(node, TemplateVar) for node in _postorder(tree))
 
 
-def _subst_expr(expr: Expr, replacement: Expr) -> Expr:
-    if isinstance(expr, TemplateVar):
-        return replacement
-    if isinstance(expr, Neg):
-        return Neg(_subst_expr(expr.operand, replacement))
-    if isinstance(expr, BinExpr):
-        return BinExpr(expr.op, _subst_expr(expr.left, replacement),
-                       _subst_expr(expr.right, replacement))
-    return expr
-
-
-def substitute_template(pred: Predicate, replacement: Expr) -> Predicate:
-    """Return ``pred`` with every template placeholder replaced by ``replacement``."""
-    if isinstance(pred, Comparison):
-        return Comparison(pred.op, _subst_expr(pred.left, replacement),
-                          _subst_expr(pred.right, replacement))
-    if isinstance(pred, Not):
-        return Not(substitute_template(pred.operand, replacement))
-    if isinstance(pred, And):
-        return And(substitute_template(pred.left, replacement),
-                   substitute_template(pred.right, replacement))
-    if isinstance(pred, Or):
-        return Or(substitute_template(pred.left, replacement),
-                  substitute_template(pred.right, replacement))
-    return pred
+def substitute_template(tree: Expr | Predicate, replacement: Expr) -> Expr | Predicate:
+    """Return ``tree`` with every template placeholder replaced by
+    ``replacement``; subtrees without one are kept as they are."""
+    built: list = []  # the substituted subtrees whose parent is not yet built
+    for node in _postorder(tree):
+        names = _CHILDREN.get(type(node), ())
+        if names:
+            children = built[-len(names):]
+            del built[-len(names):]
+            if any(new is not getattr(node, name) for name, new in zip(names, children)):
+                node = replace(node, **dict(zip(names, children)))
+        elif isinstance(node, TemplateVar):
+            node = replacement
+        built.append(node)
+    return built[0]
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,10 @@ class ProductVisit:
     per automaton, ``frontiers[i]`` (its reachable-state set) and
     ``final_entries[i]`` (the final states it has entered anywhere along the
     prefix; nonempty means the automaton accepts).  ``depth`` is the length
-    of the prefix it was reached by.  ``is_maximal`` marks program paths that
-    cannot be extended; ``truncated`` marks configurations abandoned at the
-    step bound although extendable.
+    of the prefix it was reached by.  ``successors`` lists the program's
+    enabled (edge, post-state) pairs there (see :func:`coopverify.lang.successors`);
+    a path with none is maximal.  ``truncated`` marks configurations
+    abandoned at the step bound although extendable.
 
     ``path`` builds that prefix from the explorer's trail on demand.  The
     trail moves on once the visitor returns, so read ``path`` during the
@@ -126,7 +127,7 @@ class ProductVisit:
     depth: int
     frontiers: tuple
     final_entries: tuple
-    is_maximal: bool
+    successors: list
     truncated: bool
     _trail: list = field(repr=False, compare=False)
 
@@ -268,7 +269,7 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
         if truncated:
             saw_truncation = True
         action = visit(ProductVisit(location, state, depth, frontiers, entries,
-                                    not succ, truncated, trail))
+                                    succ, truncated, trail))
         if action is VisitAction.STOP:
             return saw_truncation
         if action is VisitAction.PRUNE or truncated:

@@ -504,6 +504,26 @@ class TestAutFormat:
         assert parse_automaton(text) == chain
         assert serialize_automaton(parse_automaton(text)) == text
 
+    @pytest.mark.parametrize("line, message", [
+        (" trans q0 -> qe on (*, *, *) assume x <",
+         "bad assumption: expected an expression (found '') at line 4, column 40"),
+        ("state q1 inv:  (x < 1",
+         "bad invariant: expected ')', found '' at line 4, column 22"),
+    ])
+    def test_13_bad_predicate_names_one_position(self, line, message):
+        """The predicate's own error position is mapped into its line."""
+        with pytest.raises(ParseError) as exc:
+            parse_automaton(f"automaton a kind=property\nstate q0 init\nstate qe final\n{line}\n")
+        assert str(exc.value) == message
+
+    def test_14_unbound_initial_invariant_names_its_state(self):
+        witness = make_automaton("w", AutomatonKind.CORRECTNESS_WITNESS, ("s0",), "s0", (),
+                                 (), {"s0": parse_predicate("x >= 0")})
+        with pytest.raises(InvalidArtifact) as exc:
+            initial_frontier(witness, EMPTY_STATE)
+        assert str(exc.value) == ("automaton w, state s0, empty prefix: "
+                                  "variable 'x' is not bound in the data state")
+
 
 def verdict_triple(v):
     return (v.k, v.accepted, v.covered)

@@ -146,6 +146,19 @@ class TestValidateCommand:
         assert payload["verdict"] == "unknown"
         assert payload["files"] == []
 
+    def test_04_unbound_initial_invariant_names_its_state(self, capsys, tmp_path):
+        """The initial invariant holds on the empty prefix, where nothing is
+        bound yet; reading x there names the automaton and its initial state."""
+        witness = tmp_path / "w.aut"
+        witness.write_text(corpus.sample_text("witness_correct.aut").replace(
+            "state s0 init\n", "state s0 init inv: x >= 0\n"))
+        code, out, err = run_cli(capsys, "validate", "--program", sample("p.imp"),
+                                 "--property", sample("prop.aut"), "--witness", str(witness),
+                                 "--out", str(tmp_path))
+        assert (code, out) == (65, "")
+        assert err == ("error: automaton loop_sync, state s0, empty prefix: "
+                       "variable 'x' is not bound in the data state\n")
+
 
 class TestCheckConditionCommand:
     def test_01_correct_condition(self, capsys):
@@ -636,6 +649,16 @@ class TestNestingDepth:
                                "--out", str(tmp_path))
         assert code == 0
         assert "verdict: true" in out
+
+    def test_03_too_deep_cfa_edge_operation_names_its_line(self, capsys, tmp_path):
+        program = tmp_path / "deep.cfa"
+        program.write_text(f"cfa\ninit 0\nedge 0 -> 1: int y = {self.nested(1500)}\n")
+        code, out, err = run_cli(capsys, "parse", "--program", str(program))
+        assert (code, out) == (65, "")
+        assert err.startswith("error: bad operation on edge line: ")
+        assert "nested too deeply" in err
+        assert re.search(r"at line 3(, column \d+)?$", err.rstrip())
+        assert err.count("\n") == 1 and err.count(" at line ") == 1
 
 
 class TestReadmeQuickStart:

@@ -9,7 +9,7 @@ import pytest
 
 import corpus
 import generators
-from coopverify import automata, kinds
+from coopverify import automata, kinds, lang, product
 from coopverify.actors import Result, verify
 from coopverify.automata import AutomatonKind, EdgePattern, parse_automaton, serialize_automaton
 from coopverify.engine import DEFAULT_CONFIG, AnalysisConfig
@@ -339,3 +339,30 @@ class TestNonBlockingSearch:
         assert str(nb) == "refuted: state q1 blocks edge (2, int b = 0, 3) on {a=0, b=0, x=-2}"
         assert (nb.state, nb.edge, ConcreteDataState(nb.counter_state)) in reference_blocks(
             prop, p, AnalysisConfig(DOM, 50))
+
+    def test_06_each_configuration_lists_its_steps_once(self, monkeypatch):
+        """The check reads the steps the explorer lists for each visit, so
+        ``lang.successors`` runs once per configuration visited."""
+        calls = collections.Counter()
+        original = lang.successors
+
+        def counted(*args):
+            calls["successors"] += 1
+            return original(*args)
+
+        for module in (lang, product, kinds):
+            if getattr(module, "successors", None) is original:
+                monkeypatch.setattr(module, "successors", counted)
+        explore = kinds.run_product
+
+        def counting_run_product(program, automata, config, visit):
+            def counting_visit(v):
+                calls["visits"] += 1
+                return visit(v)
+            return explore(program, automata, config, counting_visit)
+
+        monkeypatch.setattr(kinds, "run_product", counting_run_product)
+        report = validate_kind(parse_automaton(BLIND_SPOT_PROPERTY),
+                               parse_program(BLIND_SPOT_PROGRAM), DEFAULT_CONFIG.input_domain)
+        assert report.non_blocking.status == REFUTED
+        assert calls["visits"] > 1 and calls["successors"] == calls["visits"]

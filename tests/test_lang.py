@@ -1,6 +1,7 @@
 """Tests for the imperative frontend and the concrete path semantics."""
 
 import random
+import traceback
 
 import pytest
 
@@ -157,6 +158,16 @@ class TestParseProgram:
         with pytest.raises(ParseError) as exc:
             parse_program("int a = 0;\n0: a++;\na = ;\n")
         assert str(exc.value) == "expected an expression (found ';') at line 3, column 5"
+
+    def test_13_long_sum_is_refused_at_its_line(self):
+        """Rendering the assignment's text is the step of parsing that still
+        recurses through the sum, and its limit is a parse error at the line."""
+        source = "int x = input();\nint y = " + " + ".join(["x"] * 3000) + ";\n"
+        with pytest.raises(ParseError) as exc:
+            parse_program(source)
+        assert exc.value.line == 2 and "nested too deeply" in str(exc.value)
+        frames = traceback.extract_tb(exc.value.__context__.__traceback__)
+        assert frames[-1].name == "expr_text"
 
 
 class TestStrongestPost:
@@ -350,3 +361,14 @@ class TestCfaTextFormat:
 
     def test_07_defined_before_use_enforced(self):
         check_defined_before_use(parse_program("int a = 0;\na++;\n"))
+
+    def test_08_bad_operation_names_one_position(self):
+        """The operation's own error position is mapped into its edge line."""
+        with pytest.raises(ParseError) as exc:
+            parse_cfa("cfa\ninit 0\n  edge 0 -> 1:  int y = (\n")
+        assert str(exc.value) == ("bad operation on edge line: expected an expression "
+                                  "(found '') at line 3, column 26")
+        with pytest.raises(ParseError) as exc:
+            parse_cfa("cfa\ninit 0\nedge 0 -> 1: a = 1 )\n")
+        assert str(exc.value) == ("bad operation on edge line: trailing input ')' "
+                                  "at line 3, column 20")

@@ -25,6 +25,7 @@ from coopverify.predicates import (
     Neg,
     Not,
     Or,
+    Predicate,
     TautologyResult,
     Var,
     conjoin,
@@ -154,6 +155,37 @@ class TestEvaluation:
                     == evaluate(Or(Not(a), Not(b)), state))
             assert evaluate(And(a, b), state) == evaluate(And(b, a), state)
             assert evaluate(Or(a, b), state) == evaluate(Or(b, a), state)
+
+
+class TestWalk:
+    """``variables_of``, ``mentions_template`` and ``substitute_template``
+    walk expressions and predicates alike, at any depth the parser builds."""
+
+    def test_01_long_sum_is_walked(self):
+        sum_text = " + ".join(["x"] * 3000)
+        tree = parse_predicate(f"{sum_text} + chi >= y")
+        assert variables_of(tree) == {"x", "y"}
+        assert mentions_template(tree) and not mentions_template(tree.right)
+        assert variables_of(tree.left) == {"x"} and mentions_template(tree.left)
+        substituted = substitute_template(tree, Var("z"))
+        assert variables_of(substituted) == {"x", "y", "z"}
+        assert not mentions_template(substituted)
+        assert substituted.right is tree.right
+
+    def test_02_substitution_replaces_exactly_the_placeholders(self):
+        rng = random.Random(1811)
+        names = ["a", "b"]
+        for _ in range(300):
+            tree = generators.random_predicate(rng, names)
+            if rng.random() < 0.5:
+                tree = generators.random_expression(rng, names)
+            substituted = substitute_template(tree, Var("z"))
+            render = pred_text if isinstance(tree, Predicate) else expr_text
+            assert render(substituted) == render(tree).replace("chi", "z")
+            assert variables_of(substituted) == (
+                variables_of(tree) | ({"z"} if mentions_template(tree) else set()))
+            if not mentions_template(tree):
+                assert substituted is tree
 
 
 class TestInterval:
