@@ -250,7 +250,9 @@ def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, state_after,
     which a test case never takes on an input edge: its chain must match
     inputs explicitly or the run dies.  An enabled transition is taken
     when the invariant of its target holds on the post-state; all
-    assumptions are evaluated before any invariant.  ``read`` is
+    assumptions are evaluated before any invariant.  A ``true`` assumption
+    and a trivial invariant (one ``make_automaton`` left out of
+    ``invariants``) hold without an evaluation.  ``read`` is
     :func:`_input_target` of the edge, which the template placeholder of an
     input-template transition stands for.  An assumption or invariant that
     reads a variable the post-state does not bind raises
@@ -261,20 +263,24 @@ def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, state_after,
     try:
         enabled = []
         for t in explicit:
-            if t.pattern.matches(edge) and evaluate(
-                    t.assumption, state_after, read if t.pattern.is_input_template else None):
+            pattern = t.pattern
+            if pattern.matches(edge) and (t.assumption is TRUE or evaluate(
+                    t.assumption, state_after, read if pattern.is_input_template else None)):
                 enabled.append(t)
         if enabled:
             taken = []
             for t in enabled:
-                if evaluate(invariants.get(t.target, TRUE), state_after,
-                            read if t.pattern.is_input_template else None):
+                inv = invariants.get(t.target)
+                if inv is None or evaluate(inv, state_after,
+                                           read if t.pattern.is_input_template else None):
                     taken.append(t)
             return taken
         t = ow
+        if ow is None or (read is not None and aut.kind is AutomatonKind.TEST_CASE):
+            return ()
+        inv = invariants.get(ow.target)
         # the otherwise transition has no pattern, so no placeholder binding
-        if (ow is None or (read is not None and aut.kind is AutomatonKind.TEST_CASE)
-                or not evaluate(invariants.get(ow.target, TRUE), state_after)):
+        if inv is not None and not evaluate(inv, state_after):
             return ()
         return (ow,)
     except UndefinedVariable as err:
@@ -296,8 +302,9 @@ def initial_frontier(aut: ArtifactAutomaton, initial_state) -> tuple:
     its invariant holds on the (empty) initial data state.  An invariant
     reading a variable that state does not bind raises
     :class:`InvalidArtifact` naming the automaton and its initial state."""
+    inv = aut.invariants.get(aut.initial)
     try:
-        holds = evaluate(aut.invariant(aut.initial), initial_state)
+        holds = inv is None or evaluate(inv, initial_state)
     except UndefinedVariable as err:
         raise InvalidArtifact(
             f"automaton {aut.name}, state {aut.initial}, empty prefix: {err}") from err
@@ -463,12 +470,8 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
                 except ParseError as err:
                     raise err.within("bad invariant", lineno, raw, inv_text) from None
             continue
-        m = _OTHERWISE_RE.match(line)
-        if m:
-            if m.group(1) != m.group(2):
-                raise ParseError("otherwise transitions must be self-loops", lineno)
-            transitions.append(Transition(m.group(1), m.group(2), None, TRUE, otherwise=True))
-            continue
+        # no line matches both patterns; the explicit kind, far the more
+        # frequent in long witnesses, is tried first
         m = _TRANS_RE.match(line)
         if m:
             src_text, op_field, tgt_text = fields = m.group(3, 4, 5)
@@ -483,6 +486,12 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
                 except ParseError as err:
                     raise err.within("bad assumption", lineno, raw, m.group(6)) from None
             transitions.append(Transition(m.group(1), m.group(2), pattern, assumption))
+            continue
+        m = _OTHERWISE_RE.match(line)
+        if m:
+            if m.group(1) != m.group(2):
+                raise ParseError("otherwise transitions must be self-loops", lineno)
+            transitions.append(Transition(m.group(1), m.group(2), None, TRUE, otherwise=True))
             continue
         raise ParseError(f"unrecognized line {line!r}", lineno)
     if name is None:

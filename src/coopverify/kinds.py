@@ -16,8 +16,10 @@ from typing import Optional, Sequence
 
 from .automata import (INPUT_TEMPLATE_TEXT, ArtifactAutomaton, AutomatonKind, EdgePattern,
                        Transition, _input_target, _taken, make_automaton)
-from .lang import CFAEdge, ControlFlowAutomaton
-from .predicates import CHI, TRUE, Comparison, Const, Interval, mentions_template, pred_text
+from .errors import UnboundTemplate, UndefinedVariable
+from .lang import EMPTY_STATE, CFAEdge, ControlFlowAutomaton
+from .predicates import (CHI, TRUE, Comparison, Const, Interval, evaluate, mentions_template,
+                         pred_text)
 from .product import DEFAULT_MAX_STEPS, AnalysisConfig, VisitAction, run_product
 
 BOUNDED_PROVED = "bounded-proved"
@@ -86,26 +88,50 @@ _CHI_WORD = re.compile(r"\bchi\b")
 
 def _template_violations(aut: ArtifactAutomaton) -> list:
     """The placeholder may only appear in assumptions guarded by an
-    input-template pattern; invariants and other op texts must not use it."""
+    input-template pattern; invariants and other op texts must not use it.
+
+    A ``true`` assumption is not walked, and each distinct pattern's text is
+    searched once: the transitions of a long witness share a few patterns."""
     out = []
     for state, inv in sorted(aut.invariants.items()):
         if mentions_template(inv):
             out.append(KindViolation(
                 "template-use", state,
                 "state invariant uses the input placeholder"))
-    for t in aut.transitions:
-        if t.otherwise:
-            continue
-        if mentions_template(t.assumption) and not t.pattern.is_input_template:
+    explicit = [t for t in aut.transitions if not t.otherwise]
+    chi_in_text = {p for p in {t.pattern for t in explicit}
+                   if p.op_text is not None and not p.is_input_template
+                   and _CHI_WORD.search(p.op_text)}
+    for t in explicit:
+        if (t.assumption is not TRUE and mentions_template(t.assumption)
+                and not t.pattern.is_input_template):
             out.append(KindViolation(
                 "template-use", str(t),
                 "assumption uses the input placeholder without an input-template pattern"))
-        if (t.pattern.op_text is not None and _CHI_WORD.search(t.pattern.op_text)
-                and not t.pattern.is_input_template):
+        if t.pattern in chi_in_text:
             out.append(KindViolation(
                 "template-use", str(t),
                 "pattern text uses the reserved word chi but is not the input template"))
     return out
+
+
+def _initial_invariant_violations(aut: ArtifactAutomaton) -> list:
+    """Every run starts on the empty prefix, whose data state binds nothing,
+    so the initial state's invariant is evaluated there (see
+    :func:`coopverify.automata.initial_frontier`); reading a variable there
+    is a violation.  Reading the placeholder is one of
+    :func:`_template_violations`."""
+    inv = aut.invariants.get(aut.initial)
+    if inv is None:
+        return []
+    try:
+        evaluate(inv, EMPTY_STATE)
+    except UndefinedVariable as err:
+        return [KindViolation("initial-invariant", aut.initial,
+                              f"invariant read on the empty prefix: {err}")]
+    except UnboundTemplate:
+        pass
+    return []
 
 
 def _trivial_invariant_violations(aut: ArtifactAutomaton) -> list:
@@ -228,8 +254,11 @@ def validate_kind(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
 
     A property that meets them is also checked for non-blocking on
     ``program`` within the value ``domain`` and ``max_steps``.  Findings land
-    in the report; only a read of an unbound variable raises, as
-    :class:`InvalidArtifact` (see :func:`coopverify.automata._taken`).
+    in the report.  A kind whose invariants need not be trivial has its
+    initial invariant evaluated on the empty prefix, and an unbound read
+    there is a finding too; only an unbound read while a property's
+    non-blocking is searched raises, as :class:`InvalidArtifact` (see
+    :func:`coopverify.automata._taken`).
     """
     violations = _template_violations(aut)
     non_blocking = NonBlocking(NOT_APPLICABLE)
@@ -243,11 +272,11 @@ def validate_kind(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
     elif kind in (AutomatonKind.TEST_GOAL, AutomatonKind.VIOLATION_WITNESS):
         violations += _trivial_invariant_violations(aut)
     elif kind is AutomatonKind.CORRECTNESS_WITNESS:
-        violations += _correctness_witness_violations(aut)
+        violations += _correctness_witness_violations(aut) + _initial_invariant_violations(aut)
     elif kind is AutomatonKind.CONDITION:
         violations += _condition_violations(aut)
     elif kind is AutomatonKind.TEST_CASE:
-        violations += _test_case_violations(aut)
+        violations += _test_case_violations(aut) + _initial_invariant_violations(aut)
     return KindReport(kind, tuple(violations), non_blocking)
 
 

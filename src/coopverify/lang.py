@@ -24,7 +24,7 @@ existing one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ParseError, UndefinedVariable, UseBeforeDef
 from .predicates import (
@@ -114,10 +114,11 @@ def op_writes(op: Operation) -> frozenset:
 class CFAEdge:
     """One operation between two locations.
 
-    ``match_source``/``match_target`` are the location ids pattern matching
-    sees.  They default to the structural endpoints; program transformations
-    that renumber locations (the reducer) set them to the original endpoints
-    so artifact automata written against the source program still apply.
+    ``match_src``/``match_tgt`` are the location ids pattern matching sees:
+    ``match_source``/``match_target`` where given, else the structural
+    endpoints.  Program transformations that renumber locations (the
+    reducer) give the original endpoints, so artifact automata written
+    against the source program still apply.
     """
 
     source: int
@@ -125,21 +126,20 @@ class CFAEdge:
     target: int
     match_source: Optional[int] = None
     match_target: Optional[int] = None
-    # The operation text without whitespace, as edge patterns match it.  It
-    # is computed here, not kept by functools' cached_property, whose write
-    # to __dict__ would slow every later attribute read on the edge.
+    # Computed once here, as edge patterns read them on every step: the
+    # endpoints matched and the operation text without whitespace.  Not kept
+    # by functools' cached_property, whose write to __dict__ would slow every
+    # later attribute read on the edge.
+    match_src: int = field(init=False, repr=False, compare=False)
+    match_tgt: int = field(init=False, repr=False, compare=False)
     norm_text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "match_src",
+                           self.source if self.match_source is None else self.match_source)
+        object.__setattr__(self, "match_tgt",
+                           self.target if self.match_target is None else self.match_target)
         object.__setattr__(self, "norm_text", normalize_text(self.op.text))
-
-    @property
-    def match_src(self) -> int:
-        return self.source if self.match_source is None else self.match_source
-
-    @property
-    def match_tgt(self) -> int:
-        return self.target if self.match_target is None else self.match_target
 
 
 @dataclass(frozen=True)
@@ -240,8 +240,8 @@ class ConcreteDataState(Mapping):
     __slots__ = ("_bindings", "_hash")
 
     def __init__(self, bindings: Optional[Mapping] = None):
-        object.__setattr__(self, "_bindings", dict(bindings) if bindings else {})
-        object.__setattr__(self, "_hash", None)
+        self._bindings = dict(bindings) if bindings else {}
+        self._hash = None
 
     def __getitem__(self, name: str) -> int:
         try:
@@ -266,8 +266,8 @@ class ConcreteDataState(Mapping):
         new = dict(self._bindings)
         new[name] = value
         state = object.__new__(ConcreteDataState)  # takes ``new`` over without a second copy
-        object.__setattr__(state, "_bindings", new)
-        object.__setattr__(state, "_hash", None)
+        state._bindings = new
+        state._hash = None
         return state
 
     def __eq__(self, other: object) -> bool:
@@ -277,7 +277,7 @@ class ConcreteDataState(Mapping):
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(frozenset(self._bindings.items())))
+            self._hash = hash(frozenset(self._bindings.items()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -288,8 +288,13 @@ class ConcreteDataState(Mapping):
 EMPTY_STATE = ConcreteDataState()
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
+    """One step of a path: the data state and location after ``incoming``.
+
+    A named tuple, not a frozen dataclass: the product explorer builds one
+    per pushed successor, and a named tuple takes about half the time to
+    build (CPython 3.11)."""
+
     state: ConcreteDataState
     location: int
     incoming: Optional[CFAEdge]  # None only for the initial step
@@ -364,17 +369,24 @@ def strongest_post(state: ConcreteDataState, op: Operation,
 
 def successors(cfa: ControlFlowAutomaton, state: ConcreteDataState, location: int,
                domain: Interval) -> list:
-    """Enabled (edge, post-state) pairs, input values in ascending order."""
+    """Enabled (edge, post-state) pairs, input values in ascending order.
+
+    Each edge's post-state is that of :func:`strongest_post`, with its
+    operation told apart once, by its type."""
     result = []
     for edge in cfa.edges_from(location):
         op = edge.op
-        if isinstance(op, InputOp):
+        kind = type(op)
+        if kind is Assume:
+            if evaluate(op.condition, state):
+                result.append((edge, state))
+        elif kind is Assignment:
+            result.append((edge, state.bind(op.target, eval_expr(op.expr, state))))
+        elif kind is InputOp:
             for value in domain:
                 result.append((edge, state.bind(op.target, value)))
         else:
-            post = strongest_post(state, op)
-            if post is not BLOCKED:
-                result.append((edge, post))
+            raise TypeError(f"not an operation: {op!r}")
     return result
 
 

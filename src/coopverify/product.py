@@ -115,11 +115,15 @@ class ProductVisit:
     a path with none is maximal.  ``truncated`` marks configurations
     abandoned at the step bound although extendable.
 
-    ``path`` builds that prefix from the explorer's trail on demand.  The
-    trail moves on once the visitor returns, so read ``path`` during the
-    visit, and only where the prefix itself is needed.  One is made per
-    explored configuration, so it is slotted and not frozen, which keeps its
-    construction to plain assignments; visitors only read it.
+    ``path`` builds that prefix from the explorer's trail on demand, as an
+    O(depth) slice that copies references to the trail's steps and builds
+    no step.  The benchmark's tracer (``perfbench/tracer.py``) reads it on
+    every visit and relies on that: building the steps there instead made a
+    traced run many times slower.  The trail moves on once the visitor
+    returns, so read ``path`` during the visit, and only where the prefix
+    itself is needed.  One visit is made per explored configuration, so it
+    is slotted and not frozen, which keeps its construction to plain
+    assignments; visitors only read it.
     """
 
     location: int
@@ -244,7 +248,7 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     saw_truncation = False
     while stack:
         depth, step, frontiers, entries = stack.pop()
-        location, state = step.location, step.state
+        state, location, _ = step
         names = kept.get(location)
         if names is not None:
             if location in widened:

@@ -288,7 +288,9 @@ trans qa -> qa otherwise
 class TestSinglePass:
     """Each step evaluates every matching explicit transition's assumption
     once, plus the invariant of each target entered; deciding the otherwise
-    transition evaluates nothing further."""
+    transition evaluates nothing further.  A ``true`` assumption and a
+    trivial invariant hold without an evaluation: in TWO_GUARDS only the
+    two guards and the invariant of qa are ever evaluated."""
 
     @pytest.fixture
     def evaluated(self, monkeypatch):
@@ -311,7 +313,7 @@ class TestSinglePass:
         succ, _ = step_frontier(aut, frozenset({"q0"}), self.exit_edge(p),
                                 ConcreteDataState({"a": 0, "b": 0, "x": 0}))
         assert succ == frozenset({"q0"})
-        assert evaluated == guards + [aut.invariant("q0")]
+        assert evaluated == guards  # the otherwise target q0 has a trivial invariant
 
     def test_02_explicit_fires_once(self, p, evaluated):
         aut = parse_automaton(TWO_GUARDS)
@@ -320,7 +322,7 @@ class TestSinglePass:
                                       ConcreteDataState({"a": 7, "b": 6, "x": 7}))
         assert succ == frozenset({"qa", "qe"})
         assert {e.state for e in entries} == {"qe"}
-        assert evaluated == guards + [aut.invariant("qe"), aut.invariant("qa")]
+        assert evaluated == guards + [aut.invariant("qa")]  # qe's invariant is trivial
 
     def test_03_unmatched_edge_evaluates_only_the_invariant(self, p, evaluated):
         aut = parse_automaton(TWO_GUARDS)
@@ -328,7 +330,7 @@ class TestSinglePass:
         succ, _ = step_frontier(aut, frozenset({"q0"}), body_edge,
                                 ConcreteDataState({"a": 1, "b": 0, "x": 2}))
         assert succ == frozenset({"q0"})
-        assert evaluated == [aut.invariant("q0")]
+        assert evaluated == []  # no guard matches, and q0's invariant is trivial
 
     def test_04_test_case_input_edge_never_takes_otherwise(self, p, evaluated):
         test_case = build_test_case_automaton([4])
@@ -342,7 +344,20 @@ class TestSinglePass:
         succ, _ = step_frontier(test_case, frozenset({"q0"}), input_edge,
                                 ConcreteDataState({"x": 4}))
         assert succ == frozenset({"q1"})
-        assert evaluated == [chain.assumption, test_case.invariant("q1")]
+        assert evaluated == [chain.assumption]  # q1's invariant is trivial
+
+    def test_05_otherwise_target_invariant_evaluated_once(self, p, evaluated):
+        aut = parse_automaton(TWO_GUARDS)
+        body_edge = [e for e in p.edges if e.op.text == "a++"][0]
+        succ, _ = step_frontier(aut, frozenset({"qa"}), body_edge,
+                                ConcreteDataState({"a": 1, "b": 0, "x": 2}))
+        assert succ == frozenset({"qa"})
+        assert evaluated == [aut.invariant("qa")]
+        evaluated.clear()
+        succ, _ = step_frontier(aut, frozenset({"qa"}), body_edge,
+                                ConcreteDataState({"a": -1, "b": 0, "x": 2}))
+        assert succ == frozenset()
+        assert evaluated == [aut.invariant("qa")]
 
 
 # Nondeterministic on purpose: from q0, two input-template transitions and a

@@ -148,7 +148,8 @@ class TestValidateCommand:
 
     def test_04_unbound_initial_invariant_names_its_state(self, capsys, tmp_path):
         """The initial invariant holds on the empty prefix, where nothing is
-        bound yet; reading x there names the automaton and its initial state."""
+        bound yet; reading x there is a kind violation, which names the
+        automaton and its initial state."""
         witness = tmp_path / "w.aut"
         witness.write_text(corpus.sample_text("witness_correct.aut").replace(
             "state s0 init\n", "state s0 init inv: x >= 0\n"))
@@ -156,7 +157,9 @@ class TestValidateCommand:
                                  "--property", sample("prop.aut"), "--witness", str(witness),
                                  "--out", str(tmp_path))
         assert (code, out) == (65, "")
-        assert err == ("error: automaton loop_sync, state s0, empty prefix: "
+        assert err == ("error: automaton loop_sync violates its kind constraints:\n"
+                       "kind correctness-witness: not ok\n"
+                       "  [initial-invariant] s0: invariant read on the empty prefix: "
                        "variable 'x' is not bound in the data state\n")
 
 
@@ -317,6 +320,18 @@ class TestCheckKindCommand:
             got, payload = run_json(capsys, "check-kind", *blind_spot(tmp_path),
                                     "--max-steps", steps)
             assert (got, payload["config"]["max_steps"]) == (code, int(steps))
+
+    def test_07_unbound_initial_invariant_is_not_ok(self, capsys, tmp_path):
+        """The witness that ``validate`` refuses for reading x on the empty
+        prefix fails its kind check too."""
+        witness = tmp_path / "w.aut"
+        witness.write_text(corpus.sample_text("witness_correct.aut").replace(
+            "state s0 init\n", "state s0 init inv: x >= 0\n"))
+        code, payload = run_json(capsys, "check-kind", "--program", sample("p.imp"),
+                                 "--witness", str(witness))
+        assert code == 1
+        assert payload["verdict"] == "not-ok"
+        assert [v["constraint"] for v in payload["details"]["violations"]] == ["initial-invariant"]
 
 
 class TestParseCommand:

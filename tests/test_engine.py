@@ -578,6 +578,23 @@ int e = 1;
         gc.collect()
         assert collected() is None
 
+    def test_11_visit_path_shares_the_trails_steps(self, p):
+        """``path`` slices the explorer's trail: reading it twice at the end
+        of a run of 3,004 steps gives the same step objects, none rebuilt.
+        A visitor that reads ``path`` on every visit (the benchmark's tracer
+        does) stays linear in the path's length per visit."""
+        ends = []
+
+        def visit(v):
+            if not v.successors:
+                ends.append((v.path, v.path))
+            return VisitAction.CONTINUE
+
+        run_product(p, (), AnalysisConfig(Interval(1000, 1000), 3100), visit)
+        ((a, b),) = ends
+        assert a.length == b.length == 3004
+        assert all(a.steps[k] is b.steps[k] for k in range(len(a.steps)))
+
 
 class TestDeadVariables:
     """The explorer keys configurations on live variables only; programs with

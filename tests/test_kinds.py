@@ -22,7 +22,7 @@ from coopverify.kinds import (
     validate_kind,
 )
 from coopverify.lang import ConcreteDataState, InputOp, parse_program
-from coopverify.predicates import CHI, Comparison, Const, Interval
+from coopverify.predicates import CHI, TRUE, Comparison, Const, Interval, Var
 from coopverify.product import run_product
 from reference import reference_blocks
 
@@ -177,6 +177,59 @@ class TestKindMutations:
         report = validate_kind(parse_automaton(text), p)
         assert not report.ok
         assert violated_constraints(report) == {"trivial-invariants"}
+
+
+class TestInitialInvariant:
+    """Every run starts on the empty prefix, where nothing is bound, so a
+    kind whose invariants need not be trivial has its initial invariant
+    evaluated there."""
+
+    @staticmethod
+    def witness(invariant):
+        return parse_automaton(corpus.sample_text("witness_correct.aut").replace(
+            "state s0 init\n", f"state s0 init inv: {invariant}\n"))
+
+    def test_01_unbound_read_is_a_violation(self, p):
+        report = validate_kind(self.witness("x >= 0"), p)
+        assert not report.ok
+        assert [str(v) for v in report.violations] == [
+            "[initial-invariant] s0: invariant read on the empty prefix: "
+            "variable 'x' is not bound in the data state"]
+
+    def test_02_invariant_evaluated_without_a_read_is_ok(self, p):
+        for invariant in ("0 <= 1", "1 > 2", "true || x > 0"):
+            assert validate_kind(self.witness(invariant), p).ok, invariant
+
+    def test_03_test_case_initial_invariant(self, p):
+        aut = build_test_case_automaton([4])
+        mutated = dataclasses.replace(aut, invariants={"q0": Comparison(">", Var("x"), Const(0))})
+        assert violated_constraints(validate_kind(mutated, p)) == {"initial-invariant"}
+
+
+class TestTemplateWalk:
+    def test_01_each_non_true_assumption_and_invariant_walked_once(self, monkeypatch):
+        """A 1,000-round violation witness has 2,004 transitions, all but
+        the input's assuming ``true``; the template check walks the one
+        other assumption and no ``true`` one."""
+        program = corpus.program_p_prime()
+        bundle = verify(program, corpus.prop(), AnalysisConfig(Interval(1000, 1000), 3100))
+        assert bundle.result is Result.FALSE
+        walked = []
+        real = kinds.mentions_template
+
+        def counting(tree):
+            walked.append(tree)
+            return real(tree)
+
+        monkeypatch.setattr(kinds, "mentions_template", counting)
+        for witness in (bundle.witness, parse_automaton(serialize_automaton(bundle.witness))):
+            walked.clear()
+            assert len(witness.transitions) == 2004
+            assert validate_kind(witness, program).ok
+            assumptions = [t.assumption for t in witness.transitions
+                           if not t.otherwise and t.assumption != TRUE]
+            assert not witness.invariants
+            assert walked == assumptions and len(walked) == 1
 
 
 class TestTemplateUse:

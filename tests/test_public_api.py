@@ -1,8 +1,12 @@
 """The public API: the names ``coopverify`` exports stay exported."""
 
+import inspect
 import pathlib
 
+import pytest
+
 import coopverify
+from coopverify.lang import EMPTY_STATE, PathStep, parse_program
 
 PUBLIC_NAMES = {
     "AnalysisConfig",
@@ -80,3 +84,22 @@ def test_02_the_suite_imports_this_checkouts_sources():
     ``src/`` (``pythonpath`` in pyproject.toml), not an installed copy."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     assert pathlib.Path(coopverify.__file__).resolve().parent == src / "coopverify"
+
+
+def test_03_path_step_is_an_immutable_record():
+    """The explorer builds one ``PathStep`` per pushed successor; it keeps
+    the constructor, the field names, immutability, value equality and the
+    repr of a record."""
+    edge = parse_program("int x = 1;").edges[0]
+    state = EMPTY_STATE.bind("x", 1)
+    step = PathStep(state, 1, edge)
+    assert list(inspect.signature(PathStep).parameters) == ["state", "location", "incoming"]
+    assert (step.state, step.location, step.incoming) == (state, 1, edge)
+    assert PathStep(state=state, location=1, incoming=edge) == step
+    with pytest.raises(AttributeError):
+        step.location = 2
+    same = PathStep(EMPTY_STATE.bind("x", 1), 1, parse_program("int x = 1;").edges[0])
+    assert same == step and hash(same) == hash(step)
+    assert step != PathStep(state, 0, edge)
+    assert repr(step) == f"PathStep(state={state!r}, location=1, incoming={edge!r})"
+    assert repr(PathStep(EMPTY_STATE, 0, None)) == "PathStep(state={}, location=0, incoming=None)"
