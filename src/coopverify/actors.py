@@ -18,6 +18,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .automata import (
@@ -29,6 +30,7 @@ from .automata import (
     match_path,
 )
 from .engine import (
+    CONTINUE,
     DEFAULT_CONFIG,
     DEFAULT_MAX_STEPS,
     AnalysisConfig,
@@ -50,12 +52,12 @@ from .lang import (
     ConcretePath,
     ControlFlowAutomaton,
     EMPTY_STATE,
+    Assignment,
+    Assume,
     InputOp,
     PathStep,
     assume_op,
     make_cfa,
-    strongest_post,
-    BLOCKED,
 )
 from .predicates import (
     TRUE,
@@ -67,6 +69,8 @@ from .predicates import (
     Var,
     conjoin,
     disjoin,
+    eval_expr,
+    evaluate,
     substitute_template,
 )
 
@@ -123,15 +127,18 @@ def violation_witness_from_path(path: ConcretePath) -> ArtifactAutomaton:
 
 def _location_facts(observed: Sequence[ConcreteDataState], live: frozenset) -> Predicate:
     """Conjunction of equality and interval facts over ``live`` variables true
-    in every observed state."""
-    common = sorted(live.intersection(*observed))
+    in every observed state.  Each state's bindings are read once, into one
+    column of values per variable, and the facts are found on the columns."""
+    bindings = [s._bindings for s in observed]
+    common = sorted(live.intersection(*bindings))
+    column = {v: list(map(itemgetter(v), bindings)) for v in common}
     facts: list = []
     for u, v in itertools.combinations(common, 2):
-        if all(s[u] == s[v] for s in observed):
+        if column[u] == column[v]:
             facts.append(Comparison("==", Var(u), Var(v)))
     for v in common:
-        lo = min(s[v] for s in observed)
-        hi = max(s[v] for s in observed)
+        lo = min(column[v])
+        hi = max(column[v])
         if lo == hi:
             facts.append(Comparison("==", Var(v), Const(lo)))
         else:
@@ -492,21 +499,30 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
     consumed = 0
     steps = [PathStep(EMPTY_STATE, program.initial, None)]
     for _ in range(max_steps):
-        state = steps[-1].state
-        outgoing = program.edges_from(steps[-1].location)
+        state, location, _ = steps[-1]
+        outgoing = program.edges_from(location)
         status = STATUS_BLOCKED_ASSUME if outgoing else STATUS_COMPLETED
+        bindings = state._bindings
+        # each operation told apart once, by its type, as in lang.successors
         for edge in outgoing:
-            if not isinstance(edge.op, InputOp):
-                post = strongest_post(state, edge.op)
-            elif consumed < len(inputs):
-                post = strongest_post(state, edge.op, inputs[consumed])
+            op = edge.op
+            kind = type(op)
+            if kind is Assume:
+                if not evaluate(op.condition, bindings):
+                    continue
+                post = state
+            elif kind is Assignment:
+                post = state.bind(op.target, eval_expr(op.expr, bindings))
+            elif kind is InputOp:
+                if consumed == len(inputs):
+                    status = STATUS_NO_INPUT  # it names the block, whatever else blocks
+                    continue
+                post = state.bind(op.target, inputs[consumed])
                 consumed += 1
             else:
-                status = STATUS_NO_INPUT  # it names the block, whatever else blocks
-                continue
-            if post is not BLOCKED:
-                steps.append(PathStep(post, edge.target, edge))
-                break
+                raise TypeError(f"not an operation: {op!r}")
+            steps.append(PathStep(post, edge.target, edge))
+            break
         else:
             break  # no edge taken
     else:
@@ -564,7 +580,7 @@ def generate_tests(program: ControlFlowAutomaton, goals: ArtifactAutomaton,
     def visit(v: ProductVisit) -> VisitAction:
         if not v.successors and v.final_entries[0]:
             candidates.append((v.path.inputs(), frozenset(v.final_entries[0])))
-        return VisitAction.CONTINUE
+        return CONTINUE
 
     run_product(program, (goals,), config, visit)
     covered: set = set()

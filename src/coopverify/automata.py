@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (DuplicateOtherwise, InvalidArtifact, ParseError, UndefinedVariable,
                      UnknownKind)
-from .lang import CFAEdge, ConcretePath, InputOp
+from .lang import CFAEdge, ConcreteDataState, ConcretePath, InputOp
 from .predicates import (
     TRUE,
     BoolConst,
@@ -137,6 +137,8 @@ class ArtifactAutomaton:
     transitions: tuple
     # state -> (explicit transitions, otherwise transition or None)
     _moves: dict = field(init=False, repr=False, compare=False, default=None)
+    # the states that have an otherwise transition
+    _looping: frozenset = field(init=False, repr=False, compare=False, default=None)
     # the read set, computed on first use (see ``reads``)
     _reads: frozenset = field(init=False, repr=False, compare=False, default=None)
     # the reading transitions, computed on first use (see ``_transition_reads``)
@@ -165,6 +167,7 @@ class ArtifactAutomaton:
         moves = {q: (tuple(explicit.get(q, ())), otherwise.get(q))
                  for q in explicit.keys() | otherwise.keys()}
         object.__setattr__(self, "_moves", moves)
+        object.__setattr__(self, "_looping", frozenset(otherwise))
 
     def invariant(self, state: str) -> Predicate:
         return self.invariants.get(state, TRUE)
@@ -241,9 +244,11 @@ def _input_target(edge: CFAEdge) -> Optional[str]:
     return op.target if isinstance(op, InputOp) else None
 
 
-def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, state_after,
+def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, bindings: dict,
            read: Optional[str]) -> Sequence[Transition]:
-    """Transitions a run in ``state`` takes on (edge, post-state).
+    """Transitions a run in ``state`` takes on (edge, post-state), the
+    post-state given by its bindings (``ConcreteDataState._bindings``), so
+    that every variable read is a dict read.
 
     The enabled ones are the explicit transitions that fire, each matched
     and its assumption evaluated once, or else the otherwise transition,
@@ -265,13 +270,13 @@ def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, state_after,
         for t in explicit:
             pattern = t.pattern
             if pattern.matches(edge) and (t.assumption is TRUE or evaluate(
-                    t.assumption, state_after, read if pattern.is_input_template else None)):
+                    t.assumption, bindings, read if pattern.is_input_template else None)):
                 enabled.append(t)
         if enabled:
             taken = []
             for t in enabled:
                 inv = invariants.get(t.target)
-                if inv is None or evaluate(inv, state_after,
+                if inv is None or evaluate(inv, bindings,
                                            read if t.pattern.is_input_template else None):
                     taken.append(t)
             return taken
@@ -280,7 +285,7 @@ def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, state_after,
             return ()
         inv = invariants.get(ow.target)
         # the otherwise transition has no pattern, so no placeholder binding
-        if inv is not None and not evaluate(inv, state_after):
+        if inv is not None and not evaluate(inv, bindings):
             return ()
         return (ow,)
     except UndefinedVariable as err:
@@ -320,19 +325,20 @@ _NOTHING = frozenset()
 
 
 def step_frontier(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge,
-                  state_after) -> tuple:
+                  state_after: ConcreteDataState) -> tuple:
     """Advance a set of simultaneously-reachable states over one path step.
 
     Returns the successor frontier and the final states entered on this step
     (paired with the transition used, for goal identification).  The states
-    of the frontier are stepped in sorted order, each by :func:`_taken`.  A
-    one-state frontier that takes one transition, the common case, builds its
-    two sets directly.
+    of the frontier are stepped in sorted order, each by :func:`_taken` on
+    the post-state's bindings.  A one-state frontier that takes one
+    transition, the common case, builds its two sets directly.
     """
     read = _input_target(edge)
+    bindings = state_after._bindings
     if len(frontier) == 1:
         (state,) = frontier
-        taken = _taken(aut, state, edge, state_after, read)
+        taken = _taken(aut, state, edge, bindings, read)
         if len(taken) == 1:
             (t,) = taken
             target = t.target
@@ -340,12 +346,34 @@ def step_frontier(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge,
                        else _NOTHING)
             return frozenset((target,)), entered
     else:
-        taken = [t for q in sorted(frontier) for t in _taken(aut, q, edge, state_after, read)]
+        taken = [t for q in sorted(frontier) for t in _taken(aut, q, edge, bindings, read)]
     if not taken:
         return _NOTHING, _NOTHING
     finals = aut.finals
     return (frozenset(t.target for t in taken),
             frozenset(FinalEntry(t, t.target) for t in taken if t.target in finals))
+
+
+def step_reads(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge) -> bool:
+    """Whether :func:`step_frontier` may read a variable stepping ``frontier``
+    over ``edge``: some explicit transition from its states that matches the
+    edge has a non-``true`` assumption or a target with an invariant, or, at
+    a state where none matches, the otherwise transition's target has an
+    invariant.  A step that reads none takes the same transitions on every
+    post-state, so its result depends on (automaton, frontier, edge) alone;
+    the test case's rule on input edges depends on the edge alone too."""
+    invariants = aut.invariants
+    for q in frontier:
+        explicit, ow = aut._moves.get(q, _NO_MOVES)
+        matched = False
+        for t in explicit:
+            if t.pattern.matches(edge):
+                if t.assumption is not TRUE or t.target in invariants:
+                    return True
+                matched = True
+        if not matched and ow is not None and ow.target in invariants:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

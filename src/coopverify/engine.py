@@ -40,8 +40,8 @@ from .errors import InvalidArtifact
 from .kinds import build_test_case_automaton, validate_kind
 from .lang import ConcretePath, ControlFlowAutomaton
 # the explorer's names are engine's too: callers and the benchmark import them from here
-from .product import (DEFAULT_CONFIG, DEFAULT_DOMAIN, DEFAULT_MAX_STEPS, AnalysisConfig,
-                      ProductVisit, VisitAction, run_product)
+from .product import (CONTINUE, DEFAULT_CONFIG, DEFAULT_DOMAIN, DEFAULT_MAX_STEPS, PRUNE, STOP,
+                      AnalysisConfig, ProductVisit, VisitAction, run_product)
 
 
 class Verdict(Enum):
@@ -123,10 +123,10 @@ def _search(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton]
             observed[v.location].append(v.state)
         if hit(v):
             found.append(v.path)
-            return VisitAction.STOP
+            return STOP
         if prune is not None and prune(v):
-            return VisitAction.PRUNE
-        return VisitAction.CONTINUE
+            return PRUNE
+        return CONTINUE
 
     truncated = run_product(program, automata, config, visit)
     return _verdict(config, found[0] if found else None, truncated, universal=universal)
@@ -237,12 +237,12 @@ def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],
 
     def visit(v: ProductVisit) -> VisitAction:
         if not v.frontiers[1]:
-            return VisitAction.PRUNE
+            return PRUNE
         if not v.successors and v.final_entries[0]:
             if not found:
                 found.append(v.path)
             covered.update(v.final_entries[0])
-        return VisitAction.CONTINUE
+        return CONTINUE
 
     truncated = run_product(program, (goals, test_case), config, visit)
     judgment = _verdict(config, found[0] if found else None, truncated, universal=False)

@@ -20,7 +20,7 @@ from .errors import UnboundTemplate, UndefinedVariable
 from .lang import EMPTY_STATE, CFAEdge, ControlFlowAutomaton
 from .predicates import (CHI, TRUE, Comparison, Const, Interval, evaluate, mentions_template,
                          pred_text)
-from .product import DEFAULT_MAX_STEPS, AnalysisConfig, VisitAction, run_product
+from .product import CONTINUE, DEFAULT_MAX_STEPS, STOP, AnalysisConfig, VisitAction, run_product
 
 BOUNDED_PROVED = "bounded-proved"
 REFUTED = "refuted"
@@ -152,13 +152,13 @@ def _non_blocking(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
 
     def visit(v) -> VisitAction:
         if v.truncated:
-            return VisitAction.CONTINUE  # its steps lie beyond the bound
+            return CONTINUE  # its steps lie beyond the bound
         for q in sorted(v.frontiers[0] & watched):
             for edge, post in v.successors:
-                if not _taken(aut, q, edge, post, _input_target(edge)):
+                if not _taken(aut, q, edge, post._bindings, _input_target(edge)):
                     found.append(NonBlocking(REFUTED, q, edge, dict(post)))
-                    return VisitAction.STOP
-        return VisitAction.CONTINUE
+                    return STOP
+        return CONTINUE
 
     run_product(program, (aut,), config, visit)
     return found[0] if found else NonBlocking(BOUNDED_PROVED)

@@ -372,16 +372,18 @@ def successors(cfa: ControlFlowAutomaton, state: ConcreteDataState, location: in
     """Enabled (edge, post-state) pairs, input values in ascending order.
 
     Each edge's post-state is that of :func:`strongest_post`, with its
-    operation told apart once, by its type."""
+    operation told apart once, by its type, and evaluated on the state's
+    bindings, so that every variable read is a dict read."""
     result = []
+    bindings = state._bindings
     for edge in cfa.edges_from(location):
         op = edge.op
         kind = type(op)
         if kind is Assume:
-            if evaluate(op.condition, state):
+            if evaluate(op.condition, bindings):
                 result.append((edge, state))
         elif kind is Assignment:
-            result.append((edge, state.bind(op.target, eval_expr(op.expr, state))))
+            result.append((edge, state.bind(op.target, eval_expr(op.expr, bindings))))
         elif kind is InputOp:
             for value in domain:
                 result.append((edge, state.bind(op.target, value)))

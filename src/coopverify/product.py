@@ -55,6 +55,29 @@ the bound.  Hence:
   search would run around a cycle up to the step bound, this one may find
   a shorter evidence path or finish exhausted instead, so a verdict changes
   only from unknown to a definite one.
+
+Most observers loop in place through ``otherwise`` on every edge they do
+not watch, so one exploration steps them over the same (frontier, edge)
+many times.  The explorer keeps a memo of such steps for one exploration,
+keyed on (automaton index, frontier, edge), and stores a step's result
+(next frontier, final entries) only when
+
+* every state of the frontier has an otherwise transition, and
+* the step reads no variable (:func:`coopverify.automata.step_reads`): every
+  explicit transition from those states that matches the edge has a
+  ``true`` assumption and a target without an invariant, and where none
+  matches, the otherwise transition's target has no invariant.
+
+Such a step takes the same transitions on every post-state, and the test
+case's rule on input edges depends on the edge alone, so the stored result
+is exactly what :func:`coopverify.automata.step_frontier` returns for any
+post-state; every other step is taken by ``step_frontier`` each time, and
+only reading steps can raise.  Edges are keyed by identity, because hashing
+one walks its operation; that is sound because the program keeps its edges
+alive while the memo, which dies with the exploration, exists.  Path-shaped
+automata (no otherwise transition at all, as violation witnesses written
+from a path) never enter the memo: each of their frontiers is stepped once
+anyway, and storing the steps would only hold memory.
 """
 
 from __future__ import annotations
@@ -63,7 +86,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
-from .automata import ArtifactAutomaton, initial_frontier, step_frontier
+from .automata import ArtifactAutomaton, initial_frontier, step_frontier, step_reads
 from .lang import (EMPTY_STATE, ConcreteDataState, ConcretePath, ControlFlowAutomaton, PathStep,
                    op_writes, successors)
 from .predicates import Interval
@@ -100,6 +123,14 @@ class VisitAction(Enum):
     CONTINUE = "continue"
     PRUNE = "prune"
     STOP = "stop"
+
+
+# The members as module-level names: the explorer and its visitors load one
+# per visit, and a load through the enum class costs over ten times as much
+# (CPython 3.11).
+CONTINUE = VisitAction.CONTINUE
+PRUNE = VisitAction.PRUNE
+STOP = VisitAction.STOP
 
 
 @dataclass(slots=True)
@@ -209,6 +240,10 @@ def _with_pair_liveness(names: tuple, location: int, frontiers: tuple,
     return names if extra.issubset(names) else tuple(sorted(extra.union(names)))
 
 
+# the memo's mark of a step that is taken anew each time
+_UNSTORED = object()
+
+
 def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton],
                 config: AnalysisConfig, visit: Visitor) -> bool:
     """Depth-first bounded exploration of program x automata.
@@ -228,7 +263,9 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     configuration's extensions, STOP abandons the whole exploration.  A
     skipped prefix is taken to steer as the key's earlier visit did, so a
     visitor's answer must depend on the key alone; the visit itself still
-    carries the whole data state.  Returns whether any configuration was
+    carries the whole data state.  A step of an automaton that reads no
+    variable is taken once per (automaton, frontier, edge) and then looked
+    up (see the module docstring).  Returns whether any configuration was
     truncated by the step bound.
     """
     kept = program.observable_at(automata[0].reads if automata else frozenset())
@@ -242,6 +279,12 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     explored_at: dict = {}  # configuration key at a meeting location -> depth
     interned: dict = {}  # frontier and final-entry sets stored in keys
     pairs = [initial_frontier(a, EMPTY_STATE) for a in automata]
+    # per automaton: its index and the states with an otherwise transition,
+    # none for a path-shaped one, which is never memoized
+    observers = [(i, a, a._looping) for i, a in enumerate(automata)]
+    # (index, frontier, id(edge)) -> (next frontier, final entries) of a
+    # step that reads no variable, or _UNSTORED (see the module docstring)
+    memo: dict = {}
     trail: list = []  # the steps of the prefix reaching the current configuration
     stack = [(0, PathStep(EMPTY_STATE, program.initial, None),
               tuple(fr for fr, _ in pairs), tuple(en for _, en in pairs))]
@@ -274,15 +317,29 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
             saw_truncation = True
         action = visit(ProductVisit(location, state, depth, frontiers, entries,
                                     succ, truncated, trail))
-        if action is VisitAction.STOP:
+        if action is STOP:
             return saw_truncation
-        if action is VisitAction.PRUNE or truncated:
+        if action is PRUNE or truncated:
             continue
         for edge, post in reversed(succ):
+            edge_id = id(edge)
             next_frontiers = []
             next_entries = []
-            for a, fr, en in zip(automata, frontiers, entries):
-                fr, new = step_frontier(a, fr, edge, post)
+            for (i, a, looping), fr, en in zip(observers, frontiers, entries):
+                if looping:
+                    step_key = (i, fr, edge_id)
+                    move = memo.get(step_key)
+                    if move is None:
+                        move = step_frontier(a, fr, edge, post)
+                        if not fr <= looping or step_reads(a, fr, edge):
+                            memo[step_key] = _UNSTORED
+                        else:
+                            memo[step_key] = move
+                    elif move is _UNSTORED:
+                        move = step_frontier(a, fr, edge, post)
+                    fr, new = move
+                else:
+                    fr, new = step_frontier(a, fr, edge, post)
                 next_frontiers.append(fr)
                 next_entries.append(en | new if new else en)
             stack.append((depth + 1, PathStep(post, edge.target, edge),

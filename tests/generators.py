@@ -21,10 +21,12 @@ from coopverify.automata import (
     make_automaton,
 )
 from coopverify.lang import (
+    Assume,
     ControlFlowAutomaton,
     InputOp,
     definitely_assigned,
     enumerate_paths,
+    make_cfa,
     parse_program,
 )
 from coopverify.predicates import (
@@ -169,6 +171,13 @@ def random_program_source(rng: random.Random) -> str:
 
 def random_program(rng: random.Random) -> ControlFlowAutomaton:
     return parse_program(random_program_source(rng))
+
+
+def drop_assumes(rng: random.Random, program: ControlFlowAutomaton) -> ControlFlowAutomaton:
+    """The program with each assume edge dropped with probability one half,
+    so that a guard whose complement is gone can block a run."""
+    edges = [e for e in program.edges if not (isinstance(e.op, Assume) and rng.random() < 0.5)]
+    return make_cfa(program.locations, program.initial, edges, program.variables)
 
 
 def random_dead_copy_program(rng: random.Random) -> ControlFlowAutomaton:

@@ -22,6 +22,7 @@ from coopverify.automata import ArtifactAutomaton, AutomatonKind, FinalEntry, Ma
 from coopverify.engine import DEFAULT_CONFIG, AnalysisConfig
 from coopverify.errors import CoopVerifyError
 from coopverify.lang import (
+    BLOCKED,
     EMPTY_STATE,
     ConcretePath,
     ControlFlowAutomaton,
@@ -49,6 +50,39 @@ def replay_path(cfa: ControlFlowAutomaton, path: ConcretePath) -> bool:
         if strongest_post(prev.state, edge.op, choice) != step.state:
             return False
     return True
+
+
+def reference_exec(cfa: ControlFlowAutomaton, test: Sequence[int], max_steps: int) -> tuple:
+    """(trace, status, consumed inputs) of ``actors.exec_test``, run by
+    ``strongest_post``: at each location the first edge in order whose
+    operation applies wins, an input edge applying only while inputs
+    remain.  The run ends at a location without edges (completed), at one
+    where no edge applies (blocked-no-input when an input edge was starved
+    there, else blocked-assume), or after ``max_steps`` steps (step-limit)."""
+    steps = [PathStep(EMPTY_STATE, cfa.initial, None)]
+    consumed = 0
+    while len(steps) <= max_steps:
+        last = steps[-1]
+        outgoing = cfa.edges_from(last.location)
+        if not outgoing:
+            return ConcretePath(tuple(steps)), "completed", consumed
+        starved = False
+        for edge in outgoing:
+            if isinstance(edge.op, InputOp):
+                if consumed == len(test):
+                    starved = True
+                    continue
+                post = strongest_post(last.state, edge.op, test[consumed])
+                consumed += 1
+            else:
+                post = strongest_post(last.state, edge.op)
+            if post is not BLOCKED:
+                steps.append(PathStep(post, edge.target, edge))
+                break
+        else:
+            status = "blocked-no-input" if starved else "blocked-assume"
+            return ConcretePath(tuple(steps)), status, consumed
+    return ConcretePath(tuple(steps)), "step-limit", consumed
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +132,15 @@ def reference_step(aut: ArtifactAutomaton, frontier, edge, state_after) -> tuple
             if t.target in aut.finals:
                 entries.add(FinalEntry(t, t.target))
     return frozenset(succ), frozenset(entries)
+
+
+def reference_start(aut: ArtifactAutomaton, state) -> tuple:
+    """The frontier and final entries of the empty prefix: the initial state
+    when its invariant holds on ``state``, entered if it is final."""
+    if not reference_evaluate(aut.invariants.get(aut.initial, TRUE), state):
+        return frozenset(), frozenset()
+    entries = {FinalEntry(None, aut.initial)} if aut.initial in aut.finals else set()
+    return frozenset({aut.initial}), frozenset(entries)
 
 
 def all_runs(aut: ArtifactAutomaton, path: ConcretePath) -> list:

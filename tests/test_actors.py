@@ -58,6 +58,7 @@ from reference import (
     brute_force_oracle,
     naive_match_path,
     project_residual_path,
+    reference_exec,
     replay_path,
     residual_prefixes,
     residual_program_path,
@@ -474,6 +475,29 @@ class TestExecTest:
         for program, inputs in ((p, (3,)), (p_prime, (2,))):
             report = exec_test(program, inputs)
             assert replay_path(program, report.trace)
+
+    def test_10_generated_runs_agree_with_reference(self):
+        """400 generated programs, some with one edge of an assume pair
+        dropped so that a guard can block, run on up to three inputs and
+        sometimes cut at a few steps: trace, status, consumed inputs and the
+        property's verdict equal the reference run's, and every status
+        occurs."""
+        rng = random.Random(2026)
+        statuses = set()
+        for _ in range(400):
+            program = generators.random_program(rng)
+            if rng.random() < 0.5:
+                program = generators.drop_assumes(rng, program)
+            prop = generators.random_property(rng, program)
+            inputs = generators.random_inputs(rng)
+            max_steps = rng.choice((4, 200))
+            report = exec_test(program, inputs, prop, max_steps)
+            trace, status, consumed = reference_exec(program, inputs, max_steps)
+            assert (report.trace, report.status, report.consumed) == (trace, status, consumed)
+            assert report.violation_observed == naive_match_path(prop, trace).accepted
+            statuses.add(status)
+        assert statuses == {STATUS_COMPLETED, STATUS_NO_INPUT, STATUS_BLOCKED_ASSUME,
+                            STATUS_STEP_LIMIT}
 
 
 class TestGenerateTests:

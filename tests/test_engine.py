@@ -14,6 +14,7 @@ import generators
 import reference
 from coopverify import automata as automata_module
 from coopverify import lang as lang_module
+from coopverify import product as product_module
 from coopverify.actors import (Result, conditional_verify, generate_tests, validate_result,
                                verify)
 from coopverify.automata import FinalEntry, match_path, parse_automaton, serialize_automaton
@@ -38,6 +39,8 @@ from reference import (
     all_runs,
     brute_force_oracle,
     naive_match_path,
+    reference_start,
+    reference_step,
 )
 
 CFG4 = corpus.CFG4
@@ -594,6 +597,153 @@ int e = 1;
         ((a, b),) = ends
         assert a.length == b.length == 3004
         assert all(a.steps[k] is b.steps[k] for k in range(len(a.steps)))
+
+
+class TestStepMemo:
+    """The explorer takes a step that reads no variable, over a frontier of
+    states that all have an otherwise transition, once per (automaton,
+    frontier, edge) and exploration, and looks it up after that."""
+
+    @pytest.fixture
+    def stepped(self, monkeypatch):
+        """The automata passed to ``step_frontier`` through the explorer's
+        binding, one entry per call."""
+        seen = []
+        real = product_module.step_frontier
+
+        def counting(aut, frontier, edge, state_after):
+            seen.append(aut)
+            return real(aut, frontier, edge, state_after)
+
+        monkeypatch.setattr(product_module, "step_frontier", counting)
+        return seen
+
+    @staticmethod
+    def _reference(automata, path, folds: dict) -> tuple:
+        """Each automaton's (frontier, final entries) after ``path``:
+        ``reference_step`` folded over it from the initial frontier.
+        ``folds`` keeps the fold after every step object seen, so the fold
+        resumes after the longest such prefix of the path."""
+        steps = path.steps
+        k = len(steps) - 1
+        while k >= 0 and folds.get(id(steps[k]), (None,))[0] is not steps[k]:
+            k -= 1
+        if k < 0:
+            configs = tuple(reference_start(a, steps[0].state) for a in automata)
+            folds[id(steps[0])] = (steps[0], configs)
+            k = 0
+        configs = folds[id(steps[k])][1]
+        for step in steps[k + 1:]:
+            advanced = []
+            for a, (fr, en) in zip(automata, configs):
+                fr, new = reference_step(a, fr, step.incoming, step.state)
+                advanced.append((fr, en | new))
+            configs = tuple(advanced)
+            folds[id(step)] = (step, configs)
+        return configs
+
+    def test_01_every_visit_agrees_with_reference_steps(self, stepped):
+        """300 products of a property with each other kind of automaton, and
+        one of all seven per ten programs, on generated programs: at every
+        visit, each frontier and final-entry set is the reference fold over
+        the visit's path."""
+        rng = random.Random(2020)
+        config = AnalysisConfig(Interval(-1, 1), 40)
+        products = steps = 0
+        for n in range(50):
+            program = generators.random_program(rng)
+            prop = generators.random_property(rng, program)
+            others = (generators.random_property(rng, program, holds=True),
+                      generators.random_test_goal(rng, program),
+                      build_test_case_automaton(generators.random_inputs(rng)),
+                      generators.random_condition(rng, program, rich=n % 2 == 0),
+                      generators.random_correctness_witness(rng, program),
+                      generators.random_violation_witness(rng, program))
+            combos = [(prop, other) for other in others]
+            if n % 10 == 0:
+                combos.append((prop, *others))
+            for automata in combos:
+                folds: dict = {}
+
+                def visit(v, automata=automata, folds=folds):
+                    nonlocal steps
+                    if not v.truncated:
+                        steps += len(v.successors) * len(automata)
+                    configs = self._reference(automata, v.path, folds)
+                    assert v.frontiers == tuple(fr for fr, _ in configs)
+                    assert v.final_entries == tuple(en for _, en in configs)
+                    return VisitAction.CONTINUE
+
+                run_product(program, automata, config, visit)
+                products += 1
+        assert products >= 300
+        # the memo served some steps, and reading steps were still taken
+        assert 0 < len(stepped) < steps
+
+    COUNT_TO = "int n = input();\nint i = 0;\nwhile (i < n) {\n  i++;\n}\n"
+    ROUNDS = AnalysisConfig(Interval(300, 300), 1000)
+
+    def test_02_read_free_steps_are_taken_once(self, stepped):
+        """Counting to 300 makes 603 steps: the input, i = 0, 300 loop
+        entries, 300 increments and the exit.  The property reads i on every
+        increment and nothing on the other edges, so the explorer calls
+        ``step_frontier`` once per increment and once per other edge."""
+        program = parse_program(self.COUNT_TO)
+        prop = parse_automaton(
+            "automaton never kind=property\nstate q0 init\nstate qe final\n"
+            'trans q0 -> qe on (*, "i++", *) assume i > 1000\ntrans q0 -> q0 otherwise\n')
+        visits = []
+        run_product(program, (prop,), self.ROUNDS,
+                    lambda v: visits.append(v) or VisitAction.CONTINUE)
+        assert len(visits) - 1 == 603
+        assert len(program.edges) == 5
+        assert len(stepped) == 300 + 4
+
+    def test_03_path_witness_is_stepped_once_per_step(self, stepped):
+        """A path violation witness has no otherwise transition, so the memo
+        never stores its steps: checking the 603-step witness of the count
+        to 300 steps it once per explored step, while the property, which
+        reads nothing, is stepped once per edge."""
+        program = parse_program(self.COUNT_TO)
+        prop = parse_automaton(_edge_property("!(i < n)"))
+        witness = verify(program, prop, self.ROUNDS).witness
+        assert witness.kind is automata_module.AutomatonKind.VIOLATION_WITNESS
+        assert len(witness.transitions) == 603
+        stepped.clear()
+        judgment = check_violation_witness(program, prop, witness, self.ROUNDS)
+        assert judgment.verdict is Verdict.HOLDS
+        assert judgment.evidence.length == 603
+        assert stepped.count(witness) == 603
+        assert stepped.count(prop) == len(program.edges)
+
+    def test_04_otherwise_into_an_invariant_is_taken_every_time(self, stepped):
+        """From ``int a = 0`` on, the witness loops in s1 through otherwise,
+        and s1's invariant reads a: the step over ``a = x`` leaves s1 for
+        x = -1 and keeps it for x = 0 and 1, from the same frontier over the
+        same edge, so it is taken anew each time and never looked up."""
+        program = parse_program("int x = input();\nint a = 0;\na = x;\nint e = 1;\n")
+        witness = parse_automaton(
+            "automaton cw kind=correctness-witness\nstate s0 init\nstate s1 inv: a >= 0\n"
+            'trans s0 -> s1 on (1, "int a = 0", 2)\ntrans s0 -> s0 otherwise\n'
+            "trans s1 -> s1 otherwise\n")
+        automata = (parse_automaton(_edge_property("int e = 1")), witness)
+        folds: dict = {}
+        frontiers = []
+
+        def visit(v):
+            configs = self._reference(automata, v.path, folds)
+            assert (v.frontiers, v.final_entries) == (tuple(fr for fr, _ in configs),
+                                                       tuple(en for _, en in configs))
+            frontiers.append((v.location, v.frontiers[1]))
+            return VisitAction.CONTINUE
+
+        run_product(program, automata, AnalysisConfig(Interval(-1, 1), 10), visit)
+        assert frontiers.count((3, frozenset())) == 1
+        assert frontiers.count((3, frozenset({"s1"}))) == 2
+        # the input once; each step into or within s1, one per input value
+        # (three over a = 0 and over a = x, two over e = 1); the empty
+        # frontier's step once
+        assert stepped.count(witness) == 1 + 3 + 3 + 2 + 1
 
 
 class TestDeadVariables:
