@@ -33,11 +33,13 @@ from .engine import (
     CONTINUE,
     DEFAULT_CONFIG,
     DEFAULT_MAX_STEPS,
+    STOP,
     AnalysisConfig,
     Judgment,
     ProductVisit,
     Verdict,
     VisitAction,
+    _goal_entries,
     _property_accepts,
     _search,
     _uncovered_or_accepted,
@@ -569,25 +571,31 @@ def generate_tests(program: ControlFlowAutomaton, goals: ArtifactAutomaton,
                    config: AnalysisConfig = DEFAULT_CONFIG) -> TestSuite:
     """Greedy goal-directed test generation.
 
-    Explores all complete paths, records the input sequence and reached
-    goals of every path the goal automaton accepts, and keeps a test exactly
-    when it reaches a goal no earlier test reached.  Every kept test passes
-    check_test_covers by construction.
+    Explores the complete paths in the explorer's order and keeps the input
+    sequence and reached goals of a path the goal automaton accepts exactly
+    when it reaches a goal no earlier kept test reached.  Every kept test
+    passes check_test_covers by construction.
+
+    The search stops once every goal entry the automaton can record
+    (:func:`coopverify.engine._goal_entries`) is reached: a later path could
+    only repeat reached goals, so it would not be kept, and the suite is
+    that of the full search.  With no goal entry at all the suite is empty
+    and nothing is searched.
     """
     require_valid_kind(goals, AutomatonKind.TEST_GOAL, program, config)
-    candidates: list = []
-
-    def visit(v: ProductVisit) -> VisitAction:
-        if not v.successors and v.final_entries[0]:
-            candidates.append((v.path.inputs(), frozenset(v.final_entries[0])))
-        return CONTINUE
-
-    run_product(program, (goals,), config, visit)
+    entries = _goal_entries(goals)
     covered: set = set()
     kept: list = []
-    for inputs, reached in candidates:
-        new = reached - covered
-        if new:
+
+    def visit(v: ProductVisit) -> VisitAction:
+        reached = v.final_entries[0]
+        if reached and not v.successors and not reached <= covered:
             covered.update(reached)
-            kept.append(TestRecord(inputs, "generate_tests", reached))
+            kept.append(TestRecord(v.path.inputs(), "generate_tests", reached))
+            if covered >= entries:
+                return STOP
+        return CONTINUE
+
+    if entries:
+        run_product(program, (goals,), config, visit)
     return TestSuite(tuple(kept))

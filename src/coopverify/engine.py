@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .automata import ArtifactAutomaton, AutomatonKind
+from .automata import ArtifactAutomaton, AutomatonKind, FinalEntry
 from .errors import InvalidArtifact
 from .kinds import build_test_case_automaton, validate_kind
 from .lang import ConcretePath, ControlFlowAutomaton
@@ -218,6 +218,17 @@ def check_condition_correct(program: ControlFlowAutomaton, prop: ArtifactAutomat
                    prune=_automaton_1_cannot_accept)
 
 
+def _goal_entries(goals: ArtifactAutomaton) -> frozenset:
+    """Every final entry the goal automaton can record: one per transition
+    into a final state, plus the initial state's when it is final (see
+    :func:`coopverify.automata.step_frontier` and ``initial_frontier``).
+    A search that has reached all of them can reach no further goal."""
+    entries = {FinalEntry(t, t.target) for t in goals.transitions if t.target in goals.finals}
+    if goals.initial in goals.finals:
+        entries.add(FinalEntry(None, goals.initial))
+    return frozenset(entries)
+
+
 def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],
                       goals: ArtifactAutomaton,
                       config: AnalysisConfig = DEFAULT_CONFIG) -> tuple:
@@ -227,10 +238,17 @@ def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],
     built from ``test`` while the goal automaton accepts it.  Returns the
     judgment together with every goal reached on covered paths (a goal being
     a final state plus the transition entering it).
+
+    The search stops once it holds its evidence and has reached every goal
+    entry the automaton can record (:func:`_goal_entries`): no later path
+    can add a goal, and the existential verdict holds, exhausted, whatever
+    else was truncated, so both results are those of the full search.  With
+    no goal entry at all no path reaches a goal, and nothing is searched.
     """
     require_valid_kind(goals, AutomatonKind.TEST_GOAL, program, config)
     test_case = build_test_case_automaton(test)
-    if not goals.finals:
+    entries = _goal_entries(goals)
+    if not entries:
         return _verdict(config, universal=False), frozenset()
     found: list = []
     covered: set = set()
@@ -242,6 +260,8 @@ def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],
             if not found:
                 found.append(v.path)
             covered.update(v.final_entries[0])
+            if covered >= entries:
+                return STOP
         return CONTINUE
 
     truncated = run_product(program, (goals, test_case), config, visit)

@@ -293,7 +293,10 @@ class PathStep(NamedTuple):
 
     A named tuple, not a frozen dataclass: the product explorer builds one
     per pushed successor, and a named tuple takes about half the time to
-    build (CPython 3.11)."""
+    build (CPython 3.11).  The explorer builds it with
+    ``tuple.__new__(PathStep, (state, location, incoming))``, which skips
+    the Python-level ``__new__`` that the named tuple's constructor runs;
+    the step is the same."""
 
     state: ConcreteDataState
     location: int

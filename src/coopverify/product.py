@@ -33,6 +33,14 @@ Variables Analysis", SAS 1999):
   transition reads its assumption and its target's invariant on the
   post-state of the edge, so the edge's own writes are never read by it.
 
+A key is ``(location, part id, values of the key's names)``.  The part id
+numbers the distinct (frontiers, final entries) pairs of one exploration in
+the order they are first keyed, so two keys share it exactly when their
+frontiers and final entries are equal, and a key holds one small int for
+its automaton part however many automata there are.  At a location where
+automaton states widen the names, the names are a function of the location
+and the frontiers, so equal keys still name the same variables.
+
 A skipped prefix agrees with its representative on the location, the
 frontiers, the final entries and every variable that the program, the
 property, or another automaton from its current states can read before the
@@ -252,21 +260,23 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     each at the smallest depth at which the depth-first order reaches it
     (see the module docstring), in deterministic order (per program
     location: edge order, input values ascending).  A configuration is
-    keyed on its location, frontiers, final entries and the values of the
-    variables live there: those the program may still read, those the
-    first of ``automata`` reads anywhere, and those each later one may read
-    from its frontier's states before they are overwritten (see the module
-    docstring).  A prefix whose key was already explored at no greater
-    depth is skipped without a visit.  Only configurations at the program's
-    ``meeting_locations`` are recorded, which keeps the record small where
-    prefixes never meet.  The visitor steers: PRUNE abandons the
-    configuration's extensions, STOP abandons the whole exploration.  A
-    skipped prefix is taken to steer as the key's earlier visit did, so a
-    visitor's answer must depend on the key alone; the visit itself still
-    carries the whole data state.  A step of an automaton that reads no
-    variable is taken once per (automaton, frontier, edge) and then looked
-    up (see the module docstring).  Returns whether any configuration was
-    truncated by the step bound.
+    keyed on its location, the id of its (frontiers, final entries) pair in
+    this exploration, and the values of the variables live there: those the
+    program may still read, those the first of ``automata`` reads anywhere,
+    and those each later one may read from its frontier's states before
+    they are overwritten (see the module docstring).  A prefix whose key
+    was already explored at no greater depth is skipped without a visit.
+    Only configurations at the program's ``meeting_locations`` are
+    recorded, which keeps the record small where prefixes never meet.  The
+    visitor steers: PRUNE abandons the configuration's extensions, STOP
+    abandons the whole exploration.  A skipped prefix is taken to steer as
+    the key's earlier visit did, so a visitor's answer must depend on the
+    key alone; the visit itself still carries the whole data state.  A step
+    of an automaton that reads no variable is taken once per (automaton,
+    frontier, edge) and then looked up (see the module docstring).  Each
+    pushed ``PathStep`` is built through ``tuple.__new__`` (see
+    :class:`coopverify.lang.PathStep`).  Returns whether any configuration
+    was truncated by the step bound.
     """
     kept = program.observable_at(automata[0].reads if automata else frozenset())
     liveness = [(i, _pair_liveness(program, a)) for i, a in enumerate(automata) if i]
@@ -277,7 +287,7 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
                if location in kept and not names.issubset(kept[location])}
     names_at: dict = {}  # (location, frontiers) -> key names at a widened location
     explored_at: dict = {}  # configuration key at a meeting location -> depth
-    interned: dict = {}  # frontier and final-entry sets stored in keys
+    part_ids: dict = {}  # (frontiers, final entries) -> its id in keys
     pairs = [initial_frontier(a, EMPTY_STATE) for a in automata]
     # per automaton: its index and the states with an otherwise transition,
     # none for a path-shaped one, which is never memoized
@@ -301,11 +311,9 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
                     extended = names_at[at] = _with_pair_liveness(names, location, frontiers,
                                                                   liveness)
                 names = extended
-            # flat, each set interned: a frontier that many configurations
-            # share is stored once
-            key = (location, *state.project(names),
-                   *map(interned.setdefault, frontiers, frontiers),
-                   *map(interned.setdefault, entries, entries))
+            # one id per distinct (frontiers, final entries) pair
+            part = part_ids.setdefault((frontiers, entries), len(part_ids))
+            key = (location, part, *map(state._bindings.get, names))
             if explored_at.get(key, depth + 1) <= depth:
                 continue  # explored already, no farther from the step bound
             explored_at[key] = depth
@@ -342,6 +350,6 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
                     fr, new = step_frontier(a, fr, edge, post)
                 next_frontiers.append(fr)
                 next_entries.append(en | new if new else en)
-            stack.append((depth + 1, PathStep(post, edge.target, edge),
+            stack.append((depth + 1, tuple.__new__(PathStep, (post, edge.target, edge)),
                           tuple(next_frontiers), tuple(next_entries)))
     return saw_truncation

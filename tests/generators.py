@@ -22,8 +22,10 @@ from coopverify.automata import (
 )
 from coopverify.lang import (
     Assume,
+    CFAEdge,
     ControlFlowAutomaton,
     InputOp,
+    assume_op,
     definitely_assigned,
     enumerate_paths,
     make_cfa,
@@ -177,6 +179,23 @@ def drop_assumes(rng: random.Random, program: ControlFlowAutomaton) -> ControlFl
     """The program with each assume edge dropped with probability one half,
     so that a guard whose complement is gone can block a run."""
     edges = [e for e in program.edges if not (isinstance(e.op, Assume) and rng.random() < 0.5)]
+    return make_cfa(program.locations, program.initial, edges, program.variables)
+
+
+def add_choices(rng: random.Random, program: ControlFlowAutomaton) -> ControlFlowAutomaton:
+    """The program with, beside each assume edge with probability one half,
+    an ``assume true`` edge to the target of a sibling assume edge, so that
+    a run may take either branch where the guard holds: one input sequence
+    can then run along several complete paths."""
+    edges = list(program.edges)
+    for edge in program.edges:
+        if isinstance(edge.op, Assume) and rng.random() < 0.5:
+            targets = sorted({e.target for e in program.edges_from(edge.source)
+                              if isinstance(e.op, Assume) and e.target != edge.target})
+            if targets:
+                choice = CFAEdge(edge.source, assume_op(TRUE), rng.choice(targets))
+                if choice not in edges:
+                    edges.append(choice)
     return make_cfa(program.locations, program.initial, edges, program.variables)
 
 

@@ -22,6 +22,7 @@ from coopverify import (
     Result,
     Verdict,
     accepts,
+    build_test_case_automaton,
     check_condition_correct,
     check_correctness_witness,
     check_fulfills,
@@ -558,6 +559,181 @@ class TestGenerateTests:
                 assert verdict.verdict is Verdict.HOLDS
                 assert entries == record.goals
                 assert record.goals
+
+
+class TestGoalSearchStop:
+    """generate_tests and check_test_covers stop once every goal entry the
+    goal automaton can record is reached; their results must be those of a
+    search that explores everything."""
+
+    UNENTERED = ("automaton unentered kind=test-goal\nstate q0 init\nstate qf final\n"
+                 "trans q0 -> q0 otherwise\n")
+
+    @staticmethod
+    def _full_suite(program, goals, config) -> tuple:
+        """The greedy suite of a search that never stops, as (inputs, goals)
+        pairs, and its number of visits: every accepted complete path in the
+        explorer's order, kept when it reaches a goal no earlier kept path
+        reached."""
+        candidates = []
+        visits = []
+
+        def visit(v):
+            visits.append(v.depth)
+            if not v.successors and v.final_entries[0]:
+                candidates.append((v.path.inputs(), v.final_entries[0]))
+            return engine_module.CONTINUE
+
+        engine_module.run_product(program, (goals,), config, visit)
+        covered = set()
+        kept = []
+        for inputs, reached in candidates:
+            if reached - covered:
+                covered |= reached
+                kept.append((inputs, reached))
+        return kept, len(visits)
+
+    @staticmethod
+    def _full_covers(program, test, goals, config) -> tuple:
+        """(verdict, evidence, exhausted), the goals reached, the goals
+        reached by the evidence path alone, and the number of visits of a
+        coverage search that prunes uncovered prefixes and never stops."""
+        found = []
+        covered = set()
+        visits = []
+
+        def visit(v):
+            visits.append(v.depth)
+            if not v.frontiers[1]:
+                return engine_module.PRUNE
+            if not v.successors and v.final_entries[0]:
+                if not found:
+                    found.append((v.path, v.final_entries[0]))
+                covered.update(v.final_entries[0])
+            return engine_module.CONTINUE
+
+        case = build_test_case_automaton(test)
+        truncated = engine_module.run_product(program, (goals, case), config, visit)
+        first = frozenset()
+        if found:
+            outcome = (Verdict.HOLDS, found[0][0], True)
+            first = found[0][1]
+        elif truncated:
+            outcome = (Verdict.UNKNOWN, None, False)
+        else:
+            outcome = (Verdict.VIOLATED, None, True)
+        return outcome, frozenset(covered), first, len(visits)
+
+    @staticmethod
+    def _count_visits(monkeypatch) -> list:
+        """Record the depth of every visit of the explorer, through the
+        binding in ``actors`` and in ``engine``."""
+        visits = []
+        original = engine_module.run_product
+
+        def counting(program, automata, config, visit):
+            def counted(v):
+                visits.append(v.depth)
+                return visit(v)
+            return original(program, automata, config, counted)
+
+        for module in (actors_module, engine_module):
+            monkeypatch.setattr(module, "run_product", counting)
+        return visits
+
+    def test_01_results_equal_a_full_search(self, monkeypatch):
+        """300 generated (program, goals) pairs at step bounds that truncate
+        (3, 5, 8) and one that does not (60); two programs in three may take
+        either branch at some assumes, so one test can run along several
+        complete paths.  Each suite equals the full search's, test for test
+        and in order; each coverage check, of a random test and of every
+        generated one, equals the full search's judgment and goals.  The
+        draws must exercise the stop: it must cut visits in both functions,
+        many suites must hold two tests, and some coverage checks must reach
+        goals beyond their evidence path, so a search that stopped at its
+        first kept test or its first evidence would fail."""
+        rng = random.Random(2110)
+        visits = self._count_visits(monkeypatch)
+        cut_suites = cut_covers = two_tests = later_goals = 0
+        for n in range(300):
+            if n % 3 == 0:
+                program = generators.random_dead_copy_program(rng)
+            else:
+                program = generators.add_choices(rng, generators.random_program(rng))
+            goals = generators.random_test_goal(rng, program)
+            inputs = generators.random_inputs(rng)
+            for steps in (3, 5, 8, 60):
+                config = AnalysisConfig(Interval(-2, 2), steps)
+                expected, full_visits = self._full_suite(program, goals, config)
+                tests = [sequence for sequence, _ in expected]
+                visits.clear()
+                if len(set(tests)) < len(tests):
+                    # two paths of one input sequence kept: a suite refuses them
+                    with pytest.raises(ValueError):
+                        generate_tests(program, goals, config)
+                    continue
+                suite = generate_tests(program, goals, config)
+                assert [(t.inputs, t.goals) for t in suite.tests] == expected
+                assert len(visits) <= full_visits
+                cut_suites += len(visits) < full_visits
+                two_tests += len(expected) >= 2
+                for test in [inputs] + tests:
+                    outcome, covered, first, full_visits = self._full_covers(
+                        program, test, goals, config)
+                    visits.clear()
+                    judgment, entries = check_test_covers(program, test, goals, config)
+                    assert (judgment.verdict, judgment.evidence, judgment.exhausted) == outcome
+                    assert entries == covered
+                    assert len(visits) <= full_visits
+                    cut_covers += len(visits) < full_visits
+                    later_goals += covered != first
+        assert cut_suites >= 250
+        assert cut_covers >= 250
+        assert two_tests >= 100
+        assert later_goals >= 10
+
+    def test_02_sample_search_stops_at_its_only_goal(self, monkeypatch):
+        """samples/p.imp with samples/goals.aut over [-48, 48]: the one goal
+        is reached at x = 1, after 204 visits; the full search makes 3,917
+        and keeps the same one test."""
+        p, goals = corpus.program_p(), corpus.goals()
+        config = AnalysisConfig(Interval(-48, 48), 500)
+        expected, full_visits = self._full_suite(p, goals, config)
+        visits = self._count_visits(monkeypatch)
+        suite = generate_tests(p, goals, config)
+        assert len(visits) == 204
+        assert full_visits == 3917
+        assert suite.input_sequences() == [(1,)]
+        assert {entry.state for entry in suite.covered_goals()} == {"qf"}
+        assert [(t.inputs, t.goals) for t in suite.tests] == expected
+
+    def test_03_goals_without_entries_are_not_searched(self, p, monkeypatch):
+        """A final state that no transition enters, and an initial state that
+        is not final, give no goal to reach: the suite is empty and the
+        coverage check is violated, exhausted even where the step bound
+        would truncate, without an exploration."""
+        goals = parse_automaton(self.UNENTERED)
+        visits = self._count_visits(monkeypatch)
+        tight = AnalysisConfig(Interval(-4, 4), 2)
+        assert generate_tests(p, goals, tight).tests == ()
+        judgment, covered = check_test_covers(p, (1,), goals, tight)
+        assert (judgment.verdict, judgment.exhausted, covered) == (Verdict.VIOLATED, True,
+                                                                   frozenset())
+        assert visits == []
+
+    def test_04_final_initial_state_is_a_goal(self, p, monkeypatch):
+        """An initial state that is final records its entry on the empty
+        prefix; it is the only goal, so the first accepted complete path
+        reaches every goal and the search stops there."""
+        goals = parse_automaton("automaton at_start kind=test-goal\nstate q0 init final\n"
+                                "state q1\ntrans q0 -> q1 on (*, *, *)\n"
+                                "trans q1 -> q1 otherwise\n")
+        expected, full_visits = self._full_suite(p, goals, CFG2)
+        visits = self._count_visits(monkeypatch)
+        suite = generate_tests(p, goals, CFG2)
+        assert [(t.inputs, t.goals) for t in suite.tests] == expected
+        assert [entry.transition for entry in suite.covered_goals()] == [None]
+        assert len(visits) < full_visits
 
 
 class TestCooperation:

@@ -752,12 +752,16 @@ class TestDeadVariables:
 
     def test_01_judgments_agree_with_oracle(self):
         """Up to five inputs per path: three values keep the oracle's
-        enumeration small."""
+        enumeration small.  The first 300 draws take a default property,
+        which most programs violate; the 300 after them take a holding one,
+        so the keys are checked on holding verdicts and their correctness
+        witnesses too."""
         rng = random.Random(1999)
         dead_everywhere = 0
-        for _ in range(300):
+        holding = 0
+        for holds in [False] * 300 + [True] * 300:
             program = generators.random_dead_copy_program(rng)
-            prop = generators.random_property(rng, program)
+            prop = generators.random_property(rng, program, holds=holds)
             goals = generators.random_test_goal(rng, program)
             vw = generators.random_violation_witness(rng, program)
             cw = generators.random_correctness_witness(rng, program)
@@ -782,6 +786,7 @@ class TestDeadVariables:
             judgment, _ = check_test_covers(program, inputs, goals, CFG1)
             assert (judgment.verdict is Verdict.HOLDS) == bool(joint)
 
+            holding += not bad
             bundle = verify(program, prop, CFG1)
             assert bundle.result is (Result.FALSE if bad else Result.TRUE)
             if bad:
@@ -797,6 +802,7 @@ class TestDeadVariables:
                 assert brute_force_oracle(program, [goals, build_test_case_automaton(test.inputs)],
                                           ["accept", "cover"], CFG1)
         assert dead_everywhere >= 100
+        assert holding >= 300
 
 
 class TestVerdictRule:
