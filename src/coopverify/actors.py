@@ -30,22 +30,17 @@ from .automata import (
     match_path,
 )
 from .engine import (
-    CONTINUE,
     DEFAULT_CONFIG,
     DEFAULT_MAX_STEPS,
-    STOP,
     AnalysisConfig,
     Judgment,
-    ProductVisit,
     Verdict,
-    VisitAction,
-    _goal_entries,
+    _goal_search,
     _property_accepts,
     _search,
     _uncovered_or_accepted,
     check_violation_witness,
     require_valid_kind,
-    run_product,
 )
 from .errors import InvalidArtifact, NoViolatingPath
 from .lang import (
@@ -571,31 +566,14 @@ def generate_tests(program: ControlFlowAutomaton, goals: ArtifactAutomaton,
                    config: AnalysisConfig = DEFAULT_CONFIG) -> TestSuite:
     """Greedy goal-directed test generation.
 
-    Explores the complete paths in the explorer's order and keeps the input
-    sequence and reached goals of a path the goal automaton accepts exactly
-    when it reaches a goal no earlier kept test reached.  Every kept test
-    passes check_test_covers by construction.
-
-    The search stops once every goal entry the automaton can record
-    (:func:`coopverify.engine._goal_entries`) is reached: a later path could
-    only repeat reached goals, so it would not be kept, and the suite is
-    that of the full search.  With no goal entry at all the suite is empty
-    and nothing is searched.
+    One test per record of the goal search
+    (:func:`coopverify.engine._goal_search`): the input sequence of the
+    paths it kept, each reaching a goal no earlier kept path reached, with
+    the goals of every kept path that sequence runs along.  Every test
+    passes :func:`coopverify.engine.check_test_covers` by construction,
+    which runs the same search along the test's own paths.
     """
     require_valid_kind(goals, AutomatonKind.TEST_GOAL, program, config)
-    entries = _goal_entries(goals)
-    covered: set = set()
-    kept: list = []
-
-    def visit(v: ProductVisit) -> VisitAction:
-        reached = v.final_entries[0]
-        if reached and not v.successors and not reached <= covered:
-            covered.update(reached)
-            kept.append(TestRecord(v.path.inputs(), "generate_tests", reached))
-            if covered >= entries:
-                return STOP
-        return CONTINUE
-
-    if entries:
-        run_product(program, (goals,), config, visit)
-    return TestSuite(tuple(kept))
+    records, _ = _goal_search(program, (goals,), config)
+    return TestSuite(tuple(TestRecord(inputs, "generate_tests", reached)
+                           for inputs, (_, reached) in records.items()))

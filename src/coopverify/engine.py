@@ -14,7 +14,9 @@ and makes an existential one ("some path must") hold:
 * ``check_condition_correct`` - no path may be accepted by condition and
   property together;
 * ``check_test_covers`` - some complete path must be covered by the
-  test-case automaton while reaching a test goal.
+  test-case automaton while reaching a test goal; its search is the goal
+  search that test generation runs too (:func:`_goal_search`), which goes
+  on past the first hit to collect every goal the test reaches.
 
 The witness and condition checks prune a prefix once automaton 1 can no
 longer accept (empty frontier, no final state entered), the test check once
@@ -229,6 +231,52 @@ def _goal_entries(goals: ArtifactAutomaton) -> frozenset:
     return frozenset(entries)
 
 
+def _goal_search(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton],
+                 config: AnalysisConfig) -> tuple:
+    """The one test-goal search, shared by test generation
+    (:func:`coopverify.actors.generate_tests`) and :func:`check_test_covers`.
+
+    Explores the complete paths that automaton 0, the goal automaton,
+    accepts, in the explorer's order, and prunes every prefix that a second
+    automaton, the test case where one is given, no longer covers.  A path
+    is kept when it reaches a goal entry no earlier kept path reached; one
+    whose input sequence an earlier kept path has adds its goals to that
+    record, so there is one record per input sequence.
+
+    The search stops once every goal entry the automaton can record
+    (:func:`_goal_entries`) is reached: a later path could only repeat
+    reached goals and would not be kept, so the records are those of the
+    full search.  With no goal entry at all nothing is searched.
+
+    Returns the records, a dict from each input sequence to the first path
+    kept with it and the goals of all of them, in first-kept order, and
+    whether any prefix was truncated.
+    """
+    entries = _goal_entries(automata[0])
+    if not entries:
+        return {}, False
+    covering = len(automata) > 1
+    covered: set = set()
+    records: dict = {}
+
+    def visit(v: ProductVisit) -> VisitAction:
+        if covering and not v.frontiers[1]:
+            return PRUNE
+        reached = v.final_entries[0]
+        if reached and not v.successors and not reached <= covered:
+            covered.update(reached)
+            path = v.path
+            inputs = path.inputs()
+            first, earlier = records.get(inputs, (path, frozenset()))
+            records[inputs] = (first, earlier | reached)
+            if covered >= entries:
+                return STOP
+        return CONTINUE
+
+    truncated = run_product(program, automata, config, visit)
+    return records, truncated
+
+
 def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],
                       goals: ArtifactAutomaton,
                       config: AnalysisConfig = DEFAULT_CONFIG) -> tuple:
@@ -237,33 +285,13 @@ def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],
     Some complete program path must be covered by the test-case automaton
     built from ``test`` while the goal automaton accepts it.  Returns the
     judgment together with every goal reached on covered paths (a goal being
-    a final state plus the transition entering it).
-
-    The search stops once it holds its evidence and has reached every goal
-    entry the automaton can record (:func:`_goal_entries`): no later path
-    can add a goal, and the existential verdict holds, exhausted, whatever
-    else was truncated, so both results are those of the full search.  With
-    no goal entry at all no path reaches a goal, and nothing is searched.
+    a final state plus the transition entering it).  Both come from
+    :func:`_goal_search`, the search test generation runs, here with the
+    test case as its second automaton: the evidence is the first kept path,
+    the goals are those of every record.
     """
     require_valid_kind(goals, AutomatonKind.TEST_GOAL, program, config)
-    test_case = build_test_case_automaton(test)
-    entries = _goal_entries(goals)
-    if not entries:
-        return _verdict(config, universal=False), frozenset()
-    found: list = []
-    covered: set = set()
-
-    def visit(v: ProductVisit) -> VisitAction:
-        if not v.frontiers[1]:
-            return PRUNE
-        if not v.successors and v.final_entries[0]:
-            if not found:
-                found.append(v.path)
-            covered.update(v.final_entries[0])
-            if covered >= entries:
-                return STOP
-        return CONTINUE
-
-    truncated = run_product(program, (goals, test_case), config, visit)
-    judgment = _verdict(config, found[0] if found else None, truncated, universal=False)
-    return judgment, frozenset(covered)
+    records, truncated = _goal_search(program, (goals, build_test_case_automaton(test)), config)
+    kept = list(records.values())
+    judgment = _verdict(config, kept[0][0] if kept else None, truncated, universal=False)
+    return judgment, frozenset().union(*(reached for _, reached in kept))

@@ -343,40 +343,15 @@ class ConcretePath:
         return " ".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# Strongest post
-
-BLOCKED = object()  # returned by strongest_post when an assume does not hold
-
-
-def strongest_post(state: ConcreteDataState, op: Operation,
-                   input_choice: Optional[int] = None):
-    """Apply one operation to a data state.
-
-    Returns the successor state, or ``BLOCKED`` for an unsatisfied assume.
-    ``input_choice`` supplies the nondeterministically read value and is
-    required exactly for input operations.
-    """
-    if isinstance(op, InputOp):
-        if input_choice is None:
-            raise ValueError("input operation needs an input_choice")
-        return state.bind(op.target, input_choice)
-    if input_choice is not None:
-        raise ValueError("input_choice given for a non-input operation")
-    if isinstance(op, Assignment):
-        return state.bind(op.target, eval_expr(op.expr, state))
-    if isinstance(op, Assume):
-        return state if evaluate(op.condition, state) else BLOCKED
-    raise TypeError(f"not an operation: {op!r}")
-
-
 def successors(cfa: ControlFlowAutomaton, state: ConcreteDataState, location: int,
                domain: Interval) -> list:
     """Enabled (edge, post-state) pairs, input values in ascending order.
 
-    Each edge's post-state is that of :func:`strongest_post`, with its
-    operation told apart once, by its type, and evaluated on the state's
-    bindings, so that every variable read is a dict read."""
+    An assume edge is enabled where its condition holds and keeps the
+    state, an assignment binds its target to the expression's value, and
+    an input edge is enabled once per domain value, bound to its target.
+    Each operation is told apart once, by its type, and evaluated on the
+    state's bindings, so that every variable read is a dict read."""
     result = []
     bindings = state._bindings
     for edge in cfa.edges_from(location):

@@ -3,7 +3,8 @@
 Each piece here decides by brute force what the library decides with the
 product explorer of ``coopverify.product`` and the automaton step of
 ``coopverify.automata``, and runs neither of them: paths come from plain
-enumeration (``coopverify.lang.enumerate_paths``), and automaton runs are
+enumeration (``coopverify.lang.enumerate_paths``) and are replayed one
+operation at a time by :func:`strongest_post`, and automaton runs are
 enumerated one by one with :func:`reference_taken`, which reads the step's
 contract off the ``coopverify.automata`` docstring and evaluates on the
 tree-walking ``corpus.reference_evaluate``.  A differential test would
@@ -14,28 +15,54 @@ confirm itself if its oracle ran on the engine, so
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from typing import Optional, Sequence
 
-from corpus import reference_evaluate
+from corpus import reference_eval_expr, reference_evaluate
 from coopverify.actors import reduce_with_origin
 from coopverify.automata import ArtifactAutomaton, AutomatonKind, FinalEntry, MatchVerdict
 from coopverify.engine import DEFAULT_CONFIG, AnalysisConfig
 from coopverify.errors import CoopVerifyError
 from coopverify.lang import (
-    BLOCKED,
     EMPTY_STATE,
+    Assignment,
+    Assume,
+    ConcreteDataState,
     ConcretePath,
     ControlFlowAutomaton,
     InputOp,
+    Operation,
     PathStep,
     enumerate_paths,
-    strongest_post,
 )
 from coopverify.predicates import TRUE
 
 
 # ---------------------------------------------------------------------------
 # Paths
+
+BLOCKED = object()  # returned by strongest_post when an assume does not hold
+
+
+def strongest_post(state: ConcreteDataState, op: Operation,
+                   input_choice: Optional[int] = None):
+    """Apply one operation to a data state, on the tree-walking evaluator.
+
+    Returns the successor state, or ``BLOCKED`` for an unsatisfied assume.
+    ``input_choice`` supplies the nondeterministically read value and is
+    required exactly for input operations.
+    """
+    if isinstance(op, InputOp):
+        if input_choice is None:
+            raise ValueError("input operation needs an input_choice")
+        return state.bind(op.target, input_choice)
+    if input_choice is not None:
+        raise ValueError("input_choice given for a non-input operation")
+    if isinstance(op, Assignment):
+        return state.bind(op.target, reference_eval_expr(op.expr, state))
+    if isinstance(op, Assume):
+        return state if reference_evaluate(op.condition, state) else BLOCKED
+    raise TypeError(f"not an operation: {op!r}")
+
 
 def replay_path(cfa: ControlFlowAutomaton, path: ConcretePath) -> bool:
     """Check that a path is a genuine execution of ``cfa`` step by step."""

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-import coopverify.actors as actors_module
 import coopverify.cli as cli_module
 import coopverify.engine as engine_module
 import coopverify.kinds as kinds_module
@@ -560,6 +559,30 @@ class TestGenerateTests:
                 assert entries == record.goals
                 assert record.goals
 
+    def test_08_suites_of_programs_with_choices_pass_their_coverage_check(self):
+        """300 programs that may take either branch at some assumes, so one
+        input sequence can run along several complete paths, at step bounds
+        3, 5, 8 and 60.  Each suite holds distinct input sequences, and each
+        test holds by check_test_covers with at least its own goals: that
+        check follows every path of the test, where the suite lists the
+        goals of its kept paths only, so it may report more."""
+        rng = random.Random(4242)
+        records = 0
+        for _ in range(300):
+            program = generators.add_choices(rng, generators.random_program(rng))
+            goals = generators.random_test_goal(rng, program)
+            for steps in (3, 5, 8, 60):
+                config = AnalysisConfig(Interval(-2, 2), steps)
+                suite = generate_tests(program, goals, config)
+                sequences = suite.input_sequences()
+                assert len(set(sequences)) == len(sequences)
+                for record in suite.tests:
+                    judgment, entries = check_test_covers(program, record.inputs, goals, config)
+                    assert judgment.verdict is Verdict.HOLDS
+                    assert record.goals <= entries
+                    records += 1
+        assert records >= 800
+
 
 class TestGoalSearchStop:
     """generate_tests and check_test_covers stop once every goal entry the
@@ -627,7 +650,7 @@ class TestGoalSearchStop:
     @staticmethod
     def _count_visits(monkeypatch) -> list:
         """Record the depth of every visit of the explorer, through the
-        binding in ``actors`` and in ``engine``."""
+        binding in ``engine``, which runs the goal search."""
         visits = []
         original = engine_module.run_product
 
@@ -637,8 +660,7 @@ class TestGoalSearchStop:
                 return visit(v)
             return original(program, automata, config, counted)
 
-        for module in (actors_module, engine_module):
-            monkeypatch.setattr(module, "run_product", counting)
+        monkeypatch.setattr(engine_module, "run_product", counting)
         return visits
 
     def test_01_results_equal_a_full_search(self, monkeypatch):
@@ -646,15 +668,18 @@ class TestGoalSearchStop:
         (3, 5, 8) and one that does not (60); two programs in three may take
         either branch at some assumes, so one test can run along several
         complete paths.  Each suite equals the full search's, test for test
-        and in order; each coverage check, of a random test and of every
-        generated one, equals the full search's judgment and goals.  The
-        draws must exercise the stop: it must cut visits in both functions,
-        many suites must hold two tests, and some coverage checks must reach
-        goals beyond their evidence path, so a search that stopped at its
-        first kept test or its first evidence would fail."""
+        and in order, once the full search's kept paths are grouped by input
+        sequence, their goals united, in first-kept order; each coverage
+        check, of a random test and of every generated one, equals the full
+        search's judgment and goals.  The draws must exercise the stop: it
+        must cut visits in both functions, many suites must hold two tests,
+        and some coverage checks must reach goals beyond their evidence
+        path, so a search that stopped at its first kept test or its first
+        evidence would fail.  Some draws must keep two paths of one input
+        sequence, which make one test."""
         rng = random.Random(2110)
         visits = self._count_visits(monkeypatch)
-        cut_suites = cut_covers = two_tests = later_goals = 0
+        cut_suites = cut_covers = two_tests = later_goals = merged = 0
         for n in range(300):
             if n % 3 == 0:
                 program = generators.random_dead_copy_program(rng)
@@ -665,15 +690,14 @@ class TestGoalSearchStop:
             for steps in (3, 5, 8, 60):
                 config = AnalysisConfig(Interval(-2, 2), steps)
                 expected, full_visits = self._full_suite(program, goals, config)
-                tests = [sequence for sequence, _ in expected]
+                grouped: dict = {}
+                for sequence, reached in expected:
+                    grouped[sequence] = grouped.get(sequence, frozenset()) | reached
+                tests = list(grouped)
+                merged += len(tests) < len(expected)
                 visits.clear()
-                if len(set(tests)) < len(tests):
-                    # two paths of one input sequence kept: a suite refuses them
-                    with pytest.raises(ValueError):
-                        generate_tests(program, goals, config)
-                    continue
                 suite = generate_tests(program, goals, config)
-                assert [(t.inputs, t.goals) for t in suite.tests] == expected
+                assert [(t.inputs, t.goals) for t in suite.tests] == list(grouped.items())
                 assert len(visits) <= full_visits
                 cut_suites += len(visits) < full_visits
                 two_tests += len(expected) >= 2
@@ -691,6 +715,7 @@ class TestGoalSearchStop:
         assert cut_covers >= 250
         assert two_tests >= 100
         assert later_goals >= 10
+        assert merged >= 5
 
     def test_02_sample_search_stops_at_its_only_goal(self, monkeypatch):
         """samples/p.imp with samples/goals.aut over [-48, 48]: the one goal
@@ -790,7 +815,7 @@ class TestOneExploration:
 
     @classmethod
     def _count_runs(cls, monkeypatch) -> list:
-        return cls._count(monkeypatch, "run_product", (engine_module, actors_module))
+        return cls._count(monkeypatch, "run_product", (engine_module,))
 
     def test_01_validating_an_equal_witness_explores_once(self, p, cfg4, monkeypatch):
         emitted = verify(p, corpus.prop(), cfg4).witness

@@ -265,6 +265,27 @@ class TestGenTestsCommand:
                 "--input-min", "-2", "--input-max", "2")
         assert parse_test_text((tmp_path / "test_000.test").read_text()) == (1,)
 
+    def test_03_one_test_per_input_sequence(self, capsys, tmp_path):
+        """Input 1 runs along both branches from location 1, and each branch
+        enters its own goal: the suite holds one test covering both."""
+        program = tmp_path / "choice.cfa"
+        program.write_text("cfa\ninit 0\nedge 0 -> 1: int x = input()\n"
+                           "edge 1 -> 2: x > 0\nedge 1 -> 2: true\n")
+        goals = tmp_path / "goals.aut"
+        goals.write_text("automaton two kind=test-goal\nstate q0 init\n"
+                         "state ga final\nstate gb final\n"
+                         'trans q0 -> ga on (1, "x > 0", 2)\n'
+                         'trans q0 -> gb on (1, "true", 2)\n'
+                         "trans q0 -> q0 otherwise\n")
+        out = tmp_path / "suite"
+        code, payload = run_json(capsys, "gen-tests", "--program", str(program),
+                                 "--testgoal", str(goals), "--out", str(out),
+                                 "--input-min", "1", "--input-max", "1")
+        assert code == 0
+        assert [entry["goals"] for entry in payload["details"]["tests"]] == [["ga", "gb"]]
+        assert sorted(path.name for path in out.iterdir()) == ["test_000.test"]
+        assert (out / "test_000.test").read_text() == "1\n"
+
 
 class TestCheckKindCommand:
     def test_01_valid_artifacts(self, capsys):

@@ -363,14 +363,19 @@ class TestJudgmentProperties:
             assert check_fulfills(p_prime, corpus.prop(), cfg).verdict is Verdict.VIOLATED
 
     def test_04_engine_agrees_with_oracle_on_random_inputs(self):
+        """Eight draws of random properties, then eight of holding ones, so
+        that check_fulfills is seen to give both verdicts."""
         rng = random.Random(8101)
-        for _ in range(8):
+        fulfills = set()
+        for holds in [False] * 8 + [True] * 8:
             program = generators.random_program(rng)
-            prop = generators.random_property(rng, program)
+            prop = generators.random_property(rng, program, holds=holds)
             witness = generators.random_violation_witness(rng, program)
             cond = generators.random_condition(rng, program)
             expect = not brute_force_oracle(program, [prop], ["accept"], CFG2)
-            assert (check_fulfills(program, prop, CFG2).verdict is Verdict.HOLDS) == expect
+            verdict = check_fulfills(program, prop, CFG2).verdict
+            assert (verdict is Verdict.HOLDS) == expect
+            fulfills.add(verdict)
             expect = bool(brute_force_oracle(program, [prop, witness],
                                              ["accept", "accept"], CFG2))
             assert (check_violation_witness(program, prop, witness, CFG2).verdict
@@ -378,6 +383,7 @@ class TestJudgmentProperties:
             expect = not brute_force_oracle(program, [prop, cond], ["accept", "accept"], CFG2)
             assert (check_condition_correct(program, prop, cond, CFG2).verdict
                     is Verdict.HOLDS) == expect
+        assert {Verdict.HOLDS, Verdict.VIOLATED} <= fulfills
 
     def test_05_covered_goals_match_naive_runs(self, p):
         """The goal entries the product reports are exactly those the naive

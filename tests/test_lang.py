@@ -8,7 +8,6 @@ import pytest
 import generators
 from coopverify.errors import ParseError, UndefinedVariable, UseBeforeDef
 from coopverify.lang import (
-    BLOCKED,
     Assume,
     ConcreteDataState,
     ConcretePath,
@@ -24,11 +23,10 @@ from coopverify.lang import (
     parse_operation,
     parse_program,
     serialize_cfa,
-    strongest_post,
     successors,
 )
 from coopverify.predicates import Interval, parse_predicate
-from reference import replay_path
+from reference import BLOCKED, replay_path, strongest_post
 
 
 def edge_between(cfa, source, target):

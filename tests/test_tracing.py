@@ -51,3 +51,20 @@ def test_02_traced_verify_counts_and_restores(tracing):
                  "kinds.validate_kind"):
         assert tracer.stats(name)[0] > 0, name
     assert tracer.stats("actors.verify")[0] == 1
+
+
+def test_03_traced_goal_searches_count_one_exploration(tracing):
+    """Test generation and test coverage run the goal search of ``engine``;
+    a traced run of each counts it as one exploration."""
+    p, goals = corpus.program_p(), corpus.goals()
+    runs = (lambda: actors.generate_tests(p, goals, corpus.CFG4),
+            lambda: engine.check_test_covers(p, (1,), goals, corpus.CFG4))
+    for run in runs:
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            run()
+        finally:
+            tracer.uninstall()
+        assert tracer.counters["engine.explorations"] == 1
+        assert tracer.counters["engine.configs_visited"] > 0
