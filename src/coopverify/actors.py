@@ -196,7 +196,7 @@ def verify(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     correctness-witness invariants.  One exploration decides the verdict
     and yields the witness.
     """
-    require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
+    require_valid_kind(prop, AutomatonKind.PROPERTY)
     observed: dict = defaultdict(list)
     judgment = _search(program, (prop,), config, _property_accepts, universal=True,
                        observed=observed)
@@ -230,8 +230,8 @@ def validate_result(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
             return VerdictBundle(Result.FALSE, rederived, None, judgment)
         return VerdictBundle(Result.UNKNOWN, None, None, judgment)
     if witness.kind is AutomatonKind.CORRECTNESS_WITNESS:
-        require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
-        require_valid_kind(witness, AutomatonKind.CORRECTNESS_WITNESS, program, config)
+        require_valid_kind(prop, AutomatonKind.PROPERTY)
+        require_valid_kind(witness, AutomatonKind.CORRECTNESS_WITNESS)
         observed: dict = defaultdict(list)
         judgment = _search(program, (prop, witness), config, _uncovered_or_accepted,
                            universal=True, observed=observed)
@@ -316,7 +316,7 @@ def reduce_with_origin(program: ControlFlowAutomaton,
     accept, and a residual path stuck at a helper location has taken an
     operation that the condition covers.
     """
-    require_valid_kind(cond, AutomatonKind.CONDITION, program, DEFAULT_CONFIG)
+    require_valid_kind(cond, AutomatonKind.CONDITION)
     fresh = itertools.count(max(program.locations, default=0) + 1)
     start = (program.initial, frozenset({cond.initial}))
     ids = {start: next(fresh)}
@@ -573,7 +573,7 @@ def generate_tests(program: ControlFlowAutomaton, goals: ArtifactAutomaton,
     passes :func:`coopverify.engine.check_test_covers` by construction,
     which runs the same search along the test's own paths.
     """
-    require_valid_kind(goals, AutomatonKind.TEST_GOAL, program, config)
+    require_valid_kind(goals, AutomatonKind.TEST_GOAL)
     records, _ = _goal_search(program, (goals,), config)
     return TestSuite(tuple(TestRecord(inputs, "generate_tests", reached)
                            for inputs, (_, reached) in records.items()))

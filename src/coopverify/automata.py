@@ -104,9 +104,6 @@ class EdgePattern:
         return f"({src}, {op}, {tgt})"
 
 
-ANY_EDGE = EdgePattern(None, None, None)
-
-
 @dataclass(frozen=True)
 class Transition:
     source: str

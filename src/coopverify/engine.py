@@ -23,7 +23,11 @@ longer accept (empty frontier, no final state entered), the test check once
 the test case stops covering it.  A hit needs that automaton to accept or
 cover, and an empty frontier stays empty, so no extension of a pruned prefix
 is a hit: pruning keeps the first hit and drops only truncations that hide
-none, which can change a verdict only from unknown to a definite one.
+none, which can change a verdict only from unknown to a definite one.  Each
+search refuses the property at the first configuration that blocks it, after
+the hit test and before pruning: a hit met first gives its verdict, on a real
+path; a block beyond a pruned configuration is not seen; and a judgment
+answered without a search refuses nothing.
 
 Verdicts are relative to the analysis configuration (finite input domain,
 step bound); ``holds`` is only reported when no truncation could have hidden
@@ -39,7 +43,7 @@ from typing import Callable, Optional, Sequence
 
 from .automata import ArtifactAutomaton, AutomatonKind, FinalEntry
 from .errors import InvalidArtifact
-from .kinds import build_test_case_automaton, validate_kind
+from .kinds import KindReport, build_test_case_automaton, non_blocking_rule, structural_report
 from .lang import ConcretePath, ControlFlowAutomaton
 # the explorer's names are engine's too: callers and the benchmark import them from here
 from .product import (CONTINUE, DEFAULT_CONFIG, DEFAULT_DOMAIN, DEFAULT_MAX_STEPS, PRUNE, STOP,
@@ -97,15 +101,19 @@ class Judgment:
         return "\n".join(lines)
 
 
-def require_valid_kind(aut: ArtifactAutomaton, kind: AutomatonKind,
-                   program: ControlFlowAutomaton, config: AnalysisConfig) -> None:
+def _refusal(aut: ArtifactAutomaton, report: KindReport) -> InvalidArtifact:
+    return InvalidArtifact(f"automaton {aut.name} violates its kind constraints:\n{report}",
+                           report)
+
+
+def require_valid_kind(aut: ArtifactAutomaton, kind: AutomatonKind) -> None:
+    """Refuse another kind, or a break of its :func:`structural_report`."""
     if aut.kind is not kind:
         raise InvalidArtifact(
             f"expected a {kind.value} automaton, got {aut.kind.value} ({aut.name})")
-    report = validate_kind(aut, program, config.input_domain, config.max_steps)
+    report = structural_report(aut)
     if not report.ok:
-        raise InvalidArtifact(f"automaton {aut.name} violates its kind constraints:\n{report}",
-                              report)
+        raise _refusal(aut, report)
 
 
 def _search(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton],
@@ -114,10 +122,13 @@ def _search(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton]
             observed: Optional[dict] = None) -> Judgment:
     """The judgment of a search for the first configuration in depth-first
     order that satisfies ``hit``, its prefix the evidence (see
-    :func:`_verdict`).  ``prune`` cuts a configuration's extensions;
-    ``observed``, a ``defaultdict(list)``, collects each explored data state
-    per location, where prefixes meet one per value of the live variables
-    (see :func:`run_product`)."""
+    :func:`_verdict`).  A configuration that is not a hit and blocks
+    automaton 0, the property, raises as :func:`require_valid_kind` does.
+    ``prune`` cuts a configuration's extensions; ``observed``, a
+    ``defaultdict(list)``, collects each explored data state per location,
+    where prefixes meet one per value of the live variables (see
+    :func:`run_product`)."""
+    blocked = non_blocking_rule(automata[0])
     found: list = []
 
     def visit(v: ProductVisit) -> VisitAction:
@@ -126,6 +137,8 @@ def _search(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton]
         if hit(v):
             found.append(v.path)
             return STOP
+        if blocked is not None and (refuted := blocked(v)) is not None:
+            raise _refusal(automata[0], KindReport(automata[0].kind, (), refuted))
         if prune is not None and prune(v):
             return PRUNE
         return CONTINUE
@@ -170,7 +183,7 @@ def _automaton_1_cannot_accept(v: ProductVisit) -> bool:
 def check_fulfills(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
                    config: AnalysisConfig = DEFAULT_CONFIG) -> Judgment:
     """No program path may be accepted by the property automaton."""
-    require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
+    require_valid_kind(prop, AutomatonKind.PROPERTY)
     if not prop.finals:
         return _verdict(config, universal=True)
     return _search(program, (prop,), config, _property_accepts, universal=True)
@@ -182,8 +195,8 @@ def check_correctness_witness(program: ControlFlowAutomaton, prop: ArtifactAutom
     """The witness must cover every program path, none of which may violate
     the property.  Evidence on violation is the uncovered or violating
     prefix."""
-    require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
-    require_valid_kind(witness, AutomatonKind.CORRECTNESS_WITNESS, program, config)
+    require_valid_kind(prop, AutomatonKind.PROPERTY)
+    require_valid_kind(witness, AutomatonKind.CORRECTNESS_WITNESS)
     return _search(program, (prop, witness), config, _uncovered_or_accepted, universal=True)
 
 
@@ -198,8 +211,8 @@ def check_violation_witness(program: ControlFlowAutomaton, prop: ArtifactAutomat
     ``violated`` (no such path) requires full exploration and carries no
     evidence path, there being no single path that demonstrates absence.
     """
-    require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
-    require_valid_kind(witness, AutomatonKind.VIOLATION_WITNESS, program, config)
+    require_valid_kind(prop, AutomatonKind.PROPERTY)
+    require_valid_kind(witness, AutomatonKind.VIOLATION_WITNESS)
     if not prop.finals or not witness.finals:
         return _verdict(config, universal=False)
     return _search(program, (prop, witness), config, _both_accept, universal=False,
@@ -212,8 +225,8 @@ def check_condition_correct(program: ControlFlowAutomaton, prop: ArtifactAutomat
     """No program path may be accepted by condition and property together,
     i.e. the part the condition declares covered is actually violation-free.
     Only the paths the condition can still accept are explored."""
-    require_valid_kind(prop, AutomatonKind.PROPERTY, program, config)
-    require_valid_kind(condition, AutomatonKind.CONDITION, program, config)
+    require_valid_kind(prop, AutomatonKind.PROPERTY)
+    require_valid_kind(condition, AutomatonKind.CONDITION)
     if not prop.finals or not condition.finals:
         return _verdict(config, universal=True)
     return _search(program, (prop, condition), config, _both_accept, universal=True,
@@ -290,7 +303,7 @@ def check_test_covers(program: ControlFlowAutomaton, test: Sequence[int],
     test case as its second automaton: the evidence is the first kept path,
     the goals are those of every record.
     """
-    require_valid_kind(goals, AutomatonKind.TEST_GOAL, program, config)
+    require_valid_kind(goals, AutomatonKind.TEST_GOAL)
     records, truncated = _goal_search(program, (goals, build_test_case_automaton(test)), config)
     kept = list(records.values())
     judgment = _verdict(config, kept[0][0] if kept else None, truncated, universal=False)

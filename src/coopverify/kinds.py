@@ -3,16 +3,16 @@
 Each kind narrows the general automaton shape: properties must never block
 the program, witnesses restrict invariants or assumptions, conditions must
 not leave their final (covered) states, and test cases are fixed chains
-produced from input sequences.  :func:`validate_kind` checks the constraints
-of the declared kind and reports findings instead of raising; callers that
-need hard failures wrap the report (see :mod:`coopverify.engine`).
+produced from input sequences.  :func:`validate_kind` reports the findings
+of :func:`structural_report` and of a property's :func:`non_blocking_rule`,
+which each judgment's search applies too (see :mod:`coopverify.engine`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .automata import (INPUT_TEMPLATE_TEXT, ArtifactAutomaton, AutomatonKind, EdgePattern,
                        Transition, _input_target, _taken, make_automaton)
@@ -33,7 +33,7 @@ class NonBlocking:
 
     A run in a non-final state must take a transition on every program
     step.  A state with an otherwise transition always does; the others are
-    watched while the property alone runs through the product explorer, and
+    watched on every explored configuration (:func:`non_blocking_rule`), and
     the first reachable step one of them takes no transition on refutes,
     with that step's post-state.  ``bounded-proved``: no configuration
     reachable within the input interval and step bound blocks.  A block
@@ -142,26 +142,23 @@ def _trivial_invariant_violations(aut: ArtifactAutomaton) -> list:
     ]
 
 
-def _non_blocking(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
-                  config: AnalysisConfig) -> NonBlocking:
+def non_blocking_rule(aut: ArtifactAutomaton) -> Optional[Callable]:
+    """The non-blocking rule of a property, None when no state is watched:
+    on one explored configuration, the refutation by the first watched state
+    of automaton 0's frontier that takes no transition on one of its steps;
+    none on a truncated configuration, whose steps lie beyond the bound."""
     watched = frozenset(q for q in aut.states
                         if q not in aut.finals and aut.otherwise_at(q) is None)
-    if not watched:
-        return NonBlocking(BOUNDED_PROVED)
-    found: list = []
 
-    def visit(v) -> VisitAction:
-        if v.truncated:
-            return CONTINUE  # its steps lie beyond the bound
-        for q in sorted(v.frontiers[0] & watched):
-            for edge, post in v.successors:
-                if not _taken(aut, q, edge, post._bindings, _input_target(edge)):
-                    found.append(NonBlocking(REFUTED, q, edge, dict(post)))
-                    return STOP
-        return CONTINUE
+    def blocked(v) -> Optional[NonBlocking]:
+        if not v.truncated:
+            for q in sorted(v.frontiers[0] & watched):
+                for edge, post in v.successors:
+                    if not _taken(aut, q, edge, post._bindings, _input_target(edge)):
+                        return NonBlocking(REFUTED, q, edge, dict(post))
+        return None
 
-    run_product(program, (aut,), config, visit)
-    return found[0] if found else NonBlocking(BOUNDED_PROVED)
+    return blocked if watched else None
 
 
 def _condition_violations(aut: ArtifactAutomaton) -> list:
@@ -247,29 +244,14 @@ def _test_case_violations(aut: ArtifactAutomaton) -> list:
     return out
 
 
-def validate_kind(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
-                  domain: Optional[Interval] = None,
-                  max_steps: int = DEFAULT_MAX_STEPS) -> KindReport:
-    """Check the structural constraints of ``aut``'s declared kind.
-
-    A property that meets them is also checked for non-blocking on
-    ``program`` within the value ``domain`` and ``max_steps``.  Findings land
-    in the report.  A kind whose invariants need not be trivial has its
-    initial invariant evaluated on the empty prefix, and an unbound read
-    there is a finding too; only an unbound read while a property's
-    non-blocking is searched raises, as :class:`InvalidArtifact` (see
-    :func:`coopverify.automata._taken`).
-    """
+def structural_report(aut: ArtifactAutomaton) -> KindReport:
+    """Check the constraints of ``aut``'s declared kind that need no program,
+    all but a property's non-blocking; an unbound read of an initial
+    invariant on the empty prefix is a finding too."""
     violations = _template_violations(aut)
-    non_blocking = NonBlocking(NOT_APPLICABLE)
     kind = aut.kind
-    if kind is AutomatonKind.PROPERTY:
-        violations += _trivial_invariant_violations(aut)
-        if domain is None:
-            raise ValueError("validating a property automaton requires a value domain")
-        if not violations:
-            non_blocking = _non_blocking(aut, program, AnalysisConfig(domain, max_steps))
-    elif kind in (AutomatonKind.TEST_GOAL, AutomatonKind.VIOLATION_WITNESS):
+    if kind in (AutomatonKind.PROPERTY, AutomatonKind.TEST_GOAL,
+                AutomatonKind.VIOLATION_WITNESS):
         violations += _trivial_invariant_violations(aut)
     elif kind is AutomatonKind.CORRECTNESS_WITNESS:
         violations += _correctness_witness_violations(aut) + _initial_invariant_violations(aut)
@@ -277,7 +259,38 @@ def validate_kind(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
         violations += _condition_violations(aut)
     elif kind is AutomatonKind.TEST_CASE:
         violations += _test_case_violations(aut) + _initial_invariant_violations(aut)
-    return KindReport(kind, tuple(violations), non_blocking)
+    return KindReport(kind, tuple(violations), NonBlocking(NOT_APPLICABLE))
+
+
+def validate_kind(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
+                  domain: Optional[Interval] = None,
+                  max_steps: int = DEFAULT_MAX_STEPS) -> KindReport:
+    """Check the constraints of ``aut``'s declared kind, reporting findings.
+
+    A property that meets those of :func:`structural_report` is searched on
+    ``program`` within the value ``domain`` and ``max_steps`` until the first
+    refutation of :func:`non_blocking_rule`.  An unbound read there raises,
+    as :class:`InvalidArtifact` (see :func:`coopverify.automata._taken`).
+    """
+    report = structural_report(aut)
+    if aut.kind is not AutomatonKind.PROPERTY:
+        return report
+    if domain is None:
+        raise ValueError("validating a property automaton requires a value domain")
+    if report.violations:
+        return report
+    blocked = non_blocking_rule(aut)
+    found = [NonBlocking(BOUNDED_PROVED)]
+
+    def visit(v) -> VisitAction:
+        if (refuted := blocked(v)) is None:
+            return CONTINUE
+        found[0] = refuted
+        return STOP
+
+    if blocked is not None:
+        run_product(program, (aut,), AnalysisConfig(domain, max_steps), visit)
+    return KindReport(report.kind, (), found[0])
 
 
 def build_test_case_automaton(values: Sequence[int]) -> ArtifactAutomaton:

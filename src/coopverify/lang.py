@@ -258,10 +258,6 @@ class ConcreteDataState(Mapping):
     def __len__(self) -> int:
         return len(self._bindings)
 
-    def project(self, names: Sequence[str]) -> tuple:
-        """The values of ``names`` in order, None for an unbound one."""
-        return tuple(map(self._bindings.get, names))
-
     def bind(self, name: str, value: int) -> "ConcreteDataState":
         new = dict(self._bindings)
         new[name] = value

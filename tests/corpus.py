@@ -18,11 +18,14 @@ from coopverify import (
     AnalysisConfig,
     ArtifactAutomaton,
     ControlFlowAutomaton,
+    EdgePattern,
     Interval,
+    Transition,
     parse_automaton,
     parse_program,
 )
 from coopverify import predicates
+from coopverify.automata import make_automaton
 from coopverify.errors import UnboundTemplate, UndefinedVariable
 from coopverify.predicates import (
     And,
@@ -33,6 +36,7 @@ from coopverify.predicates import (
     Neg,
     Not,
     Or,
+    TRUE,
     TautologyResult,
     TemplateVar,
     Var,
@@ -90,6 +94,18 @@ def witness_correct() -> ArtifactAutomaton:
 
 def witness_violation() -> ArtifactAutomaton:
     return automaton("witness_violation.aut")
+
+
+def explicit_loop_prop(program: ControlFlowAutomaton) -> ArtifactAutomaton:
+    """The sample property with q0's otherwise loop replaced by one
+    unguarded self-loop per edge of ``program``: it never blocks there, but
+    only a search can tell."""
+    sample = prop()
+    loops = [Transition("q0", "q0", EdgePattern(e.match_src, e.op.text, e.match_tgt), TRUE)
+             for e in program.edges]
+    return make_automaton(sample.name, sample.kind, sample.states, sample.initial,
+                          sample.finals, [t for t in sample.transitions if not t.otherwise]
+                          + loops)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +178,15 @@ state q0 init
 state qf final
 trans q0 -> qf on (9, "a < x", 10)
 trans q0 -> q0 otherwise
+"""
+
+# a = 2 * input() reaches values outside the input interval.
+BLIND_SPOT_PROGRAM = "int a = 0;\na = input();\na = a * 2;\nint b = 0;\n"
+BLIND_SPOT_PROPERTY = """automaton blind_spot kind=property
+state q0 init
+state qe final
+trans q0 -> q0 on (*, *, *) assume a < 9
+trans q0 -> qe on (3, *, 4) assume a > 9
 """
 
 # A property with an empty language.

@@ -1,11 +1,11 @@
 """Tests for the composable actors: verifier, validator, reducer,
 conditional verifier, test extractor/executor/generator."""
 
+import collections
 import random
 
 import pytest
 
-import coopverify.cli as cli_module
 import coopverify.engine as engine_module
 import coopverify.kinds as kinds_module
 import corpus
@@ -790,6 +790,38 @@ class TestCooperation:
             confirmed = validate_result(program, corpus.prop(), bundle.witness, cfg4)
             assert confirmed.result is expected
 
+    def test_04_generated_cooperations_agree(self):
+        """On generated (program, property, condition) triples, half of the
+        properties holding: every violation verify finds replays under
+        exec_test from the test extracted from its witness, validate_result
+        confirms every result with its witness, and verifying the reduced
+        program agrees with the conditional verifier."""
+        rng = random.Random(4242)
+        config = AnalysisConfig(Interval(-2, 2), 50)
+        outcomes = collections.Counter()
+        for index in range(300):
+            program = generators.random_program(rng)
+            prop = generators.random_property(rng, program, holds=index % 2 == 1,
+                                              domain=config.input_domain)
+            cond = generators.random_condition(rng, program, rich=index % 3 == 0)
+            claimed = verify(program, prop, config)
+            if claimed.result is Result.FALSE:
+                inputs = extract_test(program, prop, claimed.witness, config)
+                assert exec_test(program, inputs, prop, config.max_steps).violation_observed
+            assert validate_result(program, prop, claimed.witness, config).result is claimed.result
+            residual = verify(reduce(program, cond), prop, config)
+            conditional = conditional_verify(program, prop, cond, config)
+            assert residual.result is conditional.result
+            assert (residual.judgment, residual.witness) == (conditional.judgment,
+                                                             conditional.witness)
+            outcomes[claimed.result.value] += 1
+            outcomes["residual " + residual.result.value] += 1
+            # the condition covers every violation verify found
+            outcomes["covered"] += (claimed.result is Result.FALSE
+                                    and residual.result is Result.TRUE)
+        assert min(outcomes["true"], outcomes["false"], outcomes["residual false"]) >= 100, outcomes
+        assert outcomes["covered"] >= 5, outcomes
+
 
 class TestOneExploration:
     """verify and validate_result explore through the judgments' search: one
@@ -908,10 +940,10 @@ class TestOneExploration:
         assert len(calls) == 1
 
     def test_06_each_kind_is_checked_once(self, p, p_prime, cfg4, monkeypatch):
-        """One kind check per verify (the property), two per validate_result
-        (the property and the witness), of either witness kind."""
-        checks = self._count(monkeypatch, "validate_kind",
-                             (kinds_module, engine_module, cli_module))
+        """One structural kind check per verify (the property), two per
+        validate_result (the property and the witness), of either witness
+        kind; the property's non-blocking is the search's own."""
+        checks = self._count(monkeypatch, "structural_report", (kinds_module, engine_module))
         for program, sample in ((p, corpus.witness_correct()),
                                 (p_prime, corpus.witness_violation())):
             checks.clear()
@@ -922,6 +954,84 @@ class TestOneExploration:
                 assert validate_result(program, corpus.prop(), witness, cfg4).witness is not None
                 assert [args[0].kind for args in checks] == [AutomatonKind.PROPERTY,
                                                              witness.kind]
+
+    def test_07_properties_without_otherwise_explore_once(self, p, p_prime, cfg4, monkeypatch):
+        """A property whose waiting state has no otherwise transition is
+        watched for blocks by the judgment's own search: one exploration per
+        verdict, counted through the bindings of engine and kinds alike,
+        whether the property holds, is violated or blocks."""
+        holding, violated = corpus.explicit_loop_prop(p), corpus.explicit_loop_prop(p_prime)
+        correct = verify(p, holding, cfg4).witness
+        universal = parse_automaton(corpus.UNIVERSAL_WITNESS)
+        hopeless = parse_automaton(corpus.HOPELESS_WITNESS)
+        everything = parse_automaton(corpus.UNIVERSAL_CONDITION)
+        blind = parse_program(corpus.BLIND_SPOT_PROGRAM)
+        blocks = parse_automaton(corpus.BLIND_SPOT_PROPERTY)
+        # accept on the last edge (3, int b = 0, 4), so nothing is pruned
+        # before the doubling edge blocks
+        after_b = parse_automaton("automaton after_b kind=violation-witness\nstate w0 init\n"
+                                  "state w1 final\ntrans w0 -> w1 on (3, *, 4)\n"
+                                  "trans w0 -> w0 otherwise\n")
+        covers_b = parse_automaton(serialize_automaton(after_b).replace(
+            "kind=violation-witness", "kind=condition"))
+        expected = [
+            (lambda: verify(p, holding, cfg4).result, Result.TRUE),
+            (lambda: verify(p_prime, violated, cfg4).result, Result.FALSE),
+            (lambda: validate_result(p, holding, correct, cfg4).result, Result.TRUE),
+            (lambda: validate_result(p_prime, violated, corpus.witness_violation(),
+                                     cfg4).result, Result.FALSE),
+            (lambda: check_fulfills(p, holding, cfg4).verdict, Verdict.HOLDS),
+            (lambda: check_fulfills(p_prime, violated, cfg4).verdict, Verdict.VIOLATED),
+            (lambda: check_correctness_witness(p, holding, correct, cfg4).verdict,
+             Verdict.HOLDS),
+            (lambda: check_correctness_witness(p_prime, violated, universal, cfg4).verdict,
+             Verdict.VIOLATED),
+            (lambda: check_violation_witness(p_prime, violated, corpus.witness_violation(),
+                                             cfg4).verdict, Verdict.HOLDS),
+            (lambda: check_violation_witness(p_prime, violated, hopeless, cfg4).verdict,
+             Verdict.VIOLATED),
+            (lambda: check_condition_correct(p, holding, corpus.cond(), cfg4).verdict,
+             Verdict.HOLDS),
+            (lambda: check_condition_correct(p_prime, violated, everything, cfg4).verdict,
+             Verdict.VIOLATED),
+        ]
+        refused = [
+            lambda: verify(blind, blocks),
+            lambda: validate_result(blind, blocks, universal),
+            lambda: validate_result(blind, blocks, after_b),
+            lambda: check_fulfills(blind, blocks),
+            lambda: check_correctness_witness(blind, blocks, universal),
+            lambda: check_violation_witness(blind, blocks, after_b),
+            lambda: check_condition_correct(blind, blocks, covers_b),
+        ]
+        calls = self._count(monkeypatch, "run_product", (engine_module, kinds_module))
+        for run, outcome in expected:
+            calls.clear()
+            assert run() is outcome
+            assert len(calls) == 1
+        for run in refused:
+            calls.clear()
+            with pytest.raises(InvalidArtifact) as err:
+                run()
+            assert "blocks edge (2, a = a * 2, 3)" in str(err.value)
+            assert len(calls) == 1
+
+    def test_08_a_judgment_without_a_search_refuses_nothing(self, monkeypatch):
+        """The blind-spot property with no final state accepts no path: the
+        judgments that answer from that alone explore nothing and refuse
+        nothing, while verify still searches, once, and meets the block."""
+        blind = parse_program(corpus.BLIND_SPOT_PROGRAM)
+        finalless = parse_automaton(corpus.BLIND_SPOT_PROPERTY.replace("state qe final",
+                                                                       "state qe"))
+        calls = self._count(monkeypatch, "run_product", (engine_module, kinds_module))
+        assert check_fulfills(blind, finalless).verdict is Verdict.HOLDS
+        assert check_violation_witness(blind, finalless,
+                                       corpus.witness_violation()).verdict is Verdict.VIOLATED
+        assert check_condition_correct(blind, finalless, corpus.cond()).verdict is Verdict.HOLDS
+        assert calls == []
+        with pytest.raises(InvalidArtifact):
+            verify(blind, finalless)
+        assert len(calls) == 1
 
 
 class TestHoldingProperties:

@@ -10,7 +10,6 @@ import corpus
 import generators
 from coopverify import automata
 from coopverify.automata import (
-    ANY_EDGE,
     ArtifactAutomaton,
     AutomatonKind,
     EdgePattern,
@@ -65,7 +64,7 @@ class TestEdgePattern:
         assert [pattern.matches(e) for e in p.edges].count(True) == 1
 
     def test_02_wildcards(self, p):
-        assert all(ANY_EDGE.matches(e) for e in p.edges)
+        assert all(EdgePattern(None, None, None).matches(e) for e in p.edges)
         assert [EdgePattern(3, None, None).matches(e) for e in p.edges].count(True) == 2
 
     def test_03_matching_uses_original_labels(self, p):
@@ -79,7 +78,7 @@ class TestEdgePattern:
     def test_04_input_template_detection(self):
         assert EdgePattern(None, "chi = input()", None).is_input_template
         assert not EdgePattern(None, "int x = input()", None).is_input_template
-        assert not ANY_EDGE.is_input_template
+        assert not EdgePattern(None, None, None).is_input_template
 
     def test_05_spacing_does_not_change_what_matches(self, p):
         def matched(pattern):
@@ -104,7 +103,7 @@ class TestEdgePattern:
         assert hash(loose) == hash((3, "  a <  x ", 4))
         assert len({tight, loose, EdgePattern(3, "a<x", 4)}) == 2
         assert str(loose) == '(3, "  a <  x ", 4)'
-        assert str(ANY_EDGE) == "(*, *, *)"
+        assert str(EdgePattern(None, None, None)) == "(*, *, *)"
         assert repr(loose) == "EdgePattern(source=3, op_text='  a <  x ', target=4)"
 
 

@@ -504,7 +504,7 @@ int e = 1;
         calls = []
 
         def counting_visit(v):
-            calls.append((v.location, v.state.project(("i",))))
+            calls.append((v.location, v.state["i"] if "i" in v.state else None))
             return VisitAction.CONTINUE
 
         assert run_product(program, (prop,), AnalysisConfig(Interval(-5, 5), 500),

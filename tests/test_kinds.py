@@ -21,10 +21,11 @@ from coopverify.kinds import (
     build_test_case_automaton,
     validate_kind,
 )
-from coopverify.lang import ConcreteDataState, InputOp, parse_program
+from coopverify.lang import ConcreteDataState, InputOp, enumerate_paths, parse_program
 from coopverify.predicates import CHI, TRUE, Comparison, Const, Interval, Var
 from coopverify.product import run_product
-from reference import reference_blocks
+from corpus import BLIND_SPOT_PROGRAM, BLIND_SPOT_PROPERTY
+from reference import brute_force_oracle, naive_match_path, reference_blocks
 
 DOM = Interval(-2, 2)
 
@@ -309,16 +310,6 @@ class TestRandomAutomataAreKindValid:
                 assert report.ok, f"{aut.name}: {report}"
 
 
-# a = 2 * input() reaches values outside the input interval.
-BLIND_SPOT_PROGRAM = "int a = 0;\na = input();\na = a * 2;\nint b = 0;\n"
-BLIND_SPOT_PROPERTY = """automaton blind_spot kind=property
-state q0 init
-state qe final
-trans q0 -> q0 on (*, *, *) assume a < 9
-trans q0 -> qe on (3, *, 4) assume a > 9
-"""
-
-
 class TestNonBlockingSearch:
     """Non-blocking is decided on the configurations the program reaches
     within the bounds, against ``reference.reference_blocks``."""
@@ -392,6 +383,43 @@ class TestNonBlockingSearch:
         assert str(nb) == "refuted: state q1 blocks edge (2, int b = 0, 3) on {a=0, b=0, x=-2}"
         assert (nb.state, nb.edge, ConcreteDataState(nb.counter_state)) in reference_blocks(
             prop, p, AnalysisConfig(DOM, 50))
+
+    @pytest.mark.parametrize("max_steps", [50, 4])
+    def test_07_the_judgment_search_refuses_what_the_reference_sees(self, max_steps):
+        """verify applies the non-blocking rule in its own search, so it
+        refuses a property only with a real block, and answers false on a
+        blocking property that accepts a path before its first block.
+        Generated properties without an otherwise loop, half of them
+        holding, at a bound that truncates nothing and at one that does;
+        the reference runs on every complete path, which 50 steps reach."""
+        rng = random.Random(2311)
+        complete = AnalysisConfig(DOM, 50)
+        config = AnalysisConfig(DOM, max_steps)
+        outcomes = collections.Counter()
+        for index in range(400):
+            program = generators.random_program(rng)
+            prop = generators.random_property(rng, program, otherwise=False,
+                                              holds=index % 2 == 1, domain=DOM)
+            blocks = reference_blocks(prop, program, complete)
+            try:
+                bundle = verify(program, prop, config)
+            except InvalidArtifact as err:
+                nb = err.report.non_blocking
+                assert (nb.state, nb.edge, ConcreteDataState(nb.counter_state)) in blocks
+                outcomes["refused"] += 1
+                continue
+            if bundle.result is Result.FALSE:
+                assert naive_match_path(prop, bundle.judgment.evidence).accepted
+                outcomes["false, blocking" if blocks else "false"] += 1
+            elif bundle.result is Result.TRUE:
+                assert not blocks
+                assert not brute_force_oracle(program, [prop], ["accept"], complete)
+                outcomes["true"] += 1
+            else:
+                assert enumerate_paths(program, DOM, max_steps).truncated
+                outcomes["unknown"] += 1
+        assert outcomes["refused"] >= 40 and outcomes["false, blocking"] >= 40, outcomes
+        assert outcomes["true"] >= 20, outcomes
 
     def test_06_each_configuration_lists_its_steps_once(self, monkeypatch):
         """The check reads the steps the explorer lists for each visit, so

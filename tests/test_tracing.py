@@ -47,10 +47,11 @@ def test_02_traced_verify_counts_and_restores(tracing):
     assert tracer.counters["engine.configs_visited"] > 0
     assert tracer.counters["automata.pattern_match_calls"] > 0
     for name in ("actors.verify", "engine.run_product", "automata.step_frontier",
-                 "lang.successors", "predicates.evaluate", "predicates.eval_expr",
-                 "kinds.validate_kind"):
+                 "lang.successors", "predicates.evaluate", "predicates.eval_expr"):
         assert tracer.stats(name)[0] > 0, name
     assert tracer.stats("actors.verify")[0] == 1
+    # the property's non-blocking is checked by the search, not by validate_kind
+    assert tracer.stats("kinds.validate_kind")[0] == 0
 
 
 def test_03_traced_goal_searches_count_one_exploration(tracing):
@@ -68,3 +69,21 @@ def test_03_traced_goal_searches_count_one_exploration(tracing):
             tracer.uninstall()
         assert tracer.counters["engine.explorations"] == 1
         assert tracer.counters["engine.configs_visited"] > 0
+
+
+def test_04_blocking_check_rides_on_the_verify_search(tracing):
+    """A property whose waiting state loops through one explicit transition
+    per edge, not through otherwise, is watched for blocks; verify still
+    counts one exploration, of as many configurations as the sample's."""
+    p = corpus.program_p()
+    counts = []
+    for aut in (corpus.prop(), corpus.explicit_loop_prop(p)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert actors.verify(p, aut, corpus.CFG4).result is actors.Result.TRUE
+        finally:
+            tracer.uninstall()
+        counts.append((tracer.counters["engine.explorations"],
+                       tracer.counters["engine.configs_visited"]))
+    assert counts[0][0] == 1 and counts[1] == counts[0]
