@@ -26,8 +26,9 @@ from .automata import (
     AutomatonKind,
     EdgePattern,
     Transition,
+    initial_frontier,
     make_automaton,
-    match_path,
+    step_frontier,
 )
 from .engine import (
     DEFAULT_CONFIG,
@@ -37,12 +38,14 @@ from .engine import (
     Verdict,
     _goal_search,
     _property_accepts,
+    _refusal,
     _search,
     _uncovered_or_accepted,
     check_violation_witness,
     require_valid_kind,
 )
 from .errors import InvalidArtifact, NoViolatingPath
+from .kinds import KindReport, non_blocking_rule
 from .lang import (
     CFAEdge,
     ConcreteDataState,
@@ -70,6 +73,7 @@ from .predicates import (
     evaluate,
     substitute_template,
 )
+from .product import ProductVisit
 
 
 class Result(Enum):
@@ -490,7 +494,9 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
     The run ends at a sink (completed), at an exhausted input sequence, at a
     state where every assume is false, or at the step limit.  When a property
     automaton is supplied the report also says whether it accepts the
-    executed trace, i.e. whether the violation is observable.
+    executed trace, i.e. whether the violation is observable.  An executed
+    step that blocks the property before it accepts raises, as a judgment's
+    search does (:func:`coopverify.kinds.non_blocking_rule`).
     """
     inputs = list(test)
     consumed = 0
@@ -524,11 +530,21 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
             break  # no edge taken
     else:
         status = STATUS_STEP_LIMIT
-    path = ConcretePath(tuple(steps))
     violation = None
     if prop is not None:
-        violation = match_path(prop, path).accepted
-    return ExecutionReport(path, status, consumed, violation)
+        blocked = non_blocking_rule(prop)
+        frontier, entered = initial_frontier(prop, EMPTY_STATE)
+        for depth, (before, (post, _, edge)) in enumerate(zip(steps, steps[1:])):
+            if entered or not frontier:
+                break
+            if blocked is not None:
+                refuted = blocked(ProductVisit(before.location, before.state, depth, (frontier,),
+                                               (entered,), [(edge, post)], False, steps))
+                if refuted is not None:
+                    raise _refusal(prop, KindReport(prop.kind, (), refuted))
+            frontier, entered = step_frontier(prop, frontier, edge, post)
+        violation = bool(entered)
+    return ExecutionReport(ConcretePath(tuple(steps)), status, consumed, violation)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ states per prefix.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -75,14 +74,13 @@ class EdgePattern:
     source: Optional[int]
     op_text: Optional[str]
     target: Optional[int]
-    # op_text without whitespace, computed once; interned because the
-    # patterns of a long witness share a few distinct edge texts
+    # op_text without whitespace, computed once
     norm_text: Optional[str] = field(init=False, repr=False, compare=False)
     # whether the text is the input template, computed once for the step
     is_input_template: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        norm = None if self.op_text is None else sys.intern(normalize_text(self.op_text))
+        norm = None if self.op_text is None else normalize_text(self.op_text)
         object.__setattr__(self, "norm_text", norm)
         object.__setattr__(self, "is_input_template", norm == _INPUT_TEMPLATE_NORM)
 

@@ -149,13 +149,13 @@ class ControlFlowAutomaton:
     edges: tuple
     variables: frozenset
     _adjacency: dict = field(init=False, repr=False, compare=False, default=None)
-    # The analyses below are computed on first use and kept in these fields.
-    # They are set with object.__setattr__, not kept by functools'
-    # cached_property, whose writes to __dict__ slow every later attribute
-    # read on the object.
+    # The two analyses below are computed once, on first use, and kept in
+    # these fields; the parsers' use-before-definition check already asks
+    # for the liveness.  They are set with object.__setattr__, not kept by
+    # functools' cached_property, whose writes to __dict__ slow every later
+    # attribute read on the object.
     _meeting: frozenset = field(init=False, repr=False, compare=False, default=None)
     _live: dict = field(init=False, repr=False, compare=False, default=None)
-    _observable: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.initial not in self.locations:
@@ -214,17 +214,6 @@ class ControlFlowAutomaton:
             object.__setattr__(self, "_live", live)
         return self._live
 
-    def observable_at(self, watched: frozenset) -> dict:
-        """For each meeting location, the variables live there or in
-        ``watched``, in sorted order; computed once per ``watched``."""
-        names = self._observable.get(watched)
-        if names is None:
-            live = self.live_variables
-            names = {location: tuple(sorted(live[location] | watched))
-                     for location in self.meeting_locations}
-            self._observable[watched] = names
-        return names
-
 
 def make_cfa(locations: Iterable[int], initial: int, edges: Sequence[CFAEdge],
              variables: Iterable[str]) -> ControlFlowAutomaton:
@@ -237,11 +226,10 @@ def make_cfa(locations: Iterable[int], initial: int, edges: Sequence[CFAEdge],
 class ConcreteDataState(Mapping):
     """Immutable partial map from variable names to integers."""
 
-    __slots__ = ("_bindings", "_hash")
+    __slots__ = ("_bindings",)
 
     def __init__(self, bindings: Optional[Mapping] = None):
         self._bindings = dict(bindings) if bindings else {}
-        self._hash = None
 
     def __getitem__(self, name: str) -> int:
         try:
@@ -263,7 +251,6 @@ class ConcreteDataState(Mapping):
         new[name] = value
         state = object.__new__(ConcreteDataState)  # takes ``new`` over without a second copy
         state._bindings = new
-        state._hash = None
         return state
 
     def __eq__(self, other: object) -> bool:
@@ -272,9 +259,7 @@ class ConcreteDataState(Mapping):
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._bindings.items()))
-        return self._hash
+        return hash(frozenset(self._bindings.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self._bindings.items()))
@@ -404,35 +389,31 @@ def enumerate_paths(cfa: ControlFlowAutomaton, domain: Interval,
 
 
 # ---------------------------------------------------------------------------
-# Definite-assignment analysis
-
-def definitely_assigned(cfa: ControlFlowAutomaton) -> dict:
-    """For each location, the variables assigned on every path reaching it.
-
-    A conservative forward must-analysis: the initial location has nothing
-    assigned, joins intersect.
-    """
-    assigned = {loc: set(cfa.variables) for loc in cfa.locations}
-    assigned[cfa.initial] = set()
-    changed = True
-    while changed:
-        changed = False
-        for edge in cfa.edges:
-            if edge.target == cfa.initial:
-                continue
-            out = assigned[edge.source] | op_writes(edge.op)
-            new = assigned[edge.target] & out
-            if new != assigned[edge.target]:
-                assigned[edge.target] = new
-                changed = True
-    return {loc: frozenset(vars_) for loc, vars_ in assigned.items()}
-
+# Use before definition
 
 def check_defined_before_use(cfa: ControlFlowAutomaton) -> None:
-    assigned = definitely_assigned(cfa)
+    """Raise :class:`UseBeforeDef` at the first edge, in edge order, that may
+    read a variable no earlier operation on some path assigned, naming its
+    first such variable in sorted order and the edge's source location.
+
+    Nothing is bound at the start, so only a variable live at the initial
+    location (see ``live_variables``) can be read unassigned.  For each, a
+    forward walk from the initial location over the edges that do not write
+    it finds the locations some path reaches with it still unassigned.
+    """
+    unassigned = {}
+    for name in cfa.live_variables[cfa.initial]:
+        reached = {cfa.initial}
+        work = [cfa.initial]
+        while work:
+            for edge in cfa.edges_from(work.pop()):
+                if edge.target not in reached and name not in op_writes(edge.op):
+                    reached.add(edge.target)
+                    work.append(edge.target)
+        unassigned[name] = reached
     for edge in cfa.edges:
         for name in sorted(op_reads(edge.op)):
-            if name not in assigned[edge.source]:
+            if edge.source in unassigned.get(name, ()):
                 raise UseBeforeDef(name, edge.source)
 
 

@@ -278,7 +278,10 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     :class:`coopverify.lang.PathStep`).  Returns whether any configuration
     was truncated by the step bound.
     """
-    kept = program.observable_at(automata[0].reads if automata else frozenset())
+    watched = automata[0].reads if automata else frozenset()
+    # the names every key at a meeting location holds, which witness facts range over
+    kept = {location: tuple(sorted(program.live_variables[location] | watched))
+            for location in program.meeting_locations}
     liveness = [(i, _pair_liveness(program, a)) for i, a in enumerate(automata) if i]
     liveness = [(i, live) for i, live in liveness if live]  # those that read anything
     # the meeting locations where some automaton state reads beyond ``kept``;

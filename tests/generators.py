@@ -26,7 +26,6 @@ from coopverify.lang import (
     ControlFlowAutomaton,
     InputOp,
     assume_op,
-    definitely_assigned,
     enumerate_paths,
     make_cfa,
     parse_program,
@@ -45,6 +44,7 @@ from coopverify.predicates import (
     Or,
     Var,
 )
+from reference import definitely_assigned
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 

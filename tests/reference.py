@@ -33,6 +33,8 @@ from coopverify.lang import (
     Operation,
     PathStep,
     enumerate_paths,
+    op_reads,
+    op_writes,
 )
 from coopverify.predicates import TRUE
 
@@ -110,6 +112,41 @@ def reference_exec(cfa: ControlFlowAutomaton, test: Sequence[int], max_steps: in
             status = "blocked-no-input" if starved else "blocked-assume"
             return ConcretePath(tuple(steps)), status, consumed
     return ConcretePath(tuple(steps)), "step-limit", consumed
+
+
+def definitely_assigned(cfa: ControlFlowAutomaton) -> dict:
+    """For each location, the variables assigned on every path reaching it.
+
+    A conservative forward must-analysis: the initial location has nothing
+    assigned, joins intersect.  Locations no path reaches keep every
+    variable of ``cfa.variables``.
+    """
+    assigned = {loc: set(cfa.variables) for loc in cfa.locations}
+    assigned[cfa.initial] = set()
+    changed = True
+    while changed:
+        changed = False
+        for edge in cfa.edges:
+            if edge.target == cfa.initial:
+                continue
+            out = assigned[edge.source] | op_writes(edge.op)
+            new = assigned[edge.target] & out
+            if new != assigned[edge.target]:
+                assigned[edge.target] = new
+                changed = True
+    return {loc: frozenset(vars_) for loc, vars_ in assigned.items()}
+
+
+def reference_use_before_def(cfa: ControlFlowAutomaton) -> Optional[tuple]:
+    """(variable, location) of the first read, in edge order and then in
+    sorted name order, of a variable not definitely assigned at the edge's
+    source, or None: what ``lang.check_defined_before_use`` raises."""
+    assigned = definitely_assigned(cfa)
+    for edge in cfa.edges:
+        for name in sorted(op_reads(edge.op)):
+            if name not in assigned[edge.source]:
+                return name, edge.source
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +248,25 @@ def reference_blocks(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
             if not reference_taken(aut, state, step.incoming, step.state):
                 blocks.add((state, step.incoming, step.state))
     return blocks
+
+
+def reference_trace_block(aut: ArtifactAutomaton, path: ConcretePath) -> Optional[tuple]:
+    """The first (state, edge, post-state) on ``path`` at which a state of
+    ``aut`` that is neither final nor has an otherwise transition, reached
+    by the prefix so far, takes no transition on the next step, before any
+    run accepts; states of one step in sorted order.  None when there is
+    none: what ``actors.exec_test`` refuses a property for."""
+    watched = {q for q in aut.states if q not in aut.finals} - {
+        t.source for t in aut.transitions if t.otherwise}
+    frontier, entries = reference_start(aut, path.steps[0].state)
+    for step in path.steps[1:]:
+        if entries:
+            return None
+        for q in sorted(frontier & watched):
+            if not reference_taken(aut, q, step.incoming, step.state):
+                return q, step.incoming, step.state
+        frontier, entries = reference_step(aut, frontier, step.incoming, step.state)
+    return None
 
 
 def naive_match_path(aut: ArtifactAutomaton, path: ConcretePath) -> MatchVerdict:

@@ -59,6 +59,7 @@ from reference import (
     naive_match_path,
     project_residual_path,
     reference_exec,
+    reference_trace_block,
     replay_path,
     residual_prefixes,
     residual_program_path,
@@ -499,6 +500,50 @@ class TestExecTest:
         assert statuses == {STATUS_COMPLETED, STATUS_NO_INPUT, STATUS_BLOCKED_ASSUME,
                             STATUS_STEP_LIMIT}
 
+    def test_11_blocking_property_is_refused_as_verify_refuses_it(self):
+        """Input 5 doubles to a = 10, where the blind-spot property's waiting
+        state takes no transition: executing it refuses the property with
+        verify's message and report; input 4 runs past the doubling edge."""
+        program = parse_program(corpus.BLIND_SPOT_PROGRAM)
+        prop = parse_automaton(corpus.BLIND_SPOT_PROPERTY)
+        with pytest.raises(InvalidArtifact) as judged:
+            verify(program, prop)
+        with pytest.raises(InvalidArtifact) as executed:
+            exec_test(program, (5,), prop)
+        assert str(executed.value) == str(judged.value)
+        assert executed.value.report == judged.value.report
+        assert str(executed.value).endswith("state q0 blocks edge (2, a = a * 2, 3) on {a=10}")
+        assert exec_test(program, (4,), prop).violation_observed is False
+
+    def test_12_generated_blocks_agree_with_reference(self):
+        """600 generated properties without otherwise loops, run on random
+        inputs: exec_test refuses exactly when a watched state takes no
+        transition on an executed step before the property accepts, naming
+        the first such state, edge and post-state, and otherwise reports the
+        reference's verdict."""
+        rng = random.Random(6151)
+        outcomes = collections.Counter()
+        for _ in range(600):
+            program = generators.random_program(rng)
+            prop = generators.random_property(rng, program, otherwise=False)
+            inputs = generators.random_inputs(rng)
+            max_steps = rng.choice((4, 200))
+            trace, _, _ = reference_exec(program, inputs, max_steps)
+            block = reference_trace_block(prop, trace)
+            try:
+                report = exec_test(program, inputs, prop, max_steps)
+            except InvalidArtifact as err:
+                refuted = err.report.non_blocking
+                assert block is not None
+                assert (refuted.state, refuted.edge, refuted.counter_state) == (
+                    block[0], block[1], dict(block[2]))
+                outcomes["refused"] += 1
+            else:
+                assert block is None
+                assert report.violation_observed == naive_match_path(prop, trace).accepted
+                outcomes["observed" if report.violation_observed else "not observed"] += 1
+        assert min(outcomes.values()) >= 60 and len(outcomes) == 3, outcomes
+
 
 class TestGenerateTests:
     def test_01_single_goal_suite(self, p):
@@ -880,11 +925,23 @@ class TestOneExploration:
         configs = (CFG2, AnalysisConfig(Interval(0, 2), 200))
         seen = {Result.TRUE: 0, Result.FALSE: 0}
         rederived = 0
-        for index in range(300):
-            program = generators.random_program(rng)
-            # the goalless property always holds, so it yields correctness
-            # witnesses; generated properties mostly yield violation ones
-            prop = goalless if index % 2 else generators.random_property(rng, program)
+        holding_rng = random.Random(5150)
+        holding_true = 0
+
+        def draws():
+            for index in range(300):
+                program = generators.random_program(rng)
+                # the goalless property always holds, so it yields correctness
+                # witnesses; generated properties mostly yield violation ones
+                prop = goalless if index % 2 else generators.random_property(rng, program)
+                yield program, prop, False
+            # then holding properties that read variables, so that the key
+            # names and the facts of the correctness witnesses meet
+            for _ in range(160):
+                program = generators.random_program(holding_rng)
+                yield program, generators.random_property(holding_rng, program, holds=True), True
+
+        for program, prop, holding in draws():
             given = generators.random_correctness_witness(given_rng, program)
             for config in configs:
                 claimed = verify(program, prop, config)
@@ -896,6 +953,7 @@ class TestOneExploration:
                     echoed = validate_result(program, prop, parsed, config)
                     assert echoed.result is claimed.result
                     assert echoed.witness == claimed.witness
+                    holding_true += holding and claimed.result is Result.TRUE
                 echoed = validate_result(program, prop, given, config)
                 if echoed.result is Result.TRUE:
                     assert echoed.witness != given
@@ -903,6 +961,7 @@ class TestOneExploration:
                     rederived += 1
         assert min(seen.values()) >= 200
         assert rederived >= 200
+        assert holding_true >= 100, holding_true
 
     @pytest.mark.parametrize("result", [Result.TRUE, Result.FALSE])
     def test_04_deep_witnesses_hold(self, result):

@@ -245,6 +245,18 @@ class TestExecTestCommand:
         assert payload["verdict"] == "blocked-no-input"
         assert payload["details"]["consumed_inputs"] == 0
 
+    def test_04_blocking_property_is_an_invalid_artifact(self, capsys, tmp_path):
+        """Input 5 doubles to a = 10, where the blind-spot property blocks:
+        exec-test refuses it as verify does (TestVerifyCommand::test_05)."""
+        test_file = tmp_path / "t5.test"
+        test_file.write_text("5\n")
+        code, out, err = run_cli(capsys, "exec-test", *blind_spot(tmp_path), "--test", str(test_file))
+        assert (code, out) == (65, "")
+        assert err == ("error: automaton blind_spot violates its kind constraints:\n"
+                       "kind property: not ok\n"
+                       "  non-blocking: refuted: state q0 blocks edge (2, a = a * 2, 3) "
+                       "on {a=10}\n")
+
 
 class TestGenTestsCommand:
     def test_01_writes_suite_files(self, capsys, tmp_path):

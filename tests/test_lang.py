@@ -1,5 +1,6 @@
 """Tests for the imperative frontend and the concrete path semantics."""
 
+import collections
 import random
 import traceback
 
@@ -9,6 +10,7 @@ import generators
 from coopverify.errors import ParseError, UndefinedVariable, UseBeforeDef
 from coopverify.lang import (
     Assume,
+    CFAEdge,
     ConcreteDataState,
     ConcretePath,
     EMPTY_STATE,
@@ -16,9 +18,11 @@ from coopverify.lang import (
     PathStep,
     assume_op,
     check_defined_before_use,
-    definitely_assigned,
     enumerate_paths,
     input_op,
+    make_cfa,
+    op_reads,
+    op_writes,
     parse_cfa,
     parse_operation,
     parse_program,
@@ -26,7 +30,8 @@ from coopverify.lang import (
     successors,
 )
 from coopverify.predicates import Interval, parse_predicate
-from reference import BLOCKED, replay_path, strongest_post
+from reference import (BLOCKED, definitely_assigned, reference_use_before_def, replay_path,
+                       strongest_post)
 
 
 def edge_between(cfa, source, target):
@@ -317,6 +322,88 @@ class TestDefiniteAssignment:
         text = "cfa\ninit 0\nedge 0 -> 1: a++\n"
         with pytest.raises(UseBeforeDef):
             parse_cfa(text)
+
+
+def raised_use_before_def(cfa):
+    """(variable, location) that ``check_defined_before_use`` raises, or None."""
+    try:
+        check_defined_before_use(cfa)
+    except UseBeforeDef as err:
+        return err.variable, err.location
+    return None
+
+
+def cfa_of(edges, variables=None):
+    """A CFA from (source, operation text, target) triples, initial location
+    0, over the variables the operations name unless ``variables`` is given."""
+    edges = [CFAEdge(source, parse_operation(text), target) for source, text, target in edges]
+    named = set().union(*(op_reads(e.op) | op_writes(e.op) for e in edges))
+    locations = {0} | {e.source for e in edges} | {e.target for e in edges}
+    return make_cfa(locations, 0, edges, named if variables is None else variables)
+
+
+class TestUseBeforeDefinition:
+    """``check_defined_before_use`` reads liveness; the definite-assignment
+    analysis of ``tests/reference.py`` is what it is compared against: both
+    find the same first read, naming the same variable and location."""
+
+    def test_01_mutated_programs_agree_with_definite_assignment(self):
+        """1,600 generated programs, each with one edge of the first
+        quarter in edge order, where the declarations are, removed or
+        retargeted at any location, the initial one included."""
+        rng = random.Random(2468)
+        outcomes = collections.Counter()
+        for _ in range(1600):
+            program = generators.random_program(rng)
+            edges = list(program.edges)
+            index = rng.randrange((len(edges) + 3) // 4)
+            if rng.random() < 0.2:
+                del edges[index]
+            else:
+                edge = edges[index]
+                edges[index] = CFAEdge(edge.source, edge.op, rng.choice(sorted(program.locations)))
+            cfa = make_cfa(program.locations, program.initial, edges, program.variables)
+            expected = reference_use_before_def(cfa)
+            assert raised_use_before_def(cfa) == expected
+            outcomes["passes" if expected is None else "raises"] += 1
+        assert min(outcomes["passes"], outcomes["raises"]) >= 300, outcomes
+
+    @pytest.mark.parametrize("edges, expected", [
+        # an unreachable edge reads variables nothing assigns
+        ([(0, "int a = 0", 1), (2, "int b = c + a", 3)], None),
+        # nothing is assigned at the initial location, whatever edges lead back
+        ([(0, "int x = 1", 1), (1, "x = 2", 0), (0, "int y = x", 2)], ("x", 0)),
+        ([(0, "int x = 1", 1), (1, "x = 2", 0), (1, "int y = x", 2)], None),
+        ([(0, "x = input()", 1), (1, "x > 0", 0), (1, "x <= 0", 2), (2, "y = y + x", 3)],
+         ("y", 2)),
+        # one edge reads two unassigned variables: the first in sorted order
+        ([(0, "int c = b + a", 1)], ("a", 0)),
+        ([(0, "int a = 1", 1), (1, "int c = b + a", 2), (1, "int d = a", 2), (2, "d = d + c", 3)],
+         ("b", 1)),
+        # a loop assigns before its only read
+        ([(0, "int i = 0", 1), (1, "i < 3", 2), (2, "int t = 1", 3), (3, "i = i + t", 1),
+          (1, "!(i < 3)", 4)], None),
+    ])
+    def test_02_hand_written_cfas(self, edges, expected):
+        cfa = cfa_of(edges)
+        assert raised_use_before_def(cfa) == reference_use_before_def(cfa) == expected
+        text = serialize_cfa(cfa)
+        if expected is None:
+            parse_cfa(text)
+        else:
+            with pytest.raises(UseBeforeDef) as err:
+                parse_cfa(text)
+            assert (err.value.variable, err.value.location) == expected
+
+    def test_03_only_reachable_reads_count_whatever_the_declared_variables(self):
+        """A hand-built CFA whose ``variables`` misses ``c``: the read of
+        ``c`` at unreachable location 2 is not flagged, where definite
+        assignment, which assumes every declared variable assigned there,
+        flagged it.  Both parsers declare every variable the operations
+        name, so no parsed program differs."""
+        cfa = cfa_of([(0, "int a = 0", 1), (2, "int b = c + a", 3)], {"a", "b"})
+        assert raised_use_before_def(cfa) is None
+        assert reference_use_before_def(cfa) == ("c", 2)
 
 
 class TestCfaTextFormat:
