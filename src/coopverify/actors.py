@@ -108,15 +108,18 @@ def violation_witness_from_path(path: ConcretePath) -> ArtifactAutomaton:
     One state per path step; each transition consumes exactly the step's edge
     and, on input edges, pins the read value (`x == v`), so replaying the
     witness forces the same inputs.  Transitions over equal edges share one
-    pattern.
+    pattern, looked up first by the identity of the edge.
     """
     states = [f"w{i}" for i in range(path.length + 1)]
     transitions = []
     patterns: dict = {}  # (match source, op text, match target) -> pattern
+    by_edge: dict = {}  # id of an edge the path holds -> its pattern
     for i, step in enumerate(path.steps[1:]):
         edge = step.incoming
-        fields = (edge.match_src, edge.op.text, edge.match_tgt)
-        pattern = patterns.get(fields) or patterns.setdefault(fields, EdgePattern(*fields))
+        pattern = by_edge.get(id(edge))
+        if pattern is None:
+            fields = (edge.match_src, edge.op.text, edge.match_tgt)
+            pattern = by_edge[id(edge)] = patterns.setdefault(fields, EdgePattern(*fields))
         assumption = TRUE
         if isinstance(edge.op, InputOp):
             assumption = Comparison("==", Var(edge.op.target),
@@ -524,7 +527,7 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
                 consumed += 1
             else:
                 raise TypeError(f"not an operation: {op!r}")
-            steps.append(PathStep(post, edge.target, edge))
+            steps.append(tuple.__new__(PathStep, (post, edge.target, edge)))  # see PathStep
             break
         else:
             break  # no edge taken
@@ -558,6 +561,8 @@ class TestRecord:
 
 @dataclass(frozen=True)
 class TestSuite:
+    """Test records with pairwise distinct input sequences."""
+
     tests: tuple
 
     def __post_init__(self) -> None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (DuplicateOtherwise, InvalidArtifact, ParseError, UndefinedVariable,
                      UnknownKind)
@@ -78,11 +78,17 @@ class EdgePattern:
     norm_text: Optional[str] = field(init=False, repr=False, compare=False)
     # whether the text is the input template, computed once for the step
     is_input_template: bool = field(init=False, repr=False, compare=False)
+    # the artifact text, rendered once for every transition sharing the pattern
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         norm = None if self.op_text is None else normalize_text(self.op_text)
         object.__setattr__(self, "norm_text", norm)
         object.__setattr__(self, "is_input_template", norm == _INPUT_TEMPLATE_NORM)
+        src = "*" if self.source is None else self.source
+        op = "*" if self.op_text is None else f'"{self.op_text}"'
+        tgt = "*" if self.target is None else self.target
+        object.__setattr__(self, "text", f"({src}, {op}, {tgt})")
 
     def matches(self, edge: CFAEdge) -> bool:
         if self.source is not None and self.source != edge.match_src:
@@ -96,33 +102,45 @@ class EdgePattern:
         return self.norm_text == edge.norm_text
 
     def __str__(self) -> str:
-        src = "*" if self.source is None else str(self.source)
-        tgt = "*" if self.target is None else str(self.target)
-        op = "*" if self.op_text is None else f'"{self.op_text}"'
-        return f"({src}, {op}, {tgt})"
+        return self.text
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
+    """One automaton transition: the edges it consumes (its pattern, None
+    exactly for an ``otherwise`` transition) and the assumption it makes on
+    the post-state.
+
+    A named tuple, not a frozen dataclass: a path witness holds one per path
+    step, and a frozen dataclass sets each field through
+    ``object.__setattr__``; a named tuple takes about a third of the time to
+    build (CPython 3.11).  Its fields cost more to read, so the automaton step
+    reads the moves of ``ArtifactAutomaton._explicit`` instead.  It equals the
+    tuple of its fields.  Its hash leaves out the assumption, which would walk
+    the whole tree; equal transitions still hash alike."""
+
     source: str
     target: str
-    pattern: Optional[EdgePattern]  # None exactly for otherwise transitions
-    # left out of the hash, which would walk the whole tree; equal
-    # transitions still hash alike
-    assumption: Predicate = field(default=TRUE, hash=False)
+    pattern: Optional[EdgePattern]
+    assumption: Predicate = TRUE
     otherwise: bool = False
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.pattern, self.otherwise))
 
     def __str__(self) -> str:
         if self.otherwise:
             return f"{self.source} -> {self.target} otherwise"
-        text = f"{self.source} -> {self.target} on {self.pattern}"
-        if self.assumption != TRUE:
-            text += f" assume {pred_text(self.assumption)}"
+        text = f"{self.source} -> {self.target} on {self.pattern.text}"
+        assumption = self.assumption
+        if assumption is not TRUE and assumption != TRUE:
+            text += f" assume {pred_text(assumption)}"
         return text
 
 
 @dataclass(frozen=True)
 class ArtifactAutomaton:
+    """States, invariants and transitions of one artifact of a declared kind."""
+
     name: str
     kind: AutomatonKind
     states: tuple
@@ -130,8 +148,11 @@ class ArtifactAutomaton:
     finals: frozenset
     invariants: dict  # only non-trivial entries
     transitions: tuple
-    # state -> (explicit transitions, otherwise transition or None)
-    _moves: dict = field(init=False, repr=False, compare=False, default=None)
+    # state -> its explicit moves in file order, and state -> its otherwise
+    # move; a move is the plain tuple (transition, target, pattern, assumption),
+    # which the step unpacks at less cost than reading a named tuple's fields
+    _explicit: dict = field(init=False, repr=False, compare=False, default=None)
+    _otherwise: dict = field(init=False, repr=False, compare=False, default=None)
     # the states that have an otherwise transition
     _looping: frozenset = field(init=False, repr=False, compare=False, default=None)
     # the read set, computed on first use (see ``reads``)
@@ -151,17 +172,22 @@ class ArtifactAutomaton:
         explicit: dict = {}
         otherwise: dict = {}
         for t in self.transitions:
-            if t.source not in declared or t.target not in declared:
+            source, target, pattern, assumption, loops = t
+            if source not in declared or target not in declared:
                 raise ValueError(f"transition {t} uses an undeclared state")
-            if not t.otherwise:
-                explicit.setdefault(t.source, []).append(t)
-            elif t.source in otherwise:
-                raise DuplicateOtherwise(f"state {t.source!r} has two otherwise transitions")
+            move = (t, target, pattern, assumption)
+            if not loops:
+                gathered = explicit.get(source)
+                if gathered is None:
+                    explicit[source] = [move]
+                else:
+                    gathered.append(move)
+            elif source in otherwise:
+                raise DuplicateOtherwise(f"state {source!r} has two otherwise transitions")
             else:
-                otherwise[t.source] = t
-        moves = {q: (tuple(explicit.get(q, ())), otherwise.get(q))
-                 for q in explicit.keys() | otherwise.keys()}
-        object.__setattr__(self, "_moves", moves)
+                otherwise[source] = move
+        object.__setattr__(self, "_explicit", explicit)
+        object.__setattr__(self, "_otherwise", otherwise)
         object.__setattr__(self, "_looping", frozenset(otherwise))
 
     def invariant(self, state: str) -> Predicate:
@@ -202,13 +228,11 @@ class ArtifactAutomaton:
         return self._read_sites
 
     def explicit_from(self, state: str) -> tuple:
-        return self._moves.get(state, _NO_MOVES)[0]
+        return tuple(move[0] for move in self._explicit.get(state, ()))
 
     def otherwise_at(self, state: str) -> Optional[Transition]:
-        return self._moves.get(state, _NO_MOVES)[1]
-
-
-_NO_MOVES = ((), None)
+        move = self._otherwise.get(state)
+        return None if move is None else move[0]
 
 
 def make_automaton(
@@ -240,10 +264,10 @@ def _input_target(edge: CFAEdge) -> Optional[str]:
 
 
 def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, bindings: dict,
-           read: Optional[str]) -> Sequence[Transition]:
-    """Transitions a run in ``state`` takes on (edge, post-state), the
-    post-state given by its bindings (``ConcreteDataState._bindings``), so
-    that every variable read is a dict read.
+           read: Optional[str]) -> Sequence[tuple]:
+    """The moves (see ``ArtifactAutomaton._explicit``) a run in ``state`` takes
+    on (edge, post-state), the post-state given by its bindings
+    (``ConcreteDataState._bindings``), so that every variable read is a dict read.
 
     The enabled ones are the explicit transitions that fire, each matched
     and its assumption evaluated once, or else the otherwise transition,
@@ -258,27 +282,28 @@ def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, bindings: dict,
     reads a variable the post-state does not bind raises
     :class:`InvalidArtifact` naming the automaton, state, transition and edge.
     """
-    explicit, ow = aut._moves.get(state, _NO_MOVES)
     invariants = aut.invariants
     try:
         enabled = []
-        for t in explicit:
-            pattern = t.pattern
-            if pattern.matches(edge) and (t.assumption is TRUE or evaluate(
-                    t.assumption, bindings, read if pattern.is_input_template else None)):
-                enabled.append(t)
+        for move in aut._explicit.get(state, ()):
+            t, _, pattern, assumption = move
+            if pattern.matches(edge) and (assumption is TRUE or evaluate(
+                    assumption, bindings, read if pattern.is_input_template else None)):
+                enabled.append(move)
         if enabled:
             taken = []
-            for t in enabled:
-                inv = invariants.get(t.target)
+            for move in enabled:
+                t, target, pattern, _ = move
+                inv = invariants.get(target)
                 if inv is None or evaluate(inv, bindings,
-                                           read if t.pattern.is_input_template else None):
-                    taken.append(t)
+                                           read if pattern.is_input_template else None):
+                    taken.append(move)
             return taken
-        t = ow
+        ow = aut._otherwise.get(state)
         if ow is None or (read is not None and aut.kind is AutomatonKind.TEST_CASE):
             return ()
-        inv = invariants.get(ow.target)
+        t, target, _, _ = ow
+        inv = invariants.get(target)
         # the otherwise transition has no pattern, so no placeholder binding
         if inv is not None and not evaluate(inv, bindings):
             return ()
@@ -335,8 +360,7 @@ def step_frontier(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge,
         (state,) = frontier
         taken = _taken(aut, state, edge, bindings, read)
         if len(taken) == 1:
-            (t,) = taken
-            target = t.target
+            ((t, target, _, _),) = taken
             entered = (frozenset((FinalEntry(t, target),)) if target in aut.finals
                        else _NOTHING)
             return frozenset((target,)), entered
@@ -345,8 +369,8 @@ def step_frontier(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge,
     if not taken:
         return _NOTHING, _NOTHING
     finals = aut.finals
-    return (frozenset(t.target for t in taken),
-            frozenset(FinalEntry(t, t.target) for t in taken if t.target in finals))
+    return (frozenset(move[1] for move in taken),
+            frozenset(FinalEntry(t, target) for t, target, _, _ in taken if target in finals))
 
 
 def step_reads(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge) -> bool:
@@ -359,14 +383,14 @@ def step_reads(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge) -> bo
     the test case's rule on input edges depends on the edge alone too."""
     invariants = aut.invariants
     for q in frontier:
-        explicit, ow = aut._moves.get(q, _NO_MOVES)
         matched = False
-        for t in explicit:
-            if t.pattern.matches(edge):
-                if t.assumption is not TRUE or t.target in invariants:
+        for _, target, pattern, assumption in aut._explicit.get(q, ()):
+            if pattern.matches(edge):
+                if assumption is not TRUE or target in invariants:
                     return True
                 matched = True
-        if not matched and ow is not None and ow.target in invariants:
+        ow = aut._otherwise.get(q)
+        if not matched and ow is not None and ow[1] in invariants:
             return True
     return False
 

@@ -47,6 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunReport:
+    """What one subcommand reports, rendered as text or as JSON."""
+
     command: str
     verdict: str
     exit_code: int

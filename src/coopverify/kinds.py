@@ -57,6 +57,8 @@ class NonBlocking:
 
 @dataclass(frozen=True)
 class KindViolation:
+    """One structural constraint of a kind that an automaton breaks."""
+
     constraint: str
     subject: str
     message: str
@@ -67,6 +69,8 @@ class KindViolation:
 
 @dataclass(frozen=True)
 class KindReport:
+    """An automaton's kind check: its structural violations and its non-blocking verdict."""
+
     kind: AutomatonKind
     violations: tuple
     non_blocking: NonBlocking

@@ -56,6 +56,8 @@ from .predicates import (
 
 @dataclass(frozen=True)
 class Assignment:
+    """An assignment ``target = expr``, with its canonical text."""
+
     target: str
     expr: Expr
     text: str
@@ -63,12 +65,16 @@ class Assignment:
 
 @dataclass(frozen=True)
 class Assume:
+    """A branch condition the path must satisfy to pass the edge."""
+
     condition: Predicate
     text: str
 
 
 @dataclass(frozen=True)
 class InputOp:
+    """A read of one input value into ``target``."""
+
     target: str
     text: str
 
@@ -144,6 +150,8 @@ class CFAEdge:
 
 @dataclass(frozen=True)
 class ControlFlowAutomaton:
+    """A program: locations joined by edges that each carry one operation."""
+
     locations: frozenset
     initial: int
     edges: tuple
@@ -353,6 +361,8 @@ def successors(cfa: ControlFlowAutomaton, state: ConcreteDataState, location: in
 
 @dataclass(frozen=True)
 class EnumerationResult:
+    """The maximal paths within a step bound, and whether the bound cut any."""
+
     paths: tuple
     truncated: bool
 

@@ -33,6 +33,8 @@ class Role(Enum):
 
 @dataclass(frozen=True)
 class Artifact:
+    """A value exchanged between actors, tagged with its role."""
+
     role: Role
     value: object
 
@@ -118,12 +120,16 @@ ACTORS = {
 
 @dataclass(frozen=True)
 class Step:
+    """One recipe step: an actor and the artifact names bound to its inputs."""
+
     actor: str
     bindings: tuple  # artifact names, positional
 
 
 @dataclass(frozen=True)
 class Recipe:
+    """A sequence of pipeline steps, run in order."""
+
     steps: tuple
 
 
@@ -193,6 +199,8 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """The artifacts a pipeline ends with and the log of its steps."""
+
     artifacts: dict  # final environment, name -> Artifact
     log: tuple
 

@@ -35,11 +35,15 @@ class Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
+    """An integer literal."""
+
     value: int
 
 
 @dataclass(frozen=True)
 class Var(Expr):
+    """A program variable, read from the data state."""
+
     name: str
 
 
@@ -53,11 +57,15 @@ CHI = TemplateVar()
 
 @dataclass(frozen=True)
 class Neg(Expr):
+    """Arithmetic negation, ``-operand``."""
+
     operand: Expr
 
 
 @dataclass(frozen=True)
 class BinExpr(Expr):
+    """A binary arithmetic operation, ``left op right``."""
+
     op: str  # one of + - *
     left: Expr
     right: Expr
@@ -69,6 +77,8 @@ class Predicate:
 
 @dataclass(frozen=True)
 class BoolConst(Predicate):
+    """The constant ``true`` or ``false``."""
+
     value: bool
 
 
@@ -80,6 +90,8 @@ COMPARISON_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
 @dataclass(frozen=True)
 class Comparison(Predicate):
+    """An integer comparison, ``left op right``."""
+
     op: str  # one of COMPARISON_OPS
     left: Expr
     right: Expr
@@ -87,17 +99,23 @@ class Comparison(Predicate):
 
 @dataclass(frozen=True)
 class Not(Predicate):
+    """Negation, ``!operand``."""
+
     operand: Predicate
 
 
 @dataclass(frozen=True)
 class And(Predicate):
+    """Conjunction, ``left && right``."""
+
     left: Predicate
     right: Predicate
 
 
 @dataclass(frozen=True)
 class Or(Predicate):
+    """Disjunction, ``left || right``."""
+
     left: Predicate
     right: Predicate
 
@@ -278,6 +296,8 @@ _TOKEN_RE = re.compile(
 
 @dataclass(frozen=True)
 class Token:
+    """One lexical token with its 1-based source position."""
+
     kind: str  # int | ident | keyword | op | eof
     text: str
     line: int
@@ -506,6 +526,8 @@ class Interval:
 
 @dataclass(frozen=True)
 class TautologyResult:
+    """Whether a predicate holds on every valuation over a bounded domain."""
+
     status: str  # tautology | falsifiable | inconclusive
     counterexample: Optional[dict] = None
     syntactic: bool = False

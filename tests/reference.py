@@ -36,7 +36,7 @@ from coopverify.lang import (
     op_reads,
     op_writes,
 )
-from coopverify.predicates import TRUE
+from coopverify.predicates import TRUE, pred_text
 
 
 # ---------------------------------------------------------------------------
@@ -389,3 +389,48 @@ def uncovered_prefixes(program, cond, config) -> set:
     return prefix_closure([(step.incoming, step.state) for step in path.steps[1:]]
                           for path in result.paths
                           if not naive_match_path(cond, path).accepted)
+
+
+# ---------------------------------------------------------------------------
+# Artifact text and the transition index, rebuilt on every call.  The
+# library renders a pattern's text once and indexes transitions in one pass;
+# these format and gather field by field, as the text format reads.
+
+def reference_pattern_text(pattern) -> str:
+    src = "*" if pattern.source is None else str(pattern.source)
+    tgt = "*" if pattern.target is None else str(pattern.target)
+    op = "*" if pattern.op_text is None else f'"{pattern.op_text}"'
+    return f"({src}, {op}, {tgt})"
+
+
+def reference_transition_text(t) -> str:
+    if t.otherwise:
+        return f"{t.source} -> {t.target} otherwise"
+    text = f"{t.source} -> {t.target} on {reference_pattern_text(t.pattern)}"
+    if t.assumption != TRUE:
+        text += f" assume {pred_text(t.assumption)}"
+    return text
+
+
+def reference_serialize(aut: ArtifactAutomaton) -> str:
+    lines = [f"automaton {aut.name} kind={aut.kind.value}"]
+    for state in aut.states:
+        parts = [f"state {state}"]
+        if state == aut.initial:
+            parts.append("init")
+        if state in aut.finals:
+            parts.append("final")
+        line = " ".join(parts)
+        if state in aut.invariants:
+            line += f" inv: {pred_text(aut.invariants[state])}"
+        lines.append(line)
+    lines.extend(f"trans {reference_transition_text(t)}" for t in aut.transitions)
+    return "\n".join(lines) + "\n"
+
+
+def reference_moves(aut: ArtifactAutomaton, state: str) -> tuple:
+    """The explicit transitions out of ``state`` in file order, and its
+    otherwise transition or None, by a scan of every transition."""
+    explicit = tuple(t for t in aut.transitions if t.source == state and not t.otherwise)
+    otherwise = [t for t in aut.transitions if t.source == state and t.otherwise]
+    return explicit, (otherwise[0] if otherwise else None)

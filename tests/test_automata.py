@@ -3,12 +3,13 @@
 import collections
 import itertools
 import random
+import re
 
 import pytest
 
 import corpus
 import generators
-from coopverify import automata
+from coopverify import AnalysisConfig, automata, parse_program, verify
 from coopverify.automata import (
     ArtifactAutomaton,
     AutomatonKind,
@@ -43,7 +44,15 @@ from coopverify.lang import (
     enumerate_paths,
 )
 from coopverify.predicates import Interval, TRUE, parse_predicate
-from reference import all_runs, naive_match_path, reference_step
+from reference import (
+    all_runs,
+    naive_match_path,
+    reference_moves,
+    reference_pattern_text,
+    reference_serialize,
+    reference_step,
+    reference_transition_text,
+)
 
 
 def empty_path(cfa):
@@ -541,6 +550,105 @@ class TestAutFormat:
 
 def verdict_triple(v):
     return (v.k, v.accepted, v.covered)
+
+
+class TestArtifactText:
+    """The text of an automaton is pinned byte for byte to a formatter that
+    renders every pattern and transition afresh, and the one-pass index of
+    transitions by state to a scan of all transitions."""
+
+    GENERATORS = (generators.random_property, generators.random_test_goal,
+                  generators.random_condition, generators.random_violation_witness,
+                  generators.random_correctness_witness)
+
+    @staticmethod
+    def assert_text(aut):
+        for t in aut.transitions:
+            assert str(t) == reference_transition_text(t)
+            if t.pattern is not None:
+                assert str(t.pattern) == reference_pattern_text(t.pattern)
+        assert serialize_automaton(aut) == reference_serialize(aut)
+
+    @staticmethod
+    def assert_index(aut):
+        for q in (*aut.states, "undeclared"):
+            explicit, otherwise = reference_moves(aut, q)
+            assert type(aut.explicit_from(q)) is tuple
+            assert aut.explicit_from(q) == explicit
+            assert all(a is b for a, b in zip(aut.explicit_from(q), explicit))
+            assert aut.otherwise_at(q) is otherwise
+        assert aut._looping == frozenset(q for q in aut.states
+                                         if reference_moves(aut, q)[1] is not None)
+
+    def generated(self):
+        for seed in range(60):
+            for generate in self.GENERATORS:
+                rng = random.Random(seed)
+                yield generate(rng, generators.random_program(rng))
+
+    def test_01_samples(self):
+        names = sorted(path.name for path in corpus.SAMPLES.glob("*.aut"))
+        assert len(names) == 5
+        for name in names:
+            aut = parse_automaton(corpus.sample_text(name))
+            self.assert_text(aut)
+            self.assert_index(aut)
+
+    def test_02_generated_automata(self):
+        """300 automata, 60 seeds of each generator of ``test_roundtrip``."""
+        count = 0
+        for aut in self.generated():
+            self.assert_text(aut)
+            self.assert_index(aut)
+            self.assert_text(parse_automaton(serialize_automaton(aut)))
+            count += 1
+        assert count == 300
+
+    def test_03_witness_of_a_long_path(self):
+        """verify's witness of a 3,004-step path, and its text read back."""
+        program = parse_program("int c = input();\nint i = 0;\nint s = 5;\n"
+                                "while (i < 1000) {\n  s = s + 3 * i;\n  i++;\n}\n")
+        prop = parse_automaton("automaton first kind=property\nstate q0 init\nstate qe final\n"
+                               'trans q0 -> qe on (*, "!(i < 1000)", *) assume c == -3\n'
+                               "trans q0 -> q0 otherwise\n")
+        bundle = verify(program, prop, AnalysisConfig(Interval(-3, 0), 3014))
+        assert bundle.judgment.evidence.length == 3004
+        witness = bundle.witness
+        assert len(witness.transitions) == 3004
+        self.assert_text(witness)
+        text = serialize_automaton(witness)
+        assert text.splitlines()[-3004] == ('trans w0 -> w1 on (0, "int c = input()", 1) '
+                                            "assume c == -3")
+        self.assert_text(parse_automaton(text))
+        assert serialize_automaton(parse_automaton(text)) == text
+
+    def test_04_index_of_a_state_with_many_transitions(self):
+        """2,000 explicit transitions out of one state, in file order, with
+        its otherwise transition among them."""
+        states = ["q0", "q1", "q2"]
+        transitions = [Transition("q0", states[1 + i % 2], EdgePattern(i, "x++", None))
+                       for i in range(2000)]
+        transitions.insert(700, Transition("q0", "q0", None, TRUE, otherwise=True))
+        transitions.append(Transition("q2", "q2", None, TRUE, otherwise=True))
+        aut = make_automaton("many", AutomatonKind.PROPERTY, states, "q0", ("q1",),
+                             transitions)
+        assert len(aut.explicit_from("q0")) == 2000
+        assert aut.explicit_from("q1") == () and aut.otherwise_at("q1") is None
+        self.assert_index(aut)
+        self.assert_text(aut)
+
+    def test_05_construction_checks_stay(self):
+        """A second otherwise transition, even apart from the first, and a
+        transition touching an undeclared state are refused at construction."""
+        loop = Transition("q0", "q0", None, TRUE, otherwise=True)
+        step = Transition("q0", "q1", EdgePattern(None, "x++", None))
+        with pytest.raises(DuplicateOtherwise, match="state 'q0' has two otherwise"):
+            make_automaton("a", AutomatonKind.PROPERTY, ("q0", "q1"), "q0", (),
+                           (loop, step, loop))
+        for bad in (Transition("q0", "q9", step.pattern), Transition("q9", "q0", step.pattern)):
+            with pytest.raises(ValueError, match=re.escape(f"transition {bad} uses an undeclared")):
+                make_automaton("a", AutomatonKind.PROPERTY, ("q0", "q1"), "q0", (),
+                               (step, bad, loop, loop))
 
 
 class TestMatchSemantics:

@@ -6,7 +6,9 @@ import pathlib
 import pytest
 
 import coopverify
+from coopverify.automata import EdgePattern, Transition
 from coopverify.lang import EMPTY_STATE, PathStep, parse_program
+from coopverify.predicates import TRUE, BoolConst, Comparison, Const, Var
 
 PUBLIC_NAMES = {
     "AnalysisConfig",
@@ -103,3 +105,41 @@ def test_03_path_step_is_an_immutable_record():
     assert step != PathStep(state, 0, edge)
     assert repr(step) == f"PathStep(state={state!r}, location=1, incoming={edge!r})"
     assert repr(PathStep(EMPTY_STATE, 0, None)) == "PathStep(state={}, location=0, incoming=None)"
+
+
+def test_04_transition_is_an_immutable_record():
+    """A path witness holds one ``Transition`` per step; it keeps the
+    constructor, the field names and defaults, immutability, value equality,
+    a hash that leaves out the assumption, and the repr and text of each
+    form of transition."""
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.default) for p in inspect.signature(Transition).parameters.values()] == [
+        ("source", empty), ("target", empty), ("pattern", empty), ("assumption", TRUE),
+        ("otherwise", False)]
+    pattern = EdgePattern(1, "x++", 2)
+    plain = Transition("q0", "q1", pattern)
+    assert (plain.source, plain.target, plain.pattern) == ("q0", "q1", pattern)
+    assert (plain.assumption, plain.otherwise) == (TRUE, False)
+    with pytest.raises(AttributeError):
+        plain.target = "q2"
+    assert Transition(source="q0", target="q1", pattern=EdgePattern(1, "x++", 2)) == plain
+    assert plain != Transition("q0", "q2", pattern)
+    guard = Comparison("==", Var("x"), Const(1))
+    assuming = Transition("q0", "q1", pattern, guard)
+    assert assuming != plain and hash(assuming) == hash(plain)
+    assert hash(Transition("q0", "q1", EdgePattern(1, "x++", 2), guard)) == hash(assuming)
+    otherwise = Transition("q1", "q1", None, TRUE, otherwise=True)
+    assert repr(plain) == ("Transition(source='q0', target='q1', pattern=EdgePattern(source=1, "
+                           "op_text='x++', target=2), assumption=BoolConst(value=True), "
+                           "otherwise=False)")
+    assert repr(assuming) == (
+        "Transition(source='q0', target='q1', pattern=EdgePattern(source=1, op_text='x++', "
+        "target=2), assumption=Comparison(op='==', left=Var(name='x'), right=Const(value=1)), "
+        "otherwise=False)")
+    assert repr(otherwise) == ("Transition(source='q1', target='q1', pattern=None, "
+                               "assumption=BoolConst(value=True), otherwise=True)")
+    assert str(plain) == 'q0 -> q1 on (1, "x++", 2)'
+    assert str(Transition("q0", "q1", pattern, BoolConst(True))) == str(plain)  # an equal true
+    assert str(assuming) == 'q0 -> q1 on (1, "x++", 2) assume x == 1'
+    assert str(otherwise) == "q1 -> q1 otherwise"
+    assert str(Transition("q0", "q0", EdgePattern(None, None, None))) == "q0 -> q0 on (*, *, *)"
