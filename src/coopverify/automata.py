@@ -19,10 +19,10 @@ any number of consumed edges:
   consuming any prefix (hence acceptance is stable under path extension);
 * it *covers* the path if some run consumes every edge.
 
-:func:`match_path` decides both by folding :func:`step_frontier`, the step
-the product explorer of :mod:`coopverify.product` runs, over the path: an
-on-the-fly determinization keeping the frontier of reachable automaton
-states per prefix.
+:func:`match_path` decides both by folding :func:`step_frontier` over the
+path, keeping the frontier of reachable automaton states per prefix.  A step
+is planned from its edge alone (:func:`plan_step`) and the plan run on the
+post-state; the explorer of :mod:`coopverify.product` keeps its plans.
 """
 
 from __future__ import annotations
@@ -153,8 +153,6 @@ class ArtifactAutomaton:
     # which the step unpacks at less cost than reading a named tuple's fields
     _explicit: dict = field(init=False, repr=False, compare=False, default=None)
     _otherwise: dict = field(init=False, repr=False, compare=False, default=None)
-    # the states that have an otherwise transition
-    _looping: frozenset = field(init=False, repr=False, compare=False, default=None)
     # the read set, computed on first use (see ``reads``)
     _reads: frozenset = field(init=False, repr=False, compare=False, default=None)
     # the reading transitions, computed on first use (see ``_transition_reads``)
@@ -188,7 +186,6 @@ class ArtifactAutomaton:
                 otherwise[source] = move
         object.__setattr__(self, "_explicit", explicit)
         object.__setattr__(self, "_otherwise", otherwise)
-        object.__setattr__(self, "_looping", frozenset(otherwise))
 
     def invariant(self, state: str) -> Predicate:
         return self.invariants.get(state, TRUE)
@@ -255,64 +252,7 @@ def make_automaton(
 
 
 # ---------------------------------------------------------------------------
-# Transition enabledness
-
-def _input_target(edge: CFAEdge) -> Optional[str]:
-    """The variable receiving the input value on an input edge, else None."""
-    op = edge.op
-    return op.target if isinstance(op, InputOp) else None
-
-
-def _taken(aut: ArtifactAutomaton, state: str, edge: CFAEdge, bindings: dict,
-           read: Optional[str]) -> Sequence[tuple]:
-    """The moves (see ``ArtifactAutomaton._explicit``) a run in ``state`` takes
-    on (edge, post-state), the post-state given by its bindings
-    (``ConcreteDataState._bindings``), so that every variable read is a dict read.
-
-    The enabled ones are the explicit transitions that fire, each matched
-    and its assumption evaluated once, or else the otherwise transition,
-    which a test case never takes on an input edge: its chain must match
-    inputs explicitly or the run dies.  An enabled transition is taken
-    when the invariant of its target holds on the post-state; all
-    assumptions are evaluated before any invariant.  A ``true`` assumption
-    and a trivial invariant (one ``make_automaton`` left out of
-    ``invariants``) hold without an evaluation.  ``read`` is
-    :func:`_input_target` of the edge, which the template placeholder of an
-    input-template transition stands for.  An assumption or invariant that
-    reads a variable the post-state does not bind raises
-    :class:`InvalidArtifact` naming the automaton, state, transition and edge.
-    """
-    invariants = aut.invariants
-    try:
-        enabled = []
-        for move in aut._explicit.get(state, ()):
-            t, _, pattern, assumption = move
-            if pattern.matches(edge) and (assumption is TRUE or evaluate(
-                    assumption, bindings, read if pattern.is_input_template else None)):
-                enabled.append(move)
-        if enabled:
-            taken = []
-            for move in enabled:
-                t, target, pattern, _ = move
-                inv = invariants.get(target)
-                if inv is None or evaluate(inv, bindings,
-                                           read if pattern.is_input_template else None):
-                    taken.append(move)
-            return taken
-        ow = aut._otherwise.get(state)
-        if ow is None or (read is not None and aut.kind is AutomatonKind.TEST_CASE):
-            return ()
-        t, target, _, _ = ow
-        inv = invariants.get(target)
-        # the otherwise transition has no pattern, so no placeholder binding
-        if inv is not None and not evaluate(inv, bindings):
-            return ()
-        return (ow,)
-    except UndefinedVariable as err:
-        raise InvalidArtifact(
-            f"automaton {aut.name}, state {state}, transition {t}, edge "
-            f"({edge.match_src}, {edge.op.text}, {edge.match_tgt}): {err}") from err
-
+# The step
 
 @dataclass(frozen=True)
 class FinalEntry:
@@ -344,55 +284,148 @@ def initial_frontier(aut: ArtifactAutomaton, initial_state) -> tuple:
 _NOTHING = frozenset()
 
 
-def step_frontier(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge,
-                  state_after: ConcreteDataState) -> tuple:
-    """Advance a set of simultaneously-reachable states over one path step.
-
-    Returns the successor frontier and the final states entered on this step
-    (paired with the transition used, for goal identification).  The states
-    of the frontier are stepped in sorted order, each by :func:`_taken` on
-    the post-state's bindings.  A one-state frontier that takes one
-    transition, the common case, builds its two sets directly.
-    """
-    read = _input_target(edge)
-    bindings = state_after._bindings
-    if len(frontier) == 1:
-        (state,) = frontier
-        taken = _taken(aut, state, edge, bindings, read)
-        if len(taken) == 1:
-            ((t, target, _, _),) = taken
-            entered = (frozenset((FinalEntry(t, target),)) if target in aut.finals
-                       else _NOTHING)
-            return frozenset((target,)), entered
-    else:
-        taken = [t for q in sorted(frontier) for t in _taken(aut, q, edge, bindings, read)]
+def _outcome(taken: list, finals: frozenset) -> tuple:
+    """The successor frontier and the final entries of taking ``taken``,
+    moves (see ``ArtifactAutomaton._explicit``); one move, the common case,
+    builds both sets directly."""
     if not taken:
         return _NOTHING, _NOTHING
-    finals = aut.finals
+    if len(taken) == 1:
+        ((t, target, _, _),) = taken
+        return (frozenset((target,)),
+                frozenset((FinalEntry(t, target),)) if target in finals else _NOTHING)
     return (frozenset(move[1] for move in taken),
             frozenset(FinalEntry(t, target) for t, target, _, _ in taken if target in finals))
 
 
-def step_reads(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge) -> bool:
-    """Whether :func:`step_frontier` may read a variable stepping ``frontier``
-    over ``edge``: some explicit transition from its states that matches the
-    edge has a non-``true`` assumption or a target with an invariant, or, at
-    a state where none matches, the otherwise transition's target has an
-    invariant.  A step that reads none takes the same transitions on every
-    post-state, so its result depends on (automaton, frontier, edge) alone;
-    the test case's rule on input edges depends on the edge alone too."""
+class StepPlan:
+    """The part of a step (see :func:`plan_step`) that reads the post-state.
+
+    ``run`` evaluates the guards left on a post-state, one state of the
+    frontier after the other in sorted order, and returns the step's
+    (frontier, final entries).  A check is (state, its explicit guards, its
+    otherwise guard or None), a guard (move, assumption, invariant,
+    placeholder binding) with None for a part that always holds.
+    Where one guard is left, it picks one of two outcomes built in advance.
+    """
+
+    __slots__ = ("aut", "edge", "checks", "fixed", "one")
+
+    def __init__(self, aut: ArtifactAutomaton, edge: CFAEdge, checks: list, fixed: list) -> None:
+        self.aut = aut
+        self.edge = edge
+        self.checks = checks
+        self.fixed = fixed  # the moves taken on every post-state
+        finals = aut.finals
+        # (guard, placeholder binding, state, transition, outcome if it holds,
+        # outcome if not); a failed assumption leaves the otherwise move
+        self.one = None
+        (state, moves, ow), *more = checks
+        guards = [(g, m) for m in (*moves, ow) if m is not None for g in m[1:3] if g is not None]
+        if not more and len(guards) == 1:
+            ((guard, (move, _, _, chi)),) = guards
+            missed = fixed if ow is None or ow[0] is move else [*fixed, ow[0]]
+            self.one = (guard, chi, state, move[0], _outcome([*fixed, move], finals),
+                        _outcome(missed, finals))
+
+    def run(self, bindings: dict) -> tuple:
+        """The step on the post-state given by its bindings
+        (``ConcreteDataState._bindings``), so that every variable read is a
+        dict read."""
+        if self.one is not None:
+            guard, chi, state, t, hit, miss = self.one
+            try:
+                return hit if evaluate(guard, bindings, chi) else miss
+            except UndefinedVariable as err:
+                raise self._unbound(state, t, err) from err
+        taken = list(self.fixed)
+        for state, moves, ow in self.checks:
+            move = ow
+            try:
+                enabled = []
+                for move in moves:
+                    if move[1] is None or evaluate(move[1], bindings, move[3]):
+                        enabled.append(move)
+                for move in enabled:
+                    if move[2] is None or evaluate(move[2], bindings, move[3]):
+                        taken.append(move[0])
+                if not enabled and ow is not None:
+                    move = ow
+                    if ow[2] is None or evaluate(ow[2], bindings):
+                        taken.append(ow[0])
+            except UndefinedVariable as err:
+                raise self._unbound(state, move[0][0], err) from err
+        return _outcome(taken, self.aut.finals)
+
+    def _unbound(self, state: str, t: Transition, err: UndefinedVariable) -> InvalidArtifact:
+        edge = self.edge
+        return InvalidArtifact(f"automaton {self.aut.name}, state {state}, transition {t}, edge "
+                               f"({edge.match_src}, {edge.op.text}, {edge.match_tgt}): {err}")
+
+
+def plan_step(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge):
+    """What stepping ``frontier`` over ``edge`` takes, as far as the edge
+    alone decides it: the step's (frontier, final entries) when no guard is
+    left, else (None, the :class:`StepPlan` of the guards to evaluate).
+
+    A run in a state takes, on (edge, post-state), the enabled transitions:
+    the explicit ones that match the edge and whose assumption holds, or
+    else the otherwise transition, which a test case never takes on an
+    input edge (its chain must match inputs explicitly or the run dies).  An
+    enabled transition is taken when the invariant of its target holds on
+    the post-state; at each state, all assumptions are evaluated before any
+    invariant.  The template placeholder stands for the edge's input
+    variable in the assumption and invariant of an input-template
+    transition.  A ``true`` assumption and a trivial invariant (one
+    ``make_automaton`` left out of ``invariants``) are no guard, and an
+    explicit transition with a ``true`` assumption is always enabled.
+    """
+    op = edge.op
+    read = op.target if isinstance(op, InputOp) else None
+    otherwise = (None if read is not None and aut.kind is AutomatonKind.TEST_CASE
+                 else aut._otherwise)
     invariants = aut.invariants
-    for q in frontier:
-        matched = False
-        for _, target, pattern, assumption in aut._explicit.get(q, ()):
+    fixed: list = []
+    checks: list = []
+    for state in frontier if len(frontier) < 2 else sorted(frontier):
+        moves = []
+        certain = False  # an explicit transition is enabled on every post-state
+        for move in aut._explicit.get(state, ()):
+            _, target, pattern, assumption = move
             if pattern.matches(edge):
-                if assumption is not TRUE or target in invariants:
-                    return True
-                matched = True
-        ow = aut._otherwise.get(q)
-        if not matched and ow is not None and ow[1] in invariants:
-            return True
-    return False
+                inv = invariants.get(target)
+                if assumption is TRUE:
+                    certain = True
+                    if inv is None:
+                        fixed.append(move)
+                        continue
+                    assumption = None
+                moves.append((move, assumption, inv, read if pattern.is_input_template else None))
+        ow = None if certain or otherwise is None else otherwise.get(state)
+        if ow is not None:
+            inv = invariants.get(ow[1])
+            if moves or inv is not None:
+                ow = (ow, None, inv, None)
+            else:
+                fixed.append(ow)
+                ow = None
+        if moves or ow is not None:
+            checks.append((state, moves, ow))
+    return (None, StepPlan(aut, edge, checks, fixed)) if checks else _outcome(fixed, aut.finals)
+
+
+def step_frontier(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge,
+                  state_after: ConcreteDataState) -> tuple:
+    """Advance a set of simultaneously-reachable states over one path step:
+    :func:`plan_step`, then the plan run on the post-state.
+
+    Returns the successor frontier and the final states entered on this step
+    (paired with the transition used, for goal identification).  A guard
+    that reads a variable the post-state does not bind raises
+    :class:`InvalidArtifact` naming the automaton, state, transition and edge.
+    """
+    frontier, entered = plan_step(aut, frontier, edge)
+    return (frontier, entered) if frontier is not None else entered.run(state_after._bindings)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .automata import (INPUT_TEMPLATE_TEXT, ArtifactAutomaton, AutomatonKind, EdgePattern,
-                       Transition, _input_target, _taken, make_automaton)
+                       Transition, make_automaton, plan_step)
 from .errors import UnboundTemplate, UndefinedVariable
 from .lang import EMPTY_STATE, CFAEdge, ControlFlowAutomaton
 from .predicates import (CHI, TRUE, Comparison, Const, Interval, evaluate, mentions_template,
@@ -150,15 +150,23 @@ def non_blocking_rule(aut: ArtifactAutomaton) -> Optional[Callable]:
     """The non-blocking rule of a property, None when no state is watched:
     on one explored configuration, the refutation by the first watched state
     of automaton 0's frontier that takes no transition on one of its steps;
-    none on a truncated configuration, whose steps lie beyond the bound."""
+    none on a truncated configuration, whose steps lie beyond the bound.
+    The rule serves one search, whose edges it keys by identity."""
     watched = frozenset(q for q in aut.states
                         if q not in aut.finals and aut.otherwise_at(q) is None)
+    plans: dict = {}  # (state, id(edge)) -> the plan of stepping {state} (automata.plan_step)
 
     def blocked(v) -> Optional[NonBlocking]:
         if not v.truncated:
             for q in sorted(v.frontiers[0] & watched):
                 for edge, post in v.successors:
-                    if not _taken(aut, q, edge, post._bindings, _input_target(edge)):
+                    plan = plans.get((q, id(edge)))
+                    if plan is None:
+                        plan = plans[q, id(edge)] = plan_step(aut, frozenset((q,)), edge)
+                    succ, entered = plan
+                    if succ is None:  # guards are left
+                        succ, _ = entered.run(post._bindings)
+                    if not succ:
                         return NonBlocking(REFUTED, q, edge, dict(post))
         return None
 
@@ -274,7 +282,7 @@ def validate_kind(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
     A property that meets those of :func:`structural_report` is searched on
     ``program`` within the value ``domain`` and ``max_steps`` until the first
     refutation of :func:`non_blocking_rule`.  An unbound read there raises,
-    as :class:`InvalidArtifact` (see :func:`coopverify.automata._taken`).
+    as :class:`InvalidArtifact` (see :func:`coopverify.automata.step_frontier`).
     """
     report = structural_report(aut)
     if aut.kind is not AutomatonKind.PROPERTY:

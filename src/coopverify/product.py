@@ -65,27 +65,21 @@ the bound.  Hence:
   only from unknown to a definite one.
 
 Most observers loop in place through ``otherwise`` on every edge they do
-not watch, so one exploration steps them over the same (frontier, edge)
-many times.  The explorer keeps a memo of such steps for one exploration,
-keyed on (automaton index, frontier, edge), and stores a step's result
-(next frontier, final entries) only when
-
-* every state of the frontier has an otherwise transition, and
-* the step reads no variable (:func:`coopverify.automata.step_reads`): every
-  explicit transition from those states that matches the edge has a
-  ``true`` assumption and a target without an invariant, and where none
-  matches, the otherwise transition's target has no invariant.
-
-Such a step takes the same transitions on every post-state, and the test
-case's rule on input edges depends on the edge alone, so the stored result
-is exactly what :func:`coopverify.automata.step_frontier` returns for any
-post-state; every other step is taken by ``step_frontier`` each time, and
-only reading steps can raise.  Edges are keyed by identity, because hashing
-one walks its operation; that is sound because the program keeps its edges
-alive while the memo, which dies with the exploration, exists.  Path-shaped
-automata (no otherwise transition at all, as violation witnesses written
-from a path) never enter the memo: each of their frontiers is stepped once
-anyway, and storing the steps would only hold memory.
+not watch, and a witness follows the program's edges, so one exploration
+steps an automaton over the same (frontier, edge) many times.  Which
+transitions that step can take, their guards, the placeholder binding and
+the test case's rule on input edges depend on the edge alone, so the
+explorer plans each step once per exploration
+(:func:`coopverify.automata.plan_step`), keyed on (automaton index,
+frontier, edge), and then only runs the plan's guards on each post-state.
+A plan with no guard left is the step's result itself; a correctness
+witness's step is one invariant evaluation.  Edges are keyed by identity,
+because hashing one walks its operation; that is sound because the program
+keeps its edges alive while the memo, which dies with the exploration,
+exists.  A violation witness's plans are kept only while the successors of
+one configuration are stepped, which share a plan where they differ only in
+the value read: one written from a path meets each (state, edge) pair about
+once in the whole search, so storing its plans would only hold memory.
 """
 
 from __future__ import annotations
@@ -94,7 +88,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
-from .automata import ArtifactAutomaton, initial_frontier, step_frontier, step_reads
+from .automata import ArtifactAutomaton, AutomatonKind, initial_frontier, plan_step
 from .lang import (EMPTY_STATE, ConcreteDataState, ConcretePath, ControlFlowAutomaton, PathStep,
                    op_writes, successors)
 from .predicates import Interval
@@ -248,10 +242,6 @@ def _with_pair_liveness(names: tuple, location: int, frontiers: tuple,
     return names if extra.issubset(names) else tuple(sorted(extra.union(names)))
 
 
-# the memo's mark of a step that is taken anew each time
-_UNSTORED = object()
-
-
 def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton],
                 config: AnalysisConfig, visit: Visitor) -> bool:
     """Depth-first bounded exploration of program x automata.
@@ -271,9 +261,10 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     visitor steers: PRUNE abandons the configuration's extensions, STOP
     abandons the whole exploration.  A skipped prefix is taken to steer as
     the key's earlier visit did, so a visitor's answer must depend on the
-    key alone; the visit itself still carries the whole data state.  A step
-    of an automaton that reads no variable is taken once per (automaton,
-    frontier, edge) and then looked up (see the module docstring).  Each
+    key alone; the visit itself still carries the whole data state.  Each
+    automaton step is planned once per (automaton, frontier, edge) and its
+    plan run on every post-state; a violation witness's plans are kept for
+    one configuration's successors only (see the module docstring).  Each
     pushed ``PathStep`` is built through ``tuple.__new__`` (see
     :class:`coopverify.lang.PathStep`).  Returns whether any configuration
     was truncated by the step bound.
@@ -292,12 +283,12 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     explored_at: dict = {}  # configuration key at a meeting location -> depth
     part_ids: dict = {}  # (frontiers, final entries) -> its id in keys
     pairs = [initial_frontier(a, EMPTY_STATE) for a in automata]
-    # per automaton: its index and the states with an otherwise transition,
-    # none for a path-shaped one, which is never memoized
-    observers = [(i, a, a._looping) for i, a in enumerate(automata)]
-    # (index, frontier, id(edge)) -> (next frontier, final entries) of a
-    # step that reads no variable, or _UNSTORED (see the module docstring)
+    # (index, frontier, id(edge)) -> the plan of that step (see the module docstring)
     memo: dict = {}
+    shared: dict = {}  # the same for violation witnesses, for one configuration's successors
+    # per automaton: its index and where its step plans are kept
+    observers = [(i, a, shared if a.kind is AutomatonKind.VIOLATION_WITNESS else memo)
+                 for i, a in enumerate(automata)]
     trail: list = []  # the steps of the prefix reaching the current configuration
     stack = [(0, PathStep(EMPTY_STATE, program.initial, None),
               tuple(fr for fr, _ in pairs), tuple(en for _, en in pairs))]
@@ -332,25 +323,20 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
             return saw_truncation
         if action is PRUNE or truncated:
             continue
+        if shared:
+            shared.clear()
         for edge, post in reversed(succ):
             edge_id = id(edge)
             next_frontiers = []
             next_entries = []
-            for (i, a, looping), fr, en in zip(observers, frontiers, entries):
-                if looping:
-                    step_key = (i, fr, edge_id)
-                    move = memo.get(step_key)
-                    if move is None:
-                        move = step_frontier(a, fr, edge, post)
-                        if not fr <= looping or step_reads(a, fr, edge):
-                            memo[step_key] = _UNSTORED
-                        else:
-                            memo[step_key] = move
-                    elif move is _UNSTORED:
-                        move = step_frontier(a, fr, edge, post)
-                    fr, new = move
-                else:
-                    fr, new = step_frontier(a, fr, edge, post)
+            for (i, a, plans), fr, en in zip(observers, frontiers, entries):
+                step_key = (i, fr, edge_id)
+                plan = plans.get(step_key)
+                if plan is None:
+                    plan = plans[step_key] = plan_step(a, fr, edge)
+                fr, new = plan
+                if fr is None:  # guards are left
+                    fr, new = new.run(post._bindings)
                 next_frontiers.append(fr)
                 next_entries.append(en | new if new else en)
             stack.append((depth + 1, tuple.__new__(PathStep, (post, edge.target, edge)),

@@ -3,6 +3,15 @@
 import pytest
 
 import corpus
+import reference
+
+
+@pytest.fixture(autouse=True)
+def _enumerations_per_test():
+    """The reference machinery enumerates a program's paths once per test
+    (see ``reference.enumerated``), and no enumeration outlives the test."""
+    yield
+    reference.forget_enumerations()
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ confirm itself if its oracle ran on the engine, so
 from __future__ import annotations
 
 import re
+import weakref
 from typing import Optional, Sequence
 
 from corpus import reference_eval_expr, reference_evaluate
@@ -149,6 +150,29 @@ def reference_use_before_def(cfa: ControlFlowAutomaton) -> Optional[tuple]:
     return None
 
 
+# (id(program), input domain, step bound) -> the program's enumeration.  An
+# entry goes when its program is collected, before the id can name another
+# one, and conftest.py empties the store after every test.
+_ENUMERATIONS: dict = {}
+
+
+def enumerated(program: ControlFlowAutomaton, config: AnalysisConfig):
+    """``enumerate_paths`` of ``program`` within ``config``, enumerated once
+    per test: the oracle checks several judgments on one program, each at
+    the same domain and step bound."""
+    key = (id(program), config.input_domain, config.max_steps)
+    result = _ENUMERATIONS.get(key)
+    if result is None:
+        result = _ENUMERATIONS[key] = enumerate_paths(program, config.input_domain,
+                                                      config.max_steps)
+        weakref.finalize(program, _ENUMERATIONS.pop, key, None)
+    return result
+
+
+def forget_enumerations() -> None:
+    _ENUMERATIONS.clear()
+
+
 # ---------------------------------------------------------------------------
 # Automaton runs
 
@@ -239,7 +263,7 @@ def reference_blocks(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
     takes no transition on the path's next step: the blocks the
     non-blocking check of ``coopverify.kinds`` must find one of."""
     blocks = set()
-    for path in enumerate_paths(program, config.input_domain, config.max_steps).paths:
+    for path in enumerated(program, config).paths:
         for run in all_runs(aut, path):
             consumed, state = len(run) - 1, run[-1][1]
             if state in aut.finals or consumed == path.length:
@@ -295,7 +319,8 @@ def brute_force_oracle(program: ControlFlowAutomaton,
                        config: AnalysisConfig = DEFAULT_CONFIG) -> frozenset:
     """All complete program paths satisfying the per-automaton requirement.
 
-    Enumerates every path outright, then decides each automaton's
+    Enumerates every path outright (once per program, domain and step bound
+    in a test: :func:`enumerated`), then decides each automaton's
     requirement (``accept`` or ``cover``) with :func:`naive_match_path`.
     The five judgments of ``coopverify.engine`` are tested against it.
     """
@@ -304,7 +329,7 @@ def brute_force_oracle(program: ControlFlowAutomaton,
     for mode in modes:
         if mode not in ("accept", "cover"):
             raise ValueError(f"unknown mode {mode!r}")
-    result = enumerate_paths(program, config.input_domain, config.max_steps)
+    result = enumerated(program, config)
     if result.truncated:
         raise OracleBudgetExceeded("path enumeration was truncated by the step bound")
     total_steps = sum(path.length for path in result.paths)
@@ -384,7 +409,7 @@ def residual_prefixes(program, cond, config) -> set:
 
 
 def uncovered_prefixes(program, cond, config) -> set:
-    result = enumerate_paths(program, config.input_domain, config.max_steps)
+    result = enumerated(program, config)
     assert not result.truncated
     return prefix_closure([(step.incoming, step.state) for step in path.steps[1:]]
                           for path in result.paths

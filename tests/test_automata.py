@@ -577,8 +577,6 @@ class TestArtifactText:
             assert aut.explicit_from(q) == explicit
             assert all(a is b for a, b in zip(aut.explicit_from(q), explicit))
             assert aut.otherwise_at(q) is otherwise
-        assert aut._looping == frozenset(q for q in aut.states
-                                         if reference_moves(aut, q)[1] is not None)
 
     def generated(self):
         for seed in range(60):

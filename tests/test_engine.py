@@ -15,8 +15,8 @@ import reference
 from coopverify import automata as automata_module
 from coopverify import lang as lang_module
 from coopverify import product as product_module
-from coopverify.actors import (Result, conditional_verify, generate_tests, validate_result,
-                               verify)
+from coopverify.actors import (Result, conditional_verify, exec_test, generate_tests,
+                               validate_result, verify)
 from coopverify.automata import FinalEntry, match_path, parse_automaton, serialize_automaton
 from coopverify.engine import (
     AnalysisConfig,
@@ -283,7 +283,7 @@ class TestOracle:
                 used.add(node.id)
         assert "enumerate_paths" in used and "reference_evaluate" in used
         engine_code = {"run_product", "_search", "step_frontier", "match_path",
-                       "initial_frontier", "_taken", "accepts", "covers"}
+                       "initial_frontier", "plan_step", "StepPlan", "accepts", "covers"}
         assert not used & engine_code
 
 
@@ -606,22 +606,30 @@ int e = 1;
 
 
 class TestStepMemo:
-    """The explorer takes a step that reads no variable, over a frontier of
-    states that all have an otherwise transition, once per (automaton,
-    frontier, edge) and exploration, and looks it up after that."""
+    """The explorer plans an automaton's step once per (automaton, frontier,
+    edge) and exploration, and after that only runs the plan's guards on
+    each post-state; a violation witness's plans are kept only for one
+    configuration's successors."""
 
     @pytest.fixture
     def stepped(self, monkeypatch):
-        """The automata passed to ``step_frontier`` through the explorer's
-        binding, one entry per call."""
-        seen = []
-        real = product_module.step_frontier
+        """The automata passed to ``plan_step`` through the explorer's
+        binding, one entry per plan built; ``stepped.ran`` holds the name of
+        the automaton of each plan run, one entry per step that evaluates a
+        guard."""
+        seen = PlanLog()
+        real_plan, real_run = product_module.plan_step, automata_module.StepPlan.run
 
-        def counting(aut, frontier, edge, state_after):
+        def planning(aut, frontier, edge):
             seen.append(aut)
-            return real(aut, frontier, edge, state_after)
+            return real_plan(aut, frontier, edge)
 
-        monkeypatch.setattr(product_module, "step_frontier", counting)
+        def running(plan, bindings):
+            seen.ran.append(plan.aut.name)
+            return real_run(plan, bindings)
+
+        monkeypatch.setattr(product_module, "plan_step", planning)
+        monkeypatch.setattr(automata_module.StepPlan, "run", running)
         return seen
 
     @staticmethod
@@ -683,17 +691,19 @@ class TestStepMemo:
                 run_product(program, automata, config, visit)
                 products += 1
         assert products >= 300
-        # the memo served some steps, and reading steps were still taken
+        # the memo served some steps, and guards were still evaluated
         assert 0 < len(stepped) < steps
+        assert stepped.ran
 
     COUNT_TO = "int n = input();\nint i = 0;\nwhile (i < n) {\n  i++;\n}\n"
     ROUNDS = AnalysisConfig(Interval(300, 300), 1000)
 
     def test_02_read_free_steps_are_taken_once(self, stepped):
         """Counting to 300 makes 603 steps: the input, i = 0, 300 loop
-        entries, 300 increments and the exit.  The property reads i on every
-        increment and nothing on the other edges, so the explorer calls
-        ``step_frontier`` once per increment and once per other edge."""
+        entries, 300 increments and the exit.  The property's frontier is
+        {q0} throughout, so the explorer plans one step per edge.  It reads
+        i on every increment and nothing on the other edges, so only the
+        300 increments run a plan."""
         program = parse_program(self.COUNT_TO)
         prop = parse_automaton(
             "automaton never kind=property\nstate q0 init\nstate qe final\n"
@@ -703,30 +713,34 @@ class TestStepMemo:
                     lambda v: visits.append(v) or VisitAction.CONTINUE)
         assert len(visits) - 1 == 603
         assert len(program.edges) == 5
-        assert len(stepped) == 300 + 4
+        assert len(stepped) == 5
+        assert stepped.ran == ["never"] * 300
 
     def test_03_path_witness_is_stepped_once_per_step(self, stepped):
-        """A path violation witness has no otherwise transition, so the memo
-        never stores its steps: checking the 603-step witness of the count
-        to 300 steps it once per explored step, while the property, which
-        reads nothing, is stepped once per edge."""
+        """The memo never stores a violation witness's plans: checking the
+        603-step witness of the count to 300 plans its step once per
+        explored step, and only the input step, which pins n, runs a plan.
+        The property, which reads nothing, is planned once per edge and
+        never run."""
         program = parse_program(self.COUNT_TO)
         prop = parse_automaton(_edge_property("!(i < n)"))
         witness = verify(program, prop, self.ROUNDS).witness
         assert witness.kind is automata_module.AutomatonKind.VIOLATION_WITNESS
         assert len(witness.transitions) == 603
         stepped.clear()
+        stepped.ran.clear()
         judgment = check_violation_witness(program, prop, witness, self.ROUNDS)
         assert judgment.verdict is Verdict.HOLDS
         assert judgment.evidence.length == 603
         assert stepped.count(witness) == 603
         assert stepped.count(prop) == len(program.edges)
+        assert stepped.ran == [witness.name]
 
     def test_04_otherwise_into_an_invariant_is_taken_every_time(self, stepped):
         """From ``int a = 0`` on, the witness loops in s1 through otherwise,
         and s1's invariant reads a: the step over ``a = x`` leaves s1 for
         x = -1 and keeps it for x = 0 and 1, from the same frontier over the
-        same edge, so it is taken anew each time and never looked up."""
+        same edge, so its plan is run anew each time."""
         program = parse_program("int x = input();\nint a = 0;\na = x;\nint e = 1;\n")
         witness = parse_automaton(
             "automaton cw kind=correctness-witness\nstate s0 init\nstate s1 inv: a >= 0\n"
@@ -746,10 +760,74 @@ class TestStepMemo:
         run_product(program, automata, AnalysisConfig(Interval(-1, 1), 10), visit)
         assert frontiers.count((3, frozenset())) == 1
         assert frontiers.count((3, frozenset({"s1"}))) == 2
-        # the input once; each step into or within s1, one per input value
-        # (three over a = 0 and over a = x, two over e = 1); the empty
-        # frontier's step once
-        assert stepped.count(witness) == 1 + 3 + 3 + 2 + 1
+        # one plan per (frontier, edge): {s0} over the input and over
+        # a = 0, {s1} over a = x and over e = 1, the empty frontier over e = 1
+        assert stepped.count(witness) == 5
+        # the invariant is read on each step into or within s1, one per
+        # input value: three over a = 0 and over a = x, two over e = 1
+        assert stepped.ran.count("cw") == 3 + 3 + 2
+
+    # Each guard reads an unbound variable on the step over x = x - 5 only
+    # where x is -3, so input 1 (explored first) passes and input 2 raises.
+    UNBOUND_PROGRAM = "int x = input();\nx = x - 5;\nint e = 1;\n"
+    UNBOUND_GUARDS = {
+        "assumption": (
+            "state q0 init\nstate qe final\n"
+            'trans q0 -> qe on (*, "x = x - 5", *) assume x != -3 || b > 3\n'
+            "trans q0 -> q0 otherwise\n",
+            'automaton assumption, state q0, transition q0 -> qe on (*, "x = x - 5", *) '
+            "assume x != -3 || b > 3, edge (1, x = x - 5, 2): "
+            "variable 'b' is not bound in the data state"),
+        "invariant": (
+            "state q0 init\nstate q1 inv: x != -3 || a > 0\n"
+            'trans q0 -> q1 on (*, "x = x - 5", *)\ntrans q0 -> q0 otherwise\n',
+            'automaton invariant, state q0, transition q0 -> q1 on (*, "x = x - 5", *), '
+            "edge (1, x = x - 5, 2): variable 'a' is not bound in the data state"),
+        "otherwise": (
+            "state q0 init\nstate q1 inv: x != -3 || b > 0\n"
+            'trans q0 -> q1 on (*, "int x = input()", *)\ntrans q1 -> q1 otherwise\n',
+            "automaton otherwise, state q1, transition q1 -> q1 otherwise, "
+            "edge (1, x = x - 5, 2): variable 'b' is not bound in the data state"),
+    }
+
+    @pytest.mark.parametrize("guard", sorted(UNBOUND_GUARDS))
+    def test_05_unbound_reads_name_where_they_happened(self, stepped, guard):
+        """An assumption, a target's invariant and an otherwise target's
+        invariant that read an unbound variable raise the same text three
+        ways: through a plan the explorer stored and ran on input 1 before
+        input 2 reached it, through a violation witness's step, which is not
+        stored, and through a test execution's step of the property."""
+        program = parse_program(self.UNBOUND_PROGRAM)
+        body, text = self.UNBOUND_GUARDS[guard]
+        config = AnalysisConfig(Interval(1, 2), 10)
+        built = []
+        for kind in ("property", "violation-witness"):
+            aut = parse_automaton(f"automaton {guard} kind={kind}\n{body}")
+            visited = []
+            stepped.clear()
+            with pytest.raises(InvalidArtifact) as err:
+                run_product(program, (aut,), config,
+                            lambda v: visited.append(v.location) or VisitAction.CONTINUE)
+            assert str(err.value) == text
+            assert visited == [0, 1, 2, 3, 1]
+            built.append(len(stepped))
+        # the property's plan over x = x - 5 served both inputs; the witness
+        # planned that step once per input, and its input step once for both
+        assert built[1] == built[0] + 1
+        # each exploration ran the failing step's guard on both inputs
+        assert stepped.ran.count(guard) >= 4
+        with pytest.raises(InvalidArtifact) as err:
+            exec_test(program, (2,), parse_automaton(f"automaton {guard} kind=property\n{body}"))
+        assert str(err.value) == text
+
+
+class PlanLog(list):
+    """The automata of the step plans built, and in ``ran`` the names of the
+    automata of the plans run (see ``TestStepMemo.stepped``)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ran: list = []
 
 
 class TestDeadVariables:

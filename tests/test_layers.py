@@ -23,7 +23,6 @@ PRIVATE_IMPORTS = {
                            "_uncovered_or_accepted"},
     ("automata", "predicates"): {"_integer"},
     ("cli", "predicates"): {"_integer"},
-    ("kinds", "automata"): {"_input_target", "_taken"},
     ("lang", "predicates"): {"_integer", "_parse_all"},
 }
 
