@@ -73,7 +73,6 @@ from .predicates import (
     evaluate,
     substitute_template,
 )
-from .product import ProductVisit
 
 
 class Result(Enum):
@@ -537,12 +536,11 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
     if prop is not None:
         blocked = non_blocking_rule(prop)
         frontier, entered = initial_frontier(prop, EMPTY_STATE)
-        for depth, (before, (post, _, edge)) in enumerate(zip(steps, steps[1:])):
+        for post, _, edge in steps[1:]:
             if entered or not frontier:
                 break
             if blocked is not None:
-                refuted = blocked(ProductVisit(before.location, before.state, depth, (frontier,),
-                                               (entered,), [(edge, post)], False, steps))
+                refuted = blocked(frontier, ((edge, post),))
                 if refuted is not None:
                     raise _refusal(prop, KindReport(prop.kind, (), refuted))
             frontier, entered = step_frontier(prop, frontier, edge, post)

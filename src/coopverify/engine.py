@@ -137,7 +137,8 @@ def _search(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton]
         if hit(v):
             found.append(v.path)
             return STOP
-        if blocked is not None and (refuted := blocked(v)) is not None:
+        if (blocked is not None and not v.truncated
+                and (refuted := blocked(v.frontiers[0], v.successors)) is not None):
             raise _refusal(automata[0], KindReport(automata[0].kind, (), refuted))
         if prune is not None and prune(v):
             return PRUNE

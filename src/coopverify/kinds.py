@@ -148,26 +148,26 @@ def _trivial_invariant_violations(aut: ArtifactAutomaton) -> list:
 
 def non_blocking_rule(aut: ArtifactAutomaton) -> Optional[Callable]:
     """The non-blocking rule of a property, None when no state is watched:
-    on one explored configuration, the refutation by the first watched state
-    of automaton 0's frontier that takes no transition on one of its steps;
-    none on a truncated configuration, whose steps lie beyond the bound.
-    The rule serves one search, whose edges it keys by identity."""
+    given a frontier and the (edge, post-state) steps taken from it, the
+    refutation by the first watched state of the frontier that takes no
+    transition on one of the steps.  A search applies it to automaton 0 on
+    each untruncated configuration, whose steps lie within the bound.  The
+    rule serves one search, whose edges it keys by identity."""
     watched = frozenset(q for q in aut.states
                         if q not in aut.finals and aut.otherwise_at(q) is None)
     plans: dict = {}  # (state, id(edge)) -> the plan of stepping {state} (automata.plan_step)
 
-    def blocked(v) -> Optional[NonBlocking]:
-        if not v.truncated:
-            for q in sorted(v.frontiers[0] & watched):
-                for edge, post in v.successors:
-                    plan = plans.get((q, id(edge)))
-                    if plan is None:
-                        plan = plans[q, id(edge)] = plan_step(aut, frozenset((q,)), edge)
-                    succ, entered = plan
-                    if succ is None:  # guards are left
-                        succ, _ = entered.run(post._bindings)
-                    if not succ:
-                        return NonBlocking(REFUTED, q, edge, dict(post))
+    def blocked(frontier: frozenset, steps) -> Optional[NonBlocking]:
+        for q in sorted(frontier & watched):
+            for edge, post in steps:
+                plan = plans.get((q, id(edge)))
+                if plan is None:
+                    plan = plans[q, id(edge)] = plan_step(aut, frozenset((q,)), edge)
+                succ, entered = plan
+                if succ is None:  # guards are left
+                    succ, _ = entered.run(post._bindings)
+                if not succ:
+                    return NonBlocking(REFUTED, q, edge, dict(post))
         return None
 
     return blocked if watched else None
@@ -295,7 +295,7 @@ def validate_kind(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
     found = [NonBlocking(BOUNDED_PROVED)]
 
     def visit(v) -> VisitAction:
-        if (refuted := blocked(v)) is None:
+        if v.truncated or (refuted := blocked(v.frontiers[0], v.successors)) is None:
             return CONTINUE
         found[0] = refuted
         return STOP

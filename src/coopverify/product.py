@@ -33,13 +33,15 @@ Variables Analysis", SAS 1999):
   transition reads its assumption and its target's invariant on the
   post-state of the edge, so the edge's own writes are never read by it.
 
-A key is ``(location, part id, values of the key's names)``.  The part id
-numbers the distinct (frontiers, final entries) pairs of one exploration in
-the order they are first keyed, so two keys share it exactly when their
-frontiers and final entries are equal, and a key holds one small int for
-its automaton part however many automata there are.  At a location where
-automaton states widen the names, the names are a function of the location
-and the frontiers, so equal keys still name the same variables.
+At a location where prefixes meet, each distinct (location, frontiers,
+final entries) of one exploration gets one part id, in the order the parts
+are first met, and the part's key names are computed then, once: the
+program's live variables there, the first automaton's reads and the pair
+liveness of each later automaton's frontier states.  A key is ``(part id,
+values of the part's names)``, so two keys are equal exactly when their
+locations, frontiers and final entries are equal and the same names hold
+the same values, and a key holds one small int for its location and
+automaton part however many automata there are.
 
 A skipped prefix agrees with its representative on the location, the
 frontiers, the final entries and every variable that the program, the
@@ -70,16 +72,17 @@ steps an automaton over the same (frontier, edge) many times.  Which
 transitions that step can take, their guards, the placeholder binding and
 the test case's rule on input edges depend on the edge alone, so the
 explorer plans each step once per exploration
-(:func:`coopverify.automata.plan_step`), keyed on (automaton index,
-frontier, edge), and then only runs the plan's guards on each post-state.
-A plan with no guard left is the step's result itself; a correctness
-witness's step is one invariant evaluation.  Edges are keyed by identity,
-because hashing one walks its operation; that is sound because the program
-keeps its edges alive while the memo, which dies with the exploration,
-exists.  A violation witness's plans are kept only while the successors of
-one configuration are stepped, which share a plan where they differ only in
-the value read: one written from a path meets each (state, edge) pair about
-once in the whole search, so storing its plans would only hold memory.
+(:func:`coopverify.automata.plan_step`) in that automaton's own memo,
+keyed on (frontier, edge), and then only runs the plan's guards on each
+post-state.  A plan with no guard left is the step's result itself; a
+correctness witness's step is one invariant evaluation.  Edges are keyed by
+identity, because hashing one walks its operation; that is sound because
+the program keeps its edges alive while the memos, which die with the
+exploration, exist.  A violation witness's memo is emptied before the
+successors of each configuration are stepped, which share a plan where
+they differ only in the value read: one written from a path meets each
+(state, edge) pair about once in the whole search, so storing its plans
+would only hold memory.
 """
 
 from __future__ import annotations
@@ -233,15 +236,6 @@ def _pair_liveness(program: ControlFlowAutomaton, aut: ArtifactAutomaton) -> dic
     return live
 
 
-def _with_pair_liveness(names: tuple, location: int, frontiers: tuple,
-                        liveness: list) -> tuple:
-    """``names`` joined with what each automaton of ``liveness`` (index,
-    pair liveness) can read from its frontier's states at ``location``."""
-    extra = {name for i, live in liveness for state in frontiers[i]
-             for name in live.get((location, state), ())}
-    return names if extra.issubset(names) else tuple(sorted(extra.union(names)))
-
-
 def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton],
                 config: AnalysisConfig, visit: Visitor) -> bool:
     """Depth-first bounded exploration of program x automata.
@@ -249,46 +243,52 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     Explores every product configuration reachable within the step bound,
     each at the smallest depth at which the depth-first order reaches it
     (see the module docstring), in deterministic order (per program
-    location: edge order, input values ascending).  A configuration is
-    keyed on its location, the id of its (frontiers, final entries) pair in
-    this exploration, and the values of the variables live there: those the
-    program may still read, those the first of ``automata`` reads anywhere,
-    and those each later one may read from its frontier's states before
-    they are overwritten (see the module docstring).  A prefix whose key
-    was already explored at no greater depth is skipped without a visit.
-    Only configurations at the program's ``meeting_locations`` are
-    recorded, which keeps the record small where prefixes never meet.  The
-    visitor steers: PRUNE abandons the configuration's extensions, STOP
-    abandons the whole exploration.  A skipped prefix is taken to steer as
-    the key's earlier visit did, so a visitor's answer must depend on the
-    key alone; the visit itself still carries the whole data state.  Each
-    automaton step is planned once per (automaton, frontier, edge) and its
-    plan run on every post-state; a violation witness's plans are kept for
-    one configuration's successors only (see the module docstring).  Each
-    pushed ``PathStep`` is built through ``tuple.__new__`` (see
+    location: edge order, input values ascending).  At the program's
+    ``meeting_locations``, each distinct (location, frontiers, final
+    entries) gets one part id, whose key names are computed when the part is
+    first met: the variables the program may still read there, those the
+    first of ``automata`` reads anywhere, and those each later one may read
+    from its frontier's states before they are overwritten (see the module
+    docstring).  A configuration's key is its part id and the values of the
+    part's names; a prefix whose key was already explored at no greater
+    depth is skipped without a visit.  Elsewhere nothing is recorded, which
+    keeps the record small where prefixes never meet.  The visitor steers:
+    PRUNE abandons the configuration's extensions, STOP abandons the whole
+    exploration.  A skipped prefix is taken to steer as the key's earlier
+    visit did, so a visitor's answer must depend on the key alone; the visit
+    itself still carries the whole data state.  Each automaton plans a step
+    once per (frontier, edge) in its own memo and runs the plan on every
+    post-state; a violation witness's memo is emptied for each
+    configuration's successors (see the module docstring).  Each pushed
+    ``PathStep`` is built through ``tuple.__new__`` (see
     :class:`coopverify.lang.PathStep`).  Returns whether any configuration
     was truncated by the step bound.
     """
+    live = program.live_variables
+    meeting = program.meeting_locations
     watched = automata[0].reads if automata else frozenset()
-    # the names every key at a meeting location holds, which witness facts range over
-    kept = {location: tuple(sorted(program.live_variables[location] | watched))
-            for location in program.meeting_locations}
     liveness = [(i, _pair_liveness(program, a)) for i, a in enumerate(automata) if i]
-    liveness = [(i, live) for i, live in liveness if live]  # those that read anything
-    # the meeting locations where some automaton state reads beyond ``kept``;
-    # none for a witness whose reads the program or the property read too
-    widened = {location for _, live in liveness for (location, _), names in live.items()
-               if location in kept and not names.issubset(kept[location])}
-    names_at: dict = {}  # (location, frontiers) -> key names at a widened location
+    liveness = [(i, reads) for i, reads in liveness if reads]  # those that read anything
+    part_ids: dict = {}  # (location, frontiers, final entries) -> its part id
+    part_names: list = []  # part id -> the names its keys hold, one tuple per distinct set
+    name_tuples: dict = {}
+
+    def names_of(location: int, frontiers: tuple) -> tuple:
+        """The key names at ``location`` for these frontiers."""
+        names = live[location] | watched
+        for i, reads in liveness:
+            for state in frontiers[i]:
+                names = names.union(reads.get((location, state), ()))
+        ordered = name_tuples.get(names)
+        if ordered is None:
+            ordered = name_tuples[names] = tuple(sorted(names))
+        return ordered
+
     explored_at: dict = {}  # configuration key at a meeting location -> depth
-    part_ids: dict = {}  # (frontiers, final entries) -> its id in keys
     pairs = [initial_frontier(a, EMPTY_STATE) for a in automata]
-    # (index, frontier, id(edge)) -> the plan of that step (see the module docstring)
-    memo: dict = {}
-    shared: dict = {}  # the same for violation witnesses, for one configuration's successors
-    # per automaton: its index and where its step plans are kept
-    observers = [(i, a, shared if a.kind is AutomatonKind.VIOLATION_WITNESS else memo)
-                 for i, a in enumerate(automata)]
+    # per automaton, its memo: (frontier, id(edge)) -> the plan of that step
+    observers = [(a, {}) for a in automata]
+    fleeting = [plans for a, plans in observers if a.kind is AutomatonKind.VIOLATION_WITNESS]
     trail: list = []  # the steps of the prefix reaching the current configuration
     stack = [(0, PathStep(EMPTY_STATE, program.initial, None),
               tuple(fr for fr, _ in pairs), tuple(en for _, en in pairs))]
@@ -296,18 +296,13 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     while stack:
         depth, step, frontiers, entries = stack.pop()
         state, location, _ = step
-        names = kept.get(location)
-        if names is not None:
-            if location in widened:
-                at = (location, frontiers)
-                extended = names_at.get(at)
-                if extended is None:
-                    extended = names_at[at] = _with_pair_liveness(names, location, frontiers,
-                                                                  liveness)
-                names = extended
-            # one id per distinct (frontiers, final entries) pair
-            part = part_ids.setdefault((frontiers, entries), len(part_ids))
-            key = (location, part, *map(state._bindings.get, names))
+        if location in meeting:
+            at = (location, frontiers, entries)
+            part = part_ids.get(at)
+            if part is None:
+                part = part_ids[at] = len(part_names)
+                part_names.append(names_of(location, frontiers))
+            key = (part, *map(state._bindings.get, part_names[part]))
             if explored_at.get(key, depth + 1) <= depth:
                 continue  # explored already, no farther from the step bound
             explored_at[key] = depth
@@ -323,17 +318,16 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
             return saw_truncation
         if action is PRUNE or truncated:
             continue
-        if shared:
-            shared.clear()
+        for plans in fleeting:
+            plans.clear()
         for edge, post in reversed(succ):
             edge_id = id(edge)
             next_frontiers = []
             next_entries = []
-            for (i, a, plans), fr, en in zip(observers, frontiers, entries):
-                step_key = (i, fr, edge_id)
-                plan = plans.get(step_key)
+            for (a, plans), fr, en in zip(observers, frontiers, entries):
+                plan = plans.get((fr, edge_id))
                 if plan is None:
-                    plan = plans[step_key] = plan_step(a, fr, edge)
+                    plan = plans[fr, edge_id] = plan_step(a, fr, edge)
                 fr, new = plan
                 if fr is None:  # guards are left
                     fr, new = new.run(post._bindings)

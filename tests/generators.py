@@ -26,7 +26,6 @@ from coopverify.lang import (
     ControlFlowAutomaton,
     InputOp,
     assume_op,
-    enumerate_paths,
     make_cfa,
     parse_program,
 )
@@ -44,7 +43,7 @@ from coopverify.predicates import (
     Or,
     Var,
 )
-from reference import definitely_assigned
+from reference import budgeted_paths, definitely_assigned
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 
@@ -262,6 +261,11 @@ def _unreachable_guard(rng: random.Random, program: ControlFlowAutomaton, edge, 
     return guard
 
 
+# The enumeration steps a holding property may take to learn the values its
+# observed edges reach: the tests' draws take at most 25,031.
+HOLDING_BUDGET = 100_000
+
+
 def random_property(rng: random.Random, program: ControlFlowAutomaton,
                     otherwise: bool = True, holds: bool = False,
                     domain: Interval = Interval(-2, 2)) -> ArtifactAutomaton:
@@ -277,6 +281,8 @@ def random_property(rng: random.Random, program: ControlFlowAutomaton,
     With ``holds`` each observation's guard is false on every post-state
     its edge reaches with inputs from ``domain`` (see
     :func:`_unreachable_guard`), so the program fulfils the property there.
+    Learning those values enumerates the program's paths within 200 steps,
+    which raises ``OracleBudgetExceeded`` past :data:`HOLDING_BUDGET` steps.
     The default draws are those of a property without ``holds``.
     """
     edges = rng.sample(program.edges, k=min(len(program.edges), rng.randint(1, 2)))
@@ -286,7 +292,7 @@ def random_property(rng: random.Random, program: ControlFlowAutomaton,
         transitions = [Transition("q0", "q0", _edge_pattern(edge),
                                   TRUE if rng.random() < 0.7 else _assumption(rng, program, edge))
                        for edge in program.edges]
-    paths = enumerate_paths(program, domain, 200).paths if holds else ()
+    paths = budgeted_paths(program, domain, 200, HOLDING_BUDGET) if holds else ()
     for edge in edges:
         guard = (_unreachable_guard(rng, program, edge, paths) if holds
                  else _assumption(rng, program, edge))

@@ -7,9 +7,12 @@ enumeration (``coopverify.lang.enumerate_paths``) and are replayed one
 operation at a time by :func:`strongest_post`, and automaton runs are
 enumerated one by one with :func:`reference_taken`, which reads the step's
 contract off the ``coopverify.automata`` docstring and evaluates on the
-tree-walking ``corpus.reference_evaluate``.  A differential test would
-confirm itself if its oracle ran on the engine, so
-``test_engine.py::TestOracle`` pins that this module imports none of it.
+tree-walking ``corpus.reference_evaluate``.  The layers of
+:func:`reference_layers` take the program's steps from
+``coopverify.lang.successors``, as that enumeration does, and step each
+automaton the same way.  A differential test would confirm itself if its
+oracle ran on the engine, so ``test_engine.py::TestOracle`` pins that this
+module imports none of it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from coopverify.lang import (
     enumerate_paths,
     op_reads,
     op_writes,
+    successors,
 )
 from coopverify.predicates import TRUE, pred_text
 
@@ -173,6 +177,30 @@ def forget_enumerations() -> None:
     _ENUMERATIONS.clear()
 
 
+def budgeted_paths(program: ControlFlowAutomaton, domain, max_steps: int, budget: int) -> tuple:
+    """The paths of ``enumerate_paths(program, domain, max_steps)``, in its
+    order, or :class:`OracleBudgetExceeded` once the enumeration has taken
+    more than ``budget`` steps: on a branching program the paths within a
+    wide step bound outgrow any memory long before they end."""
+    paths = []
+    trail: list = []
+    stack = [(0, PathStep(EMPTY_STATE, program.initial, None))]
+    while stack:
+        budget -= 1
+        if budget < 0:
+            raise OracleBudgetExceeded("path enumeration exceeded its step budget")
+        depth, step = stack.pop()
+        del trail[depth:]
+        trail.append(step)
+        succs = successors(program, step.state, step.location, domain)
+        if not succs:
+            paths.append(ConcretePath(tuple(trail)))
+        elif depth < max_steps:
+            stack.extend((depth + 1, PathStep(post, edge.target, edge))
+                         for edge, post in reversed(succs))
+    return tuple(paths)
+
+
 # ---------------------------------------------------------------------------
 # Automaton runs
 
@@ -229,6 +257,41 @@ def reference_start(aut: ArtifactAutomaton, state) -> tuple:
         return frozenset(), frozenset()
     entries = {FinalEntry(None, aut.initial)} if aut.initial in aut.finals else set()
     return frozenset({aut.initial}), frozenset(entries)
+
+
+def reference_layers(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton],
+                     config: AnalysisConfig) -> list:
+    """For each length d from 0 to ``config.max_steps``, the product
+    configurations (location, data state, frontiers, final entries) that
+    some prefix of exactly d steps reaches: breadth-first images over whole
+    data states, each automaton advanced by :func:`reference_step`.  No
+    variable is left out, and no order or memo of the explorer is used: a
+    configuration's successors and each automaton's step over them are
+    kept per (location, whole data state)."""
+    started = [reference_start(a, EMPTY_STATE) for a in automata]
+    layer = {(program.initial, EMPTY_STATE, tuple(fr for fr, _ in started),
+              tuple(en for _, en in started))}
+    layers = [layer]
+    expansions: dict = {}  # (location, state) -> [(edge, post, {(index, frontier): step})]
+    for _ in range(config.max_steps):
+        image = set()
+        for location, state, frontiers, entries in layer:
+            moves = expansions.get((location, state))
+            if moves is None:
+                moves = expansions[location, state] = [
+                    (edge, post, {})
+                    for edge, post in successors(program, state, location, config.input_domain)]
+            for edge, post, steps in moves:
+                stepped = []
+                for i, fr in enumerate(frontiers):
+                    if (i, fr) not in steps:
+                        steps[i, fr] = reference_step(automata[i], fr, edge, post)
+                    stepped.append(steps[i, fr])
+                image.add((edge.target, post, tuple(fr for fr, _ in stepped),
+                           tuple(en | new for en, (_, new) in zip(entries, stepped))))
+        layers.append(image)
+        layer = image
+    return layers
 
 
 def all_runs(aut: ArtifactAutomaton, path: ConcretePath) -> list:

@@ -286,6 +286,16 @@ class TestOracle:
                        "initial_frontier", "plan_step", "StepPlan", "accepts", "covers"}
         assert not used & engine_code
 
+    def test_08_holding_property_draw_stops_within_its_budget(self):
+        """A holding property learns the values its edges reach from every
+        path within 200 steps.  Where choices branch the paths outgrow any
+        memory: this draw ran past 20 s unbudgeted, and now stops after
+        ``generators.HOLDING_BUDGET`` enumeration steps."""
+        rng = random.Random(180)
+        program = generators.add_choices(rng, generators.random_dead_copy_program(rng))
+        with pytest.raises(OracleBudgetExceeded, match="step budget"):
+            generators.random_property(rng, program, holds=True)
+
 
 class TestKindEnforcement:
     def test_01_wrong_kind_rejected(self, p):
