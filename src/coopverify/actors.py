@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .automata import (
     ArtifactAutomaton,
@@ -81,8 +81,7 @@ class Result(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class VerdictBundle:
+class VerdictBundle(NamedTuple):
     """What a verifier hands back: result plus the artifacts backing it.
 
     ``witness`` is a violation witness when result is false and a correctness
@@ -252,8 +251,7 @@ def validate_result(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
 # ---------------------------------------------------------------------------
 # Reducer
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """Residual program plus the bookkeeping to map it back.
 
     ``origin`` maps each residual operation edge to the program edge it
@@ -470,8 +468,7 @@ STATUS_BLOCKED_ASSUME = "blocked-assume"
 STATUS_STEP_LIMIT = "step-limit"
 
 
-@dataclass(frozen=True)
-class ExecutionReport:
+class ExecutionReport(NamedTuple):
     """Full record of one deterministic test execution."""
 
     trace: ConcretePath
@@ -548,8 +545,7 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
     return ExecutionReport(ConcretePath(tuple(steps)), status, consumed, violation)
 
 
-@dataclass(frozen=True)
-class TestRecord:
+class TestRecord(NamedTuple):
     """One test case with its provenance."""
 
     inputs: tuple

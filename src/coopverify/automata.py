@@ -254,8 +254,7 @@ def make_automaton(
 # ---------------------------------------------------------------------------
 # The step
 
-@dataclass(frozen=True)
-class FinalEntry:
+class FinalEntry(NamedTuple):
     """Record of a run reaching a final state; identifies one coverage goal."""
 
     transition: Optional[Transition]  # None when the initial state is final
@@ -431,8 +430,7 @@ def step_frontier(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge,
 # ---------------------------------------------------------------------------
 # Matching
 
-@dataclass(frozen=True)
-class MatchVerdict:
+class MatchVerdict(NamedTuple):
     """Outcome of running an automaton over one concrete path.
 
     ``k`` is the longest prefix length some run consumes (None when even the

@@ -37,9 +37,8 @@ brute-force oracle over enumerated paths, lives with the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .automata import ArtifactAutomaton, AutomatonKind, FinalEntry
 from .errors import InvalidArtifact
@@ -56,8 +55,7 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(NamedTuple):
     """Outcome of one judgment, always relative to its config.
 
     ``exhausted`` records that the verdict is definitive for the configured

@@ -11,8 +11,7 @@ which each judgment's search applies too (see :mod:`coopverify.engine`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .automata import (INPUT_TEMPLATE_TEXT, ArtifactAutomaton, AutomatonKind, EdgePattern,
                        Transition, make_automaton, plan_step)
@@ -27,8 +26,7 @@ REFUTED = "refuted"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class NonBlocking:
+class NonBlocking(NamedTuple):
     """Outcome of the may-the-property-block-the-program analysis.
 
     A run in a non-final state must take a transition on every program
@@ -55,8 +53,7 @@ class NonBlocking:
                 f"on {{{bind}}}")
 
 
-@dataclass(frozen=True)
-class KindViolation:
+class KindViolation(NamedTuple):
     """One structural constraint of a kind that an automaton breaks."""
 
     constraint: str
@@ -67,8 +64,7 @@ class KindViolation:
         return f"[{self.constraint}] {self.subject}: {self.message}"
 
 
-@dataclass(frozen=True)
-class KindReport:
+class KindReport(NamedTuple):
     """An automaton's kind check: its structural violations and its non-blocking verdict."""
 
     kind: AutomatonKind

@@ -359,8 +359,7 @@ def successors(cfa: ControlFlowAutomaton, state: ConcreteDataState, location: in
     return result
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     """The maximal paths within a step bound, and whether the bound cut any."""
 
     paths: tuple

@@ -11,13 +11,13 @@ whole recipe before any step runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import actors
+from .automata import AutomatonKind
 from .errors import ParseError, PipelineStepError, TypeMismatch
-from .engine import AnalysisConfig, DEFAULT_CONFIG
+from .engine import AnalysisConfig, DEFAULT_CONFIG, require_valid_kind
 
 
 class Role(Enum):
@@ -31,16 +31,14 @@ class Role(Enum):
     TEST_SUITE = "ts"
 
 
-@dataclass(frozen=True)
-class Artifact:
+class Artifact(NamedTuple):
     """A value exchanged between actors, tagged with its role."""
 
     role: Role
     value: object
 
 
-@dataclass(frozen=True)
-class ActorSpec:
+class ActorSpec(NamedTuple):
     """Typing and implementation of one pipeline actor.
 
     ``optional_inputs`` may be bound in a recipe after the required ones
@@ -81,6 +79,8 @@ def _run_extract_test(values, config):
 
 def _run_exec_test(values, config):
     prop = values[2] if len(values) > 2 else None
+    if prop is not None:  # the library actor also watches test-goal automata
+        require_valid_kind(prop, AutomatonKind.PROPERTY)
     report = actors.exec_test(values[0], values[1], prop, config.max_steps)
     return (report,)  # presenter: no artifacts, report only
 
@@ -118,16 +118,14 @@ ACTORS = {
 }
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One recipe step: an actor and the artifact names bound to its inputs."""
 
     actor: str
     bindings: tuple  # artifact names, positional
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(NamedTuple):
     """A sequence of pipeline steps, run in order."""
 
     steps: tuple
@@ -186,8 +184,7 @@ def check_recipe(recipe: Recipe, initial: dict) -> None:
             roles[role.value] = role
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Log entry for one executed step: the artifacts it produced plus, for
     presenter actors, the report it printed."""
 
@@ -197,8 +194,7 @@ class StepRecord:
     report: Optional[object] = None
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """The artifacts a pipeline ends with and the log of its steps."""
 
     artifacts: dict  # final environment, name -> Artifact

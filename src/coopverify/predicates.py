@@ -21,65 +21,76 @@ import ast
 import functools
 import itertools
 import re
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence
+from collections import namedtuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import ParseError, UnboundTemplate, UndefinedVariable
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
 
-class Expr:
-    """Base class for integer expressions."""
+class _Node:
+    """Equality of syntax-tree nodes: a node is a named tuple of its fields,
+    and equals only a node of its own class with equal fields, so ``And(p,
+    q) != Or(p, q)``, ``Neg(x) != Not(x)`` and no node equals a plain tuple.
+    ``!=`` is overridden too, or it would fall back to the tuple's own.  The
+    hash is the field tuple's: equal nodes hash alike, and two classes with
+    equal fields share a hash, which costs a comparison at most."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    def __hash__(self):
+        # a Python frame per level, so hashing too deep a tree raises
+        # RecursionError; ``__hash__ = tuple.__hash__`` would recurse in C
+        # alone and overflow the C stack
+        return tuple.__hash__(self)
 
 
-@dataclass(frozen=True)
-class Const(Expr):
+class Expr(_Node):
+    """Base class for integer expressions.
+
+    Expressions and predicates are immutable named tuples of their fields,
+    compared by class and value (see :class:`_Node`).  Each node class has
+    no ``__slots__``, so that :func:`evaluate` can keep the function it
+    compiles on the node."""
+
+
+class Const(Expr, namedtuple("Const", "value")):
     """An integer literal."""
 
-    value: int
 
-
-@dataclass(frozen=True)
-class Var(Expr):
+class Var(Expr, namedtuple("Var", "name")):
     """A program variable, read from the data state."""
 
-    name: str
 
-
-@dataclass(frozen=True)
-class TemplateVar(Expr):
+class TemplateVar(Expr, namedtuple("TemplateVar", "")):
     """The placeholder ``chi``; resolved to a concrete variable at match time."""
 
 
 CHI = TemplateVar()
 
 
-@dataclass(frozen=True)
-class Neg(Expr):
+class Neg(Expr, namedtuple("Neg", "operand")):
     """Arithmetic negation, ``-operand``."""
 
-    operand: Expr
+
+class BinExpr(Expr, namedtuple("BinExpr", "op left right")):
+    """A binary arithmetic operation, ``left op right``; ``op`` is one of
+    ``+ - *``."""
 
 
-@dataclass(frozen=True)
-class BinExpr(Expr):
-    """A binary arithmetic operation, ``left op right``."""
-
-    op: str  # one of + - *
-    left: Expr
-    right: Expr
+class Predicate(_Node):
+    """Base class for boolean conditions over a data state; its nodes are
+    named tuples as :class:`Expr`'s are."""
 
 
-class Predicate:
-    """Base class for boolean conditions over a data state."""
-
-
-@dataclass(frozen=True)
-class BoolConst(Predicate):
+class BoolConst(Predicate, namedtuple("BoolConst", "value")):
     """The constant ``true`` or ``false``."""
-
-    value: bool
 
 
 TRUE = BoolConst(True)
@@ -88,36 +99,21 @@ FALSE = BoolConst(False)
 COMPARISON_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
 
-@dataclass(frozen=True)
-class Comparison(Predicate):
-    """An integer comparison, ``left op right``."""
-
-    op: str  # one of COMPARISON_OPS
-    left: Expr
-    right: Expr
+class Comparison(Predicate, namedtuple("Comparison", "op left right")):
+    """An integer comparison, ``left op right``; ``op`` is one of
+    :data:`COMPARISON_OPS`."""
 
 
-@dataclass(frozen=True)
-class Not(Predicate):
+class Not(Predicate, namedtuple("Not", "operand")):
     """Negation, ``!operand``."""
 
-    operand: Predicate
 
-
-@dataclass(frozen=True)
-class And(Predicate):
+class And(Predicate, namedtuple("And", "left right")):
     """Conjunction, ``left && right``."""
 
-    left: Predicate
-    right: Predicate
 
-
-@dataclass(frozen=True)
-class Or(Predicate):
+class Or(Predicate, namedtuple("Or", "left right")):
     """Disjunction, ``left || right``."""
-
-    left: Predicate
-    right: Predicate
 
 
 def conjoin(preds: Sequence[Predicate]) -> Predicate:
@@ -136,8 +132,8 @@ def disjoin(preds: Sequence[Predicate]) -> Predicate:
 # Evaluation
 #
 # A predicate or expression runs as a function compiled from its tree the
-# first time it is evaluated, and kept on the node outside its dataclass
-# fields, so equality, hashing and repr do not see it.
+# first time it is evaluated, and kept in the node's ``__dict__``, outside
+# the fields of its named tuple, so equality, hashing and repr do not see it.
 
 def evaluate(pred: Predicate, state: Mapping[str, int], chi: Optional[str] = None) -> bool:
     """Evaluate ``pred`` on ``state``.
@@ -212,7 +208,7 @@ def substitute_template(tree: Expr | Predicate, replacement: Expr) -> Expr | Pre
             children = built[-len(names):]
             del built[-len(names):]
             if any(new is not getattr(node, name) for name, new in zip(names, children)):
-                node = replace(node, **dict(zip(names, children)))
+                node = node._replace(**dict(zip(names, children)))
         elif isinstance(node, TemplateVar):
             node = replacement
         built.append(node)
@@ -294,8 +290,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its 1-based source position."""
 
     kind: str  # int | ident | keyword | op | eof
@@ -524,8 +519,7 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
-class TautologyResult:
+class TautologyResult(NamedTuple):
     """Whether a predicate holds on every valuation over a bounded domain."""
 
     status: str  # tautology | falsifiable | inconclusive
@@ -644,7 +638,7 @@ def _compile_on_node(node, attr: str, lower):
     compiled, and :class:`RecursionError` on a tree too deep to walk.
     """
     function = _function(lower(node, _read_state), ("s", "chi"))
-    object.__setattr__(node, attr, function)
+    setattr(node, attr, function)
     return function
 
 

@@ -257,6 +257,20 @@ class TestExecTestCommand:
                        "  non-blocking: refuted: state q0 blocks edge (2, a = a * 2, 3) "
                        "on {a=10}\n")
 
+    def test_05_test_goal_automaton_is_not_a_property(self, capsys, tmp_path):
+        """A test-goal automaton watched as the property is refused, by the
+        subcommand and by its one-step recipe, as verify refuses it; before,
+        exec-test reported its goal as an observed violation (exit 1)."""
+        recipe = tmp_path / "exec.coop"
+        recipe.write_text("step exec_test p t phi_b\n")
+        flags = ("--program", sample("p.imp"), "--property", sample("goals.aut"),
+                 "--test", sample("t4.test"), "--out", str(tmp_path))
+        message = "expected a property automaton, got test-goal (loop_entry)\n"
+        assert run_cli(capsys, "exec-test", *flags) == (65, "", "error: " + message)
+        assert run_cli(capsys, "pipeline", "--recipe", str(recipe), *flags) == \
+            (65, "", "error: step 0 (exec_test) failed: " + message)
+        assert run_cli(capsys, "verify", *flags[:4])[0] == 65
+
 
 class TestGenTestsCommand:
     def test_01_writes_suite_files(self, capsys, tmp_path):
