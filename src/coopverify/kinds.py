@@ -143,12 +143,15 @@ def _trivial_invariant_violations(aut: ArtifactAutomaton) -> list:
 
 
 def non_blocking_rule(aut: ArtifactAutomaton) -> Optional[Callable]:
-    """The non-blocking rule of a property, None when no state is watched:
-    given a frontier and the (edge, post-state) steps taken from it, the
-    refutation by the first watched state of the frontier that takes no
-    transition on one of the steps.  A search applies it to automaton 0 on
-    each untruncated configuration, whose steps lie within the bound.  The
-    rule serves one search, whose edges it keys by identity."""
+    """The non-blocking rule of a property, None for another kind or when
+    no state is watched: given a frontier and the (edge, post-state) steps
+    taken from it, the refutation by the first watched state of the
+    frontier that takes no transition on one of the steps.  A search
+    applies it to automaton 0 on each untruncated configuration, whose
+    steps lie within the bound.  The rule serves one search, whose edges it
+    keys by identity."""
+    if aut.kind is not AutomatonKind.PROPERTY:
+        return None
     watched = frozenset(q for q in aut.states
                         if q not in aut.finals and aut.otherwise_at(q) is None)
     plans: dict = {}  # (state, id(edge)) -> the plan of stepping {state} (automata.plan_step)

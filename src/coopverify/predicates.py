@@ -23,7 +23,7 @@ import itertools
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import ParseError, UnboundTemplate, UndefinedVariable
 
@@ -550,10 +550,8 @@ def has_complement_pair(preds: Sequence[Predicate]) -> bool:
 
 # Compilation.  A tree is lowered to a Python syntax tree, never to source
 # text, so identifiers never become Python names and no tokenizer nesting
-# limit applies.  How a variable is read is the lowering's ``read``
-# parameter: the evaluator reads ``s[<name constant>]`` from the state
-# argument ``s``, and the bounded check reads positional parameters
-# ``v0 .. v{n-1}``.
+# limit applies.  A variable is read as ``s[<name constant>]`` from the
+# state argument ``s``.
 _AST_BINOP = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
 _AST_COMPARE = {"==": ast.Eq, "!=": ast.NotEq, "<": ast.Lt, "<=": ast.LtE,
                 ">": ast.Gt, ">=": ast.GtE}
@@ -590,71 +588,53 @@ def _unbound() -> NoReturn:
     raise UnboundTemplate()
 
 
-def _lower_expr(expr: Expr, read: Callable[[Expr], ast.expr]) -> ast.expr:
+def _lower_expr(expr: Expr) -> ast.expr:
     if isinstance(expr, Const):
         return _leaf(ast.Constant(value=expr.value, **_AT))
     if isinstance(expr, (Var, TemplateVar)):
-        return read(expr)
+        return _read_state(expr)
     if isinstance(expr, Neg):
-        return ast.UnaryOp(op=ast.USub(), operand=_lower_expr(expr.operand, read), **_AT)
+        return ast.UnaryOp(op=ast.USub(), operand=_lower_expr(expr.operand), **_AT)
     if isinstance(expr, BinExpr):
-        left = _lower_expr(expr.left, read)
-        right = _lower_expr(expr.right, read)
+        left = _lower_expr(expr.left)
+        right = _lower_expr(expr.right)
         if expr.op not in _AST_BINOP:
             raise ValueError(f"unknown operator {expr.op!r}")
         return ast.BinOp(left=left, op=_AST_BINOP[expr.op](), right=right, **_AT)
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _lower_pred(pred: Predicate, read: Callable[[Expr], ast.expr]) -> ast.expr:
+def _lower_pred(pred: Predicate) -> ast.expr:
     if isinstance(pred, BoolConst):
         return _leaf(ast.Constant(value=pred.value, **_AT))
     if isinstance(pred, Comparison):
         op = _AST_COMPARE[pred.op]()
-        return ast.Compare(left=_lower_expr(pred.left, read), ops=[op],
-                           comparators=[_lower_expr(pred.right, read)], **_AT)
+        return ast.Compare(left=_lower_expr(pred.left), ops=[op],
+                           comparators=[_lower_expr(pred.right)], **_AT)
     if isinstance(pred, Not):
-        return ast.UnaryOp(op=ast.Not(), operand=_lower_pred(pred.operand, read), **_AT)
+        return ast.UnaryOp(op=ast.Not(), operand=_lower_pred(pred.operand), **_AT)
     if isinstance(pred, (And, Or)):
         op = ast.And() if isinstance(pred, And) else ast.Or()
-        return ast.BoolOp(op=op, values=[_lower_pred(pred.left, read),
-                                         _lower_pred(pred.right, read)], **_AT)
+        return ast.BoolOp(op=op, values=[_lower_pred(pred.left), _lower_pred(pred.right)],
+                          **_AT)
     raise TypeError(f"not a predicate: {pred!r}")
 
 
-def _function(body: ast.expr, params: Iterable[str]):
-    """The function ``lambda <params>: <body>``."""
-    args = ast.arguments(posonlyargs=[], args=[ast.arg(arg=p, **_AT) for p in params],
-                         vararg=None, kwonlyargs=[], kw_defaults=[], kwarg=None, defaults=[])
-    tree = ast.Expression(body=ast.Lambda(args=args, body=body, **_AT))
-    return eval(compile(tree, "<predicate>", "eval"),
-                {"__builtins__": {}, "_unbound": _unbound})
-
-
 def _compile_on_node(node, attr: str, lower):
-    """``node`` as a function of (state, chi), stored on it as ``attr``.
+    """``node`` as the function ``lambda s, chi: <node>``, stored on it as
+    ``attr``.
 
     Raises what the lowering raises on a malformed tree, before anything is
     compiled, and :class:`RecursionError` on a tree too deep to walk.
     """
-    function = _function(lower(node, _read_state), ("s", "chi"))
+    params = [ast.arg(arg="s", **_AT), ast.arg(arg="chi", **_AT)]
+    args = ast.arguments(posonlyargs=[], args=params, vararg=None, kwonlyargs=[],
+                         kw_defaults=[], kwarg=None, defaults=[])
+    tree = ast.Expression(body=ast.Lambda(args=args, body=lower(node), **_AT))
+    function = eval(compile(tree, "<predicate>", "eval"),
+                    {"__builtins__": {}, "_unbound": _unbound})
     setattr(node, attr, function)
     return function
-
-
-def _compile_predicate(pred: Predicate, names: Sequence[str]):
-    """``pred`` as a function taking the values of ``names`` positionally.
-
-    Raises what :func:`evaluate` raises on a malformed tree, before anything
-    is compiled, and :class:`RecursionError` on a tree too deep to walk.
-    """
-    params = {name: f"v{i}" for i, name in enumerate(names)}
-
-    def read(var: Expr) -> ast.expr:
-        # the callers reject the template before lowering
-        return _leaf(_name(params[var.name]))
-
-    return _function(_lower_pred(pred, read), params.values())
 
 
 def is_tautology_bounded(
@@ -664,12 +644,11 @@ def is_tautology_bounded(
     over ``domain``.
 
     Disjunctions containing a complementary pair {d, !(d)} are recognized
-    without enumeration.  Otherwise the predicate is compiled once into a
-    function of the sorted variables' values, and that function runs on all
-    assignments in smallest-magnitude-first order, so a returned
-    counterexample is a simplest one.  When the predicate reads variables
-    outside ``variables`` no verdict is possible and the result is
-    inconclusive.  No library code calls it: the kind check decides
+    without enumeration.  Otherwise :func:`evaluate` runs on every
+    assignment of the sorted variables, in smallest-magnitude-first order,
+    so a returned counterexample is a simplest one.  When the predicate
+    reads variables outside ``variables`` no verdict is possible and the
+    result is inconclusive.  No library code calls it: the kind check decides
     non-blocking by exploring the program.  It stays because the benchmark's
     tracer binds it (``perfbench/tracer.py``, ``Tracer.install``), which
     ``tests/test_tracing.py`` pins.
@@ -679,11 +658,10 @@ def is_tautology_bounded(
     if has_complement_pair(_disjuncts(pred)):
         return TautologyResult("tautology", syntactic=True)
     names = sorted(set(variables))
-    needed = variables_of(pred)
-    if not needed <= set(names):
+    if not variables_of(pred) <= set(names):
         return TautologyResult("inconclusive")
-    holds = _compile_predicate(pred, names)
     for values in itertools.product(domain.values_by_magnitude(), repeat=len(names)):
-        if not holds(*values):
-            return TautologyResult("falsifiable", counterexample=dict(zip(names, values)))
+        assignment = dict(zip(names, values))
+        if not evaluate(pred, assignment):
+            return TautologyResult("falsifiable", counterexample=assignment)
     return TautologyResult("tautology")

@@ -82,7 +82,9 @@ exploration, exist.  A violation witness's memo is emptied before the
 successors of each configuration are stepped, which share a plan where
 they differ only in the value read: one written from a path meets each
 (state, edge) pair about once in the whole search, so storing its plans
-would only hold memory.
+would only hold memory.  Kept for the whole search, they raise the heap
+peak of the benchmark's ``extract_test n=1000`` task from 2.35 to 3.31 MB
+(tracemalloc).
 """
 
 from __future__ import annotations

@@ -275,14 +275,8 @@ def reference_tautology(pred, variables, domain) -> TautologyResult:
 
 
 def log_compiles(monkeypatch):
-    """Log the compile helper's calls, and the trees ``compile`` received
-    and the exceptions it raised."""
-    log = SimpleNamespace(helper_calls=[], trees=[], errors=[])
-    helper = predicates._compile_predicate
-
-    def logged_helper(pred, names):
-        log.helper_calls.append(pred)
-        return helper(pred, names)
+    """Log the trees ``compile`` received and the exceptions it raised."""
+    log = SimpleNamespace(trees=[], errors=[])
 
     def logged_compile(tree, *args, **kwargs):
         log.trees.append(tree)
@@ -292,6 +286,5 @@ def log_compiles(monkeypatch):
             log.errors.append(exc)
             raise
 
-    monkeypatch.setattr(predicates, "_compile_predicate", logged_helper)
     monkeypatch.setattr(predicates, "compile", logged_compile, raising=False)
     return log

@@ -52,7 +52,9 @@ from coopverify.actors import (
     TestSuite as Suite,
     reduce_with_origin,
 )
+from coopverify.automata import EdgePattern, Transition, make_automaton
 from coopverify.lang import EMPTY_STATE, ConcretePath, InputOp, PathStep
+from coopverify.predicates import TRUE
 from reference import (
     all_runs,
     brute_force_oracle,
@@ -92,7 +94,7 @@ class TestVerify:
 
     def test_02_violation_witness_is_kind_valid_and_replays(self, p_prime, cfg4):
         bundle = verify(p_prime, corpus.prop(), cfg4)
-        assert validate_kind(bundle.witness, p_prime, cfg4).ok
+        assert validate_kind(bundle.witness, p_prime, cfg4.input_domain).ok
         replay = check_violation_witness(p_prime, corpus.prop(), bundle.witness, cfg4)
         assert replay.verdict is Verdict.HOLDS
 
@@ -115,7 +117,7 @@ class TestVerify:
 
     def test_04_correctness_witness_is_kind_valid_and_replays(self, p, cfg4):
         bundle = verify(p, corpus.prop(), cfg4)
-        assert validate_kind(bundle.witness, p, cfg4).ok
+        assert validate_kind(bundle.witness, p, cfg4.input_domain).ok
         replay = check_correctness_witness(p, corpus.prop(), bundle.witness, cfg4)
         assert replay.verdict is Verdict.HOLDS
 
@@ -166,6 +168,18 @@ class TestValidateResult:
             claimed = verify(program, corpus.prop(), cfg4)
             echoed = validate_result(program, corpus.prop(), claimed.witness, cfg4)
             assert echoed.result is claimed.result
+
+
+def covering_by_otherwise(*guards):
+    """A condition on ``samples/p.imp`` whose otherwise transition enters
+    its final state, so the input edge is covered for every valuation of
+    ``guards``, each the assumption of an explicit transition into the final
+    state.  The text format allows only otherwise self-loops, so it is built
+    directly."""
+    pattern = EdgePattern(0, "int x = input()", 1)
+    explicit = [Transition("q0", "qf", pattern, parse_predicate(g)) for g in guards]
+    return make_automaton("covering", AutomatonKind.CONDITION, ["q0", "qf"], "q0", ["qf"],
+                          explicit + [Transition("q0", "qf", None, TRUE, otherwise=True)])
 
 
 class TestReduce:
@@ -281,6 +295,16 @@ class TestReduce:
             split += bool(reduction.mid_locations)
         assert split > 50 and stuck > 300
 
+    def test_10_edge_covered_on_every_valuation_is_dropped(self, p):
+        """Taking the input edge enters the final state whether ``x > 0``
+        holds or not, so the residual keeps no edge at all."""
+        cond = covering_by_otherwise("x > 0")
+        assert validate_kind(cond, p).ok
+        reduction = reduce_with_origin(p, cond)
+        assert reduction.residual.edges == ()
+        assert reduction.residual.locations == {reduction.residual.initial}
+        assert reduction.origin == {} and reduction.mid_locations == frozenset()
+
 
 class TestConditionalVerify:
     def test_01_success_extends_the_condition(self, p, cfg4):
@@ -297,7 +321,7 @@ class TestConditionalVerify:
 
     def test_02_output_condition_covers_every_explored_path(self, p, cfg4):
         bundle = conditional_verify(p, corpus.prop(), corpus.cond(), cfg4)
-        assert validate_kind(bundle.condition, p, cfg4).ok
+        assert validate_kind(bundle.condition, p, cfg4.input_domain).ok
         result = enumerate_paths(p, cfg4.input_domain, cfg4.max_steps)
         assert all(accepts(bundle.condition, path) for path in result.paths)
 
@@ -389,6 +413,21 @@ class TestConditionalVerify:
                 assert after == (before or value in verified)
             checked += 1
         assert checked > 20
+
+    def test_09_one_value_domain_is_one_equation(self, p):
+        bundle = conditional_verify(p, corpus.prop(), corpus.cond(),
+                                    AnalysisConfig(Interval(3, 3), 200))
+        assert bundle.result is Result.TRUE
+        (move,) = bundle.condition.explicit_from("c0")
+        assert pred_text(move.assumption) == "x <= 0 || x == 3"
+
+    def test_10_no_disjunct_gives_no_output_condition(self, p, cfg4):
+        """The condition covers the input edge through its otherwise
+        transition alone: the residual reads no input and the condition has
+        no accepting guard, so no output condition is left to build."""
+        bundle = conditional_verify(p, corpus.prop(), covering_by_otherwise(), cfg4)
+        assert bundle.result is Result.TRUE and bundle.judgment.exhausted
+        assert bundle.condition is None
 
 
 class TestExtractTest:
@@ -543,6 +582,16 @@ class TestExecTest:
                 assert report.violation_observed == naive_match_path(prop, trace).accepted
                 outcomes["observed" if report.violation_observed else "not observed"] += 1
         assert min(outcomes.values()) >= 60 and len(outcomes) == 3, outcomes
+
+    def test_13_blocking_test_goal_automaton_is_run_not_refused(self, p):
+        """The non-blocking rule is a property's: a test-goal automaton whose
+        initial state takes no transition on the first edge is kind-valid,
+        and executing the program with it completes without a violation."""
+        goals = parse_automaton("automaton g kind=test-goal\nstate g0 init\n"
+                                'state g1 final\ntrans g0 -> g1 on (*, "x > 0", *)\n')
+        assert validate_kind(goals, p).ok
+        report = exec_test(p, (1,), goals)
+        assert (report.status, report.violation_observed) == (STATUS_COMPLETED, False)
 
 
 class TestGenerateTests:

@@ -676,6 +676,34 @@ class TestErrorHandling:
         assert (code, out) == (65, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("character.imp", "int x = 1 @ 2;\n", "unexpected character '@' at line 1, column 11"),
+        ("comparison.imp", "int x = input();\nif (x + 1) { x = 2; }\n",
+         "expected a comparison operator (found ')') at line 2, column 10"),
+        ("statement.imp", "int x = 1;\n;\n",
+         "expected a statement (found ';') at line 2, column 1"),
+        ("state-id.aut", "automaton a kind=property\nstate  inv: a == 0\n",
+         "state line needs a state id at line 2"),
+        ("two-inits.aut", "automaton a kind=property\nstate q0 init\nstate q1 init\n",
+         "two states marked init at line 3"),
+        ("no-init.aut", "automaton a kind=property\nstate q0\nstate q1 final\n",
+         "no state marked init"),
+        ("undeclared.aut", "automaton a kind=property\nstate q0 init\n"
+                           "trans q0 -> q9 on (*, *, *)\n",
+         "transition q0 -> q9 on (*, *, *) uses an undeclared state"),
+        ("operation.cfa", "cfa\ninit 0\nedge 0 -> 1 int x = 1\n",
+         "edge line needs ': <operation>' at line 3"),
+        ("line.cfa", "cfa\ninit 0\nedge 0 -> 1: int x = 1\nbogus line\n",
+         "unrecognized line 'bogus line' at line 4"),
+    ])
+    def test_12_malformed_sources_name_their_fault(self, capsys, tmp_path, name, text, message):
+        """Each parser refusal exits 65 with one ``error:`` line, positioned
+        where the parser knows the line."""
+        path = tmp_path / name
+        path.write_text(text)
+        flag = "--property" if name.endswith(".aut") else "--program"
+        assert run_cli(capsys, "parse", flag, str(path)) == (65, "", f"error: {message}\n")
+
 
 class TestNestingDepth:
     """Too deep a nesting is a parse error at the line being parsed; the

@@ -207,6 +207,73 @@ class TestInitialInvariant:
         assert violated_constraints(validate_kind(mutated, p)) == {"initial-invariant"}
 
 
+def chain_text(states, chain, otherwise=("q0", "q1")):
+    """A test-case automaton's source: its state lines, its explicit
+    transitions and an otherwise self-loop at each of ``otherwise``."""
+    return ("automaton t kind=test-case\n" + "".join(f"state {q}\n" for q in states)
+            + "".join(f"trans {t}\n" for t in chain)
+            + "".join(f"trans {q} -> {q} otherwise\n" for q in otherwise))
+
+
+CHAIN_PATTERN = '(*, "chi = input()", *)'
+
+
+class TestTestCaseShape:
+    """Each ``test-shape`` finding of a malformed test case, with its subject
+    and message."""
+
+    @pytest.mark.parametrize("text, findings", [
+        (chain_text(["q0 init", "q1 final"], [f"q0 -> q1 on {CHAIN_PATTERN} assume chi == 1"]),
+         ["q1: test cases must have no final states"]),
+        (chain_text(["q0 init", "q1"], [f"q0 -> q1 on {CHAIN_PATTERN} assume chi == 1"],
+                    otherwise=["q0"]),
+         ["q1: every state needs an otherwise self-loop"]),
+        (chain_text(["q0 init", "q1"], [f"q0 -> q1 on {CHAIN_PATTERN} assume chi == 1",
+                                        f"q0 -> q1 on {CHAIN_PATTERN} assume chi == 2"]),
+         ["q0: chain states take at most one explicit transition",
+          "q1: state is not on the chain"]),
+        (chain_text(["q0 init", "q1"], ['q0 -> q1 on (0, "chi = input()", *) assume chi == 1']),
+         ['q0 -> q1 on (0, "chi = input()", *) assume chi == 1: '
+          "chain patterns must leave edge endpoints unconstrained"]),
+        (chain_text(["q0 init", "q1"], ['q0 -> q1 on (*, "int a = 0", *)']),
+         ['q0 -> q1 on (*, "int a = 0", *): chain transitions must use the input-template pattern',
+          'q0 -> q1 on (*, "int a = 0", *): '
+          "chain assumptions must pin the input placeholder to one value"]),
+        (chain_text(["q0 init", "q1"], [f"q0 -> q1 on {CHAIN_PATTERN} assume chi <= 1"]),
+         [f"q0 -> q1 on {CHAIN_PATTERN} assume chi <= 1: "
+          "chain assumptions must pin the input placeholder to one value"]),
+        (chain_text(["q0 init", "q1"], [f"q0 -> q1 on {CHAIN_PATTERN} assume 1 == chi"]),
+         [f"q0 -> q1 on {CHAIN_PATTERN} assume 1 == chi: "
+          "chain assumptions must pin the input placeholder to one value"]),
+        (chain_text(["q0 init", "q1"], [f"q0 -> q1 on {CHAIN_PATTERN} assume chi == a"]),
+         [f"q0 -> q1 on {CHAIN_PATTERN} assume chi == a: "
+          "chain assumptions must pin the input placeholder to one value"]),
+        (chain_text(["q0 init", "q1"], [f"q0 -> q1 on {CHAIN_PATTERN} assume chi == 1",
+                                        f"q1 -> q0 on {CHAIN_PATTERN} assume chi == 2"]),
+         [f"q1 -> q0 on {CHAIN_PATTERN} assume chi == 2: the chain revisits a state"]),
+        (chain_text(["q0 init", "q1"], []),
+         ["q1: state is not on the chain"]),
+    ], ids=["final-state", "no-otherwise", "two-explicit", "bound-endpoints", "not-template",
+            "pin-operator", "pin-sides", "pin-variable", "revisit", "off-chain"])
+    def test_01_each_finding_names_its_subject(self, p, text, findings):
+        report = validate_kind(parse_automaton(text), p)
+        assert not report.ok
+        assert [v.constraint for v in report.violations] == ["test-shape"] * len(findings)
+        assert [f"{v.subject}: {v.message}" for v in report.violations] == findings
+
+    def test_02_otherwise_must_loop(self, p):
+        """The text format refuses an otherwise transition that is no
+        self-loop, so this one is built directly."""
+        pin = Comparison("==", CHI, Const(1))
+        aut = automata.make_automaton("t", AutomatonKind.TEST_CASE, ["q0", "q1"], "q0", (), [
+            automata.Transition("q0", "q1", EdgePattern(None, "chi = input()", None), pin),
+            automata.Transition("q0", "q1", None, TRUE, otherwise=True),
+            automata.Transition("q1", "q1", None, TRUE, otherwise=True)])
+        report = validate_kind(aut, p)
+        assert [str(v) for v in report.violations] == [
+            "[test-shape] q0 -> q1 otherwise: otherwise transition must be a self-loop"]
+
+
 class TestTemplateWalk:
     def test_01_each_non_true_assumption_and_invariant_walked_once(self, monkeypatch):
         """A 1,000-round violation witness has 2,004 transitions, all but
