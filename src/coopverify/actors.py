@@ -28,7 +28,7 @@ from .automata import (
     Transition,
     initial_frontier,
     make_automaton,
-    step_frontier,
+    plan_step,
 )
 from .engine import (
     DEFAULT_CONFIG,
@@ -280,18 +280,22 @@ def _instantiated(cond: ArtifactAutomaton, state: str, edge: CFAEdge):
 def _condition_moves(cond: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge) -> tuple:
     """Distinct instantiated guards of condition transitions matching ``edge``,
     and a closure computing the successor frontier for one guard valuation
-    (a tuple of truth values, one per guard)."""
+    (a tuple of truth values, one per guard).  A ``true`` guard is no guard:
+    its move fires under every valuation."""
     guards: list = []
-    moves: list = []
+    moves: list = []  # (state, target, index of its guard or None)
     for q in sorted(frontier):
         for target, guard in _instantiated(cond, q, edge):
+            if guard == TRUE:
+                moves.append((q, target, None))
+                continue
             if guard not in guards:
                 guards.append(guard)
             moves.append((q, target, guards.index(guard)))
 
     def successor(values: tuple) -> frozenset:
-        fired = {q for q, _, i in moves if values[i]}
-        succ = {target for _, target, i in moves if values[i]}
+        fired = {q for q, _, i in moves if i is None or values[i]}
+        succ = {target for _, target, i in moves if i is None or values[i]}
         for q in frontier - fired:
             ow = cond.otherwise_at(q)
             if ow is not None:
@@ -497,12 +501,18 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
     step that blocks a property before it accepts raises, as a judgment's
     search does (:func:`coopverify.kinds.non_blocking_rule`); an automaton
     of another kind is only run.
+
+    The automaton is stepped by the explorer's memo rule (see
+    :mod:`coopverify.product`): each step is planned once per (frontier,
+    edge) of the run and the plan's guards run on each post-state, except
+    that a violation witness's plans are not kept, since the path it was
+    written from meets each (state, edge) pair once.
     """
     inputs = list(test)
     consumed = 0
-    steps = [PathStep(EMPTY_STATE, program.initial, None)]
+    state, location = EMPTY_STATE, program.initial
+    steps = [PathStep(state, location, None)]
     for _ in range(max_steps):
-        state, location, _ = steps[-1]
         outgoing = program.edges_from(location)
         status = STATUS_BLOCKED_ASSUME if outgoing else STATUS_COMPLETED
         bindings = state._bindings
@@ -513,18 +523,18 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
             if kind is Assume:
                 if not evaluate(op.condition, bindings):
                     continue
-                post = state
             elif kind is Assignment:
-                post = state.bind(op.target, eval_expr(op.expr, bindings))
+                state = state.bind(op.target, eval_expr(op.expr, bindings))
             elif kind is InputOp:
                 if consumed == len(inputs):
                     status = STATUS_NO_INPUT  # it names the block, whatever else blocks
                     continue
-                post = state.bind(op.target, inputs[consumed])
+                state = state.bind(op.target, inputs[consumed])
                 consumed += 1
             else:
                 raise TypeError(f"not an operation: {op!r}")
-            steps.append(tuple.__new__(PathStep, (post, edge.target, edge)))  # see PathStep
+            location = edge.target
+            steps.append(tuple.__new__(PathStep, (state, location, edge)))  # see PathStep
             break
         else:
             break  # no edge taken
@@ -534,6 +544,8 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
     if prop is not None:
         blocked = non_blocking_rule(prop)
         frontier, entered = initial_frontier(prop, EMPTY_STATE)
+        plans: dict = {}  # (frontier, id(edge)) -> the plan of that step
+        keep = prop.kind is not AutomatonKind.VIOLATION_WITNESS
         for post, _, edge in steps[1:]:
             if entered or not frontier:
                 break
@@ -541,7 +553,14 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
                 refuted = blocked(frontier, ((edge, post),))
                 if refuted is not None:
                     raise _refusal(prop, KindReport(prop.kind, (), refuted))
-            frontier, entered = step_frontier(prop, frontier, edge, post)
+            plan = plans.get((frontier, id(edge)))
+            if plan is None:
+                plan = plan_step(prop, frontier, edge)
+                if keep:
+                    plans[frontier, id(edge)] = plan
+            frontier, entered = plan
+            if frontier is None:  # guards are left
+                frontier, entered = entered.run(post._bindings)
         violation = bool(entered)
     return ExecutionReport(ConcretePath(tuple(steps)), status, consumed, violation)
 

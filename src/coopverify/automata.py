@@ -22,7 +22,8 @@ any number of consumed edges:
 :func:`match_path` decides both by folding :func:`step_frontier` over the
 path, keeping the frontier of reachable automaton states per prefix.  A step
 is planned from its edge alone (:func:`plan_step`) and the plan run on the
-post-state; the explorer of :mod:`coopverify.product` keeps its plans.
+post-state; the explorer of :mod:`coopverify.product` and a test execution
+keep their plans.
 """
 
 from __future__ import annotations
@@ -173,16 +174,12 @@ class ArtifactAutomaton:
             if source not in declared or target not in declared:
                 raise ValueError(f"transition {t} uses an undeclared state")
             if not loops:
-                gathered = explicit.get(source)
-                if gathered is None:
-                    explicit[source] = [t]
-                else:
-                    gathered.append(t)
+                explicit.setdefault(source, []).append(t)
             elif source in otherwise:
                 raise DuplicateOtherwise(f"state {source!r} has two otherwise transitions")
             else:
                 otherwise[source] = t
-        object.__setattr__(self, "_explicit", {q: tuple(ts) for q, ts in explicit.items()})
+        object.__setattr__(self, "_explicit", dict(zip(explicit, map(tuple, explicit.values()))))
         object.__setattr__(self, "_otherwise", otherwise)
 
     def invariant(self, state: str) -> Predicate:
@@ -475,12 +472,33 @@ def covers(aut: ArtifactAutomaton, path: ConcretePath) -> bool:
 # ---------------------------------------------------------------------------
 # Text format
 
-_TRANS_RE = re.compile(
-    r"^trans\s+(\S+)\s*->\s*(\S+)\s+on\s+\(\s*(\*|-?\d+)\s*,\s*(\*|\"[^\"]*\")\s*,"
-    r"\s*(\*|-?\d+)\s*\)\s*(?:assume\s+(.+))?$"
-)
+# what follows "on" in an explicit transition: source, operation text,
+# target and the assumption, if any
+_TAIL = (r"\(\s*(\*|-?\d+)\s*,\s*(\*|\"[^\"]*\")\s*,\s*(\*|-?\d+)\s*\)"
+         r"\s*(?:assume\s+(.+))?$")
+_TAIL_RE = re.compile(_TAIL)
+_TRANS_RE = re.compile(r"^trans\s+(\S+)\s*->\s*(\S+)\s+on\s+" + _TAIL)
 _OTHERWISE_RE = re.compile(r"^trans\s+(\S+)\s*->\s*(\S+)\s+otherwise\s*$")
 _HEADER_RE = re.compile(r"^automaton\s+(\S+)\s+kind=(\S+)\s*$")
+
+
+def _explicit_parts(fields: tuple, lineno: int, raw: str, patterns: dict) -> tuple:
+    """(pattern, assumption, False): the rest of an explicit transition
+    after its states, from the groups of :data:`_TAIL_RE`; equal patterns
+    are shared through ``patterns``."""
+    src_text, op_field, tgt_text, assume_text = fields
+    key = (src_text, op_field, tgt_text)
+    pattern = patterns.get(key) or patterns.setdefault(key, EdgePattern(
+        None if src_text == "*" else _integer(src_text, lineno),
+        None if op_field == "*" else op_field[1:-1],
+        None if tgt_text == "*" else _integer(tgt_text, lineno)))
+    assumption = TRUE
+    if assume_text is not None:
+        try:
+            assumption = parse_predicate(assume_text)
+        except ParseError as err:
+            raise err.within("bad assumption", lineno, raw, assume_text) from None
+    return pattern, assumption, False
 
 
 def parse_automaton(source: str) -> ArtifactAutomaton:
@@ -492,19 +510,27 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
         state <id> [init] [final] [inv: <pred>]
         trans <from> -> <to> on (<src>|*, "<op-text>"|*, <tgt>|*) [assume <pred>]
         trans <q> -> <q> otherwise
+
+    A path witness repeats a few edge texts over thousands of lines, so a
+    line costs about one split: a state line without invariant is split
+    once, and a ``trans`` line written as the serialiser writes it reuses
+    the pattern and assumption of an earlier line with the same text after
+    ``on``; only a new text, or another spacing, is matched against the
+    regular expression.  A text is remembered only once it parsed, so every
+    refusal is raised on its own line.
     """
     name = None
     kind = None
-    states: list = []
-    declared: set = set()  # the states, for the duplicate check
+    states: dict = {}  # the declared states in file order, as keys
     finals: list = []
     invariants: dict = {}
     transitions: list = []
     patterns: dict = {}  # (src, "op", tgt) fields of trans lines -> their shared pattern
+    tails: dict = {}  # the text after "on" of a trans line -> its _explicit_parts
     initial = None
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if name is None:
             m = _HEADER_RE.match(line)
@@ -519,20 +545,22 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
                     f"unknown automaton kind {m.group(2)!r} (known: {known})", lineno
                 ) from None
             continue
-        if line.startswith("state "):
-            rest = line[len("state "):]
+        words = line.split(None, 5)
+        if words[0] == "state" and line[5:6] == " ":  # line.startswith("state ")
+            inv_at = line.find(" inv:", 6)
             inv_text = None
-            if " inv:" in rest:
-                rest, _, inv_text = rest.partition(" inv:")
-            words = rest.split()
-            if not words:
-                raise ParseError("state line needs a state id", lineno)
-            state_id = words[0]
-            if state_id in declared:
+            if inv_at >= 0:
+                words = line[:inv_at].split()
+                inv_text = line[inv_at + 5:]
+                if len(words) < 2:
+                    raise ParseError("state line needs a state id", lineno)
+            elif len(words) == 6:  # more flags than the first split took apart
+                words = line.split()
+            state_id = words[1]
+            if state_id in states:
                 raise ParseError(f"state {state_id!r} declared twice", lineno)
-            declared.add(state_id)
-            states.append(state_id)
-            for flag in words[1:]:
+            states[state_id] = None
+            for flag in words[2:]:
                 if flag == "init":
                     if initial is not None:
                         raise ParseError("two states marked init", lineno)
@@ -547,28 +575,33 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
                 except ParseError as err:
                     raise err.within("bad invariant", lineno, raw, inv_text) from None
             continue
-        # no line matches both patterns; the explicit kind, far the more
-        # frequent in long witnesses, is tried first
-        m = _TRANS_RE.match(line)
-        if m:
-            src_text, op_field, tgt_text = fields = m.group(3, 4, 5)
-            pattern = patterns.get(fields) or patterns.setdefault(fields, EdgePattern(
-                None if src_text == "*" else _integer(src_text, lineno),
-                None if op_field == "*" else op_field[1:-1],
-                None if tgt_text == "*" else _integer(tgt_text, lineno)))
-            assumption = TRUE
-            if m.group(6) is not None:
-                try:
-                    assumption = parse_predicate(m.group(6))
-                except ParseError as err:
-                    raise err.within("bad assumption", lineno, raw, m.group(6)) from None
-            transitions.append(Transition(m.group(1), m.group(2), pattern, assumption))
-            continue
+        # "trans <from> -> <to> on <tail>" as the serialiser writes it matches
+        # _TRANS_RE exactly when its tail matches _TAIL_RE, with <from> and
+        # <to> as the first groups (neither can reach past a space), so only
+        # the tail is matched, and only the first time it is met
+        if len(words) == 6 and words[0] == "trans" and words[2] == "->" and words[4] == "on":
+            tail = words[5]
+            parts = tails.get(tail)
+            if parts is None:
+                m = _TAIL_RE.match(tail)
+                if m:
+                    parts = tails[tail] = _explicit_parts(m.groups(), lineno, raw, patterns)
+            if parts is not None:
+                # through tuple.__new__, as the explorer builds a PathStep
+                transitions.append(tuple.__new__(Transition, (words[1], words[3]) + parts))
+                continue
+        # no line matches both patterns, and explicit lines in the
+        # serialiser's spacing are parsed above, so otherwise is tried first
         m = _OTHERWISE_RE.match(line)
         if m:
             if m.group(1) != m.group(2):
                 raise ParseError("otherwise transitions must be self-loops", lineno)
             transitions.append(Transition(m.group(1), m.group(2), None, TRUE, otherwise=True))
+            continue
+        m = _TRANS_RE.match(line)
+        if m:
+            parts = _explicit_parts(m.group(3, 4, 5, 6), lineno, raw, patterns)
+            transitions.append(tuple.__new__(Transition, m.group(1, 2) + parts))
             continue
         raise ParseError(f"unrecognized line {line!r}", lineno)
     if name is None:
@@ -576,7 +609,7 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
     if initial is None:
         raise ParseError("no state marked init")
     try:
-        return make_automaton(name, kind, states, initial, finals, transitions, invariants)
+        return make_automaton(name, kind, tuple(states), initial, finals, transitions, invariants)
     except ValueError as err:
         raise ParseError(str(err)) from None
 

@@ -134,10 +134,10 @@ class CFAEdge:
     match_target: Optional[int] = None
     # Computed once here, as edge patterns read them whenever a step is
     # planned: the endpoints matched and the operation text without
-    # whitespace.  exec_test plans every executed step, so one round of the
-    # benchmark's deep-paths workload makes 11,924 pattern matches, 7,816 of
-    # them exec_test's.  Not kept by functools' cached_property, whose write
-    # to __dict__ would slow every later attribute read on the edge.
+    # whitespace.  A traced run of the benchmark's deep-paths workload
+    # (--seconds 1) makes 4,136 pattern matches.  Not kept by functools'
+    # cached_property, whose write to __dict__ would slow every later
+    # attribute read on the edge.
     match_src: int = field(init=False, repr=False, compare=False)
     match_tgt: int = field(init=False, repr=False, compare=False)
     norm_text: str = field(init=False, repr=False, compare=False)

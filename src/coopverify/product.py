@@ -84,7 +84,9 @@ they differ only in the value read: one written from a path meets each
 (state, edge) pair about once in the whole search, so storing its plans
 would only hold memory.  Kept for the whole search, they raise the heap
 peak of the benchmark's ``extract_test n=1000`` task from 2.35 to 3.31 MB
-(tracemalloc).
+(tracemalloc).  A test execution (:func:`coopverify.actors.exec_test`)
+steps its automaton by the same rule, with one memo for the run, which
+keeps no plan of a violation witness.
 """
 
 from __future__ import annotations

@@ -305,6 +305,23 @@ class TestReduce:
         assert reduction.residual.locations == {reduction.residual.initial}
         assert reduction.origin == {} and reduction.mid_locations == frozenset()
 
+    def test_11_true_guard_is_no_guard(self, p, cfg4):
+        """An unguarded input transition always fires, so its edge is not
+        split on ``true`` and ``!(true)``: the residual has no infeasible
+        branch into a copy of the program, only the split on the guarded
+        ``int a = 0``, and its walks are the uncovered ones."""
+        cond = parse_automaton(
+            "automaton c kind=condition\nstate q0 init\nstate q1\nstate q2 final\n"
+            'trans q0 -> q1 on (0, "int x = input()", 1)\n'
+            'trans q1 -> q2 on (*, "int a = 0", *) assume x > 5\n')
+        reduction = reduce_with_origin(p, cond)
+        texts = [e.op.text for e in reduction.residual.edges]
+        assert "true" not in texts and "!(true)" not in texts
+        assert texts.count("!(x > 5)") == 1
+        assert len(reduction.mid_locations) == 1
+        assert len(reduction.residual.locations) == 8
+        assert residual_prefixes(p, cond, cfg4) == uncovered_prefixes(p, cond, cfg4)
+
 
 class TestConditionalVerify:
     def test_01_success_extends_the_condition(self, p, cfg4):

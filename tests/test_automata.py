@@ -548,6 +548,83 @@ class TestAutFormat:
                                   "variable 'x' is not bound in the data state")
 
 
+class TestLineCostParse:
+    """A ``trans`` line whose text after ``on`` an earlier line had shares
+    that line's pattern and assumption; a refusal is still raised on its
+    own line, with the text the regular expression's parse gives."""
+
+    HEAD = ("automaton w kind=violation-witness\nstate w0 init\nstate w1\nstate w2\n"
+            "state w3 final\n")
+
+    def test_01_repeated_tails_share_pattern_and_assumption(self):
+        aut = parse_automaton(self.HEAD
+                              + 'trans w0 -> w1 on (0, "x++", 1) assume x > 0\n'
+                              + 'trans w1 -> w2 on (0, "x++", 1) assume x > 0\n'
+                              + 'trans w2 -> w3 on (0, "x++", 1)\n')
+        first, second, third = aut.transitions
+        assert first.pattern is second.pattern is third.pattern
+        assert first.assumption is second.assumption
+        assert third.assumption == TRUE
+        assert type(second) is Transition
+        assert second == Transition("w1", "w2", EdgePattern(0, "x++", 1),
+                                    parse_predicate("x > 0"))
+
+    def test_02_other_spacing_parses_alike(self):
+        """Lines that are not written as the serialiser writes them take
+        the regular expression, and mean what a canonical line means."""
+        canonical = parse_automaton(self.HEAD + "".join(
+            f'trans w{i} -> w{i + 1} on (0, "x++", 1) assume x > 0\n' for i in range(3)))
+        spaced = parse_automaton(self.HEAD
+                                 + 'trans w0 -> w1 on (0, "x++", 1) assume x > 0\n'
+                                 + 'trans w1->w2 on (0, "x++", 1) assume x > 0\n'
+                                 + 'trans  w2  ->  w3  on  ( 0 ,"x++",  1 )  assume x > 0\n')
+        assert spaced == canonical
+
+    @pytest.mark.parametrize("line, message", [
+        ('trans w2 -> w3 on (0, "x++", 1) assume x >',
+         "bad assumption: expected an expression (found '') at line 8, column 43"),
+        ('trans w2 -> w3 on (0, "x++", \u0663)', "expected an integer, found '\u0663' at line 8"),
+        ('trans w2 - > w3 on (0, "x++", 1) assume x > 0',
+         "unrecognized line 'trans w2 - > w3 on (0, \"x++\", 1) assume x > 0' at line 8"),
+        ('trans w2 -> w3 in (0, "x++", 1) assume x > 0',
+         "unrecognized line 'trans w2 -> w3 in (0, \"x++\", 1) assume x > 0' at line 8"),
+        ('tran w2 -> w3 on (0, "x++", 1) assume x > 0',
+         "unrecognized line 'tran w2 -> w3 on (0, \"x++\", 1) assume x > 0' at line 8"),
+        ('trans w2 -> w9 on (0, "x++", 1) assume x > 0',
+         'transition w2 -> w9 on (0, "x++", 1) assume x > 0 uses an undeclared state'),
+    ])
+    def test_03_refusal_after_repeated_tails_names_its_line(self, line, message):
+        text = self.HEAD + "".join(
+            f'trans w{i} -> w{i + 1} on (0, "x++", 1) assume x > 0\n' for i in range(2))
+        with pytest.raises(ParseError) as exc:
+            parse_automaton(text + line + "\n")
+        assert str(exc.value) == message
+
+    def test_04_state_lines_keep_their_refusals(self):
+        """A state line with more flags than the first split takes apart,
+        and one whose id reads ``inv:``, name the flag the parser refused."""
+        for line, flag in (("state w4 final final final bogus flag", "bogus"),
+                           ("state inv: x > 0", "x")):
+            with pytest.raises(ParseError) as exc:
+                parse_automaton(self.HEAD + line + "\n")
+            assert str(exc.value) == f"unknown state flag {flag!r} at line 6"
+
+    def test_05_verify_witness_of_3004_steps_is_a_fixed_point(self):
+        """The witness ``verify`` writes for a count to 1000 (the benchmark's
+        deep-paths counterexample) reads back to its own text."""
+        program = parse_program("int c = input();\nint i = 0;\nint s = 5;\n"
+                                "while (i < 1000) {\n  s = s + 3 * i;\n  i++;\n}\n")
+        prop = parse_automaton(
+            "automaton first kind=property\nstate q0 init\nstate qe final\n"
+            'trans q0 -> qe on (*, "!(i < 1000)", *) assume c == 1\ntrans q0 -> q0 otherwise\n')
+        witness = verify(program, prop, AnalysisConfig(Interval(1, 2), 3100)).witness
+        assert witness.kind is AutomatonKind.VIOLATION_WITNESS
+        assert len(witness.transitions) == 3004
+        text = serialize_automaton(witness)
+        assert parse_automaton(text) == witness
+        assert serialize_automaton(parse_automaton(text)) == text
+
+
 def verdict_triple(v):
     return (v.k, v.accepted, v.covered)
 

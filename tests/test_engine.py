@@ -2,6 +2,7 @@
 are checked against."""
 
 import ast
+import collections
 import gc
 import random
 import weakref
@@ -12,6 +13,7 @@ import pytest
 import corpus
 import generators
 import reference
+from coopverify import actors as actors_module
 from coopverify import automata as automata_module
 from coopverify import lang as lang_module
 from coopverify import product as product_module
@@ -838,6 +840,106 @@ class PlanLog(list):
     def __init__(self) -> None:
         super().__init__()
         self.ran: list = []
+
+
+class TestExecStepMemo:
+    """A test execution steps its automaton by the explorer's rule: one plan
+    per (frontier, edge) of the run, and only the plan's guards on each
+    post-state; a violation witness's plans are not kept past their step."""
+
+    NEVER = ("state q0 init\nstate qe final\n"
+             'trans q0 -> qe on (*, "!(i < n)", *) assume i > 1000\ntrans q0 -> q0 otherwise\n')
+
+    @pytest.fixture
+    def stepped(self, monkeypatch):
+        """As ``TestStepMemo.stepped``, through the binding of ``actors``."""
+        seen = PlanLog()
+        real_plan, real_run = actors_module.plan_step, automata_module.StepPlan.run
+
+        def planning(aut, frontier, edge):
+            seen.append(aut)
+            return real_plan(aut, frontier, edge)
+
+        def running(plan, bindings):
+            seen.ran.append(plan.aut.name)
+            return real_run(plan, bindings)
+
+        monkeypatch.setattr(actors_module, "plan_step", planning)
+        monkeypatch.setattr(automata_module.StepPlan, "run", running)
+        return seen
+
+    def test_01_each_step_is_planned_once_per_run(self, stepped):
+        """Executing the count to 300 takes its 603 steps over the
+        program's 5 edges from the frontier {q0}: 5 plans, and only the
+        guarded exit step runs one."""
+        program = parse_program(TestStepMemo.COUNT_TO)
+        prop = parse_automaton(f"automaton never kind=property\n{self.NEVER}")
+        report = exec_test(program, (300,), prop, 1000)
+        assert (report.status, report.trace.length) == ("completed", 603)
+        assert report.violation_observed is False
+        assert len(program.edges) == 5
+        assert stepped == [prop] * 5
+        assert stepped.ran == ["never"]
+
+    def test_02_guards_run_on_every_post_state(self, stepped):
+        """A guard on the increment reads i: its one plan runs on each of
+        the 300 increments and accepts on the last, so the exit edge is
+        never stepped and 4 plans are built."""
+        program = parse_program(TestStepMemo.COUNT_TO)
+        prop = parse_automaton(
+            "automaton last kind=property\nstate q0 init\nstate qe final\n"
+            'trans q0 -> qe on (*, "i++", *) assume i >= 300\ntrans q0 -> q0 otherwise\n')
+        report = exec_test(program, (300,), prop, 1000)
+        assert report.violation_observed is True
+        assert stepped == [prop] * 4
+        assert stepped.ran == ["last"] * 300
+
+    def test_03_violation_witness_plans_are_not_kept(self, stepped):
+        """The same automaton as a violation witness meets (q0, edge) 602
+        times before the exit; each executed step is planned anew, and the
+        verdict is the property's."""
+        program = parse_program(TestStepMemo.COUNT_TO)
+        witness = parse_automaton(f"automaton never kind=violation-witness\n{self.NEVER}")
+        report = exec_test(program, (300,), witness, 1000)
+        assert report.violation_observed is False
+        assert stepped == [witness] * 603
+        assert stepped.ran == ["never"]
+
+    def test_04_a_new_frontier_gets_its_own_plans(self, stepped):
+        """The first increment moves the property from q0 to q1, where the
+        loop test reads i: the steps over the loop test and the increment
+        are planned once from {q0} and once from {q1}, and the third loop
+        test, with i = 2, accepts."""
+        program = parse_program(TestStepMemo.COUNT_TO)
+        prop = parse_automaton(
+            "automaton second kind=property\nstate q0 init\nstate q1\nstate qe final\n"
+            'trans q0 -> q1 on (*, "i++", *)\ntrans q1 -> qe on (*, "i < n", *) assume i == 2\n'
+            "trans q0 -> q0 otherwise\ntrans q1 -> q1 otherwise\n")
+        report = exec_test(program, (300,), prop, 1000)
+        assert report.violation_observed is True
+        assert stepped == [prop] * 6
+        assert stepped.ran == ["second"] * 2
+
+    def test_05_every_kind_agrees_with_the_reference_fold(self):
+        """400 generated (program, automaton) pairs of every kind but the
+        property (whose runs ``TestExecTest`` checks): the execution's
+        verdict is the reference's acceptance of its trace, whether the
+        plans are kept or not."""
+        rng = random.Random(3003)
+        kinds = collections.Counter()
+        for n in range(400):
+            program = generators.random_program(rng)
+            aut = (generators.random_test_goal,
+                   generators.random_violation_witness,
+                   generators.random_correctness_witness,
+                   generators.random_condition,
+                   lambda rng, program: build_test_case_automaton(generators.random_inputs(rng)),
+                   )[n % 5](rng, program)
+            inputs = generators.random_inputs(rng)
+            report = exec_test(program, inputs, aut, rng.choice((4, 200)))
+            assert report.violation_observed == naive_match_path(aut, report.trace).accepted
+            kinds[aut.kind, report.violation_observed] += 1
+        assert len(kinds) == 8, kinds  # correctness witnesses and test cases never accept
 
 
 class TestDeadVariables:

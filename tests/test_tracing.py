@@ -39,13 +39,14 @@ def test_02_traced_verify_counts_and_restores(tracing):
     tracer.install()
     try:
         bundle = actors.verify(corpus.program_p_prime(), corpus.prop(), corpus.CFG4)
-        # the explorer runs planned steps; a test execution steps the property
-        # through step_frontier
         report = actors.exec_test(corpus.program_p_prime(), (1,), corpus.prop())
+        # the explorer and a test execution run planned steps; matching a
+        # path folds step_frontier over it
+        accepted = automata.accepts(corpus.prop(), report.trace)
     finally:
         tracer.uninstall()
     assert bundle.result is actors.Result.FALSE
-    assert report.violation_observed is True
+    assert report.violation_observed is True and accepted
     assert (automata.evaluate, automata.step_frontier, engine.run_product) == originals
     assert tracer.counters["engine.explorations"] == 1  # the search alone
     assert tracer.counters["engine.configs_visited"] > 0
