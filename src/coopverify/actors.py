@@ -28,7 +28,7 @@ from .automata import (
     Transition,
     initial_frontier,
     make_automaton,
-    plan_step,
+    memo_step,
 )
 from .engine import (
     DEFAULT_CONFIG,
@@ -502,11 +502,11 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
     search does (:func:`coopverify.kinds.non_blocking_rule`); an automaton
     of another kind is only run.
 
-    The automaton is stepped by the explorer's memo rule (see
-    :mod:`coopverify.product`): each step is planned once per (frontier,
-    edge) of the run and the plan's guards run on each post-state, except
-    that a violation witness's plans are not kept, since the path it was
-    written from meets each (state, edge) pair once.
+    The automaton is stepped through one plan memo for the run
+    (:func:`coopverify.automata.memo_step`), as the explorer of
+    :mod:`coopverify.product` steps it: each step is planned once per
+    (frontier, edge) of the run and the plan's guards run on each
+    post-state.
     """
     inputs = list(test)
     consumed = 0
@@ -544,8 +544,7 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
     if prop is not None:
         blocked = non_blocking_rule(prop)
         frontier, entered = initial_frontier(prop, EMPTY_STATE)
-        plans: dict = {}  # (frontier, id(edge)) -> the plan of that step
-        keep = prop.kind is not AutomatonKind.VIOLATION_WITNESS
+        plans: dict = {}  # the run's memo (automata.memo_step)
         for post, _, edge in steps[1:]:
             if entered or not frontier:
                 break
@@ -553,14 +552,7 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
                 refuted = blocked(frontier, ((edge, post),))
                 if refuted is not None:
                     raise _refusal(prop, KindReport(prop.kind, (), refuted))
-            plan = plans.get((frontier, id(edge)))
-            if plan is None:
-                plan = plan_step(prop, frontier, edge)
-                if keep:
-                    plans[frontier, id(edge)] = plan
-            frontier, entered = plan
-            if frontier is None:  # guards are left
-                frontier, entered = entered.run(post._bindings)
+            frontier, entered = memo_step(prop, plans, frontier, edge, post._bindings)
         violation = bool(entered)
     return ExecutionReport(ConcretePath(tuple(steps)), status, consumed, violation)
 

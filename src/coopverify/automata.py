@@ -22,8 +22,9 @@ any number of consumed edges:
 :func:`match_path` decides both by folding :func:`step_frontier` over the
 path, keeping the frontier of reachable automaton states per prefix.  A step
 is planned from its edge alone (:func:`plan_step`) and the plan run on the
-post-state; the explorer of :mod:`coopverify.product` and a test execution
-keep their plans.
+post-state; :func:`memo_step` keeps the plans, for a test execution and a
+property's non-blocking rule, and the explorer of :mod:`coopverify.product`
+keeps them by the same rule.
 """
 
 from __future__ import annotations
@@ -174,12 +175,16 @@ class ArtifactAutomaton:
             if source not in declared or target not in declared:
                 raise ValueError(f"transition {t} uses an undeclared state")
             if not loops:
-                explicit.setdefault(source, []).append(t)
+                gathered = explicit.get(source)
+                if gathered is None:
+                    explicit[source] = [t]
+                else:
+                    gathered.append(t)
             elif source in otherwise:
                 raise DuplicateOtherwise(f"state {source!r} has two otherwise transitions")
             else:
                 otherwise[source] = t
-        object.__setattr__(self, "_explicit", dict(zip(explicit, map(tuple, explicit.values()))))
+        object.__setattr__(self, "_explicit", {q: tuple(ts) for q, ts in explicit.items()})
         object.__setattr__(self, "_otherwise", otherwise)
 
     def invariant(self, state: str) -> Predicate:
@@ -423,6 +428,21 @@ def step_frontier(aut: ArtifactAutomaton, frontier: frozenset, edge: CFAEdge,
     return (frontier, entered) if frontier is not None else entered.run(state_after._bindings)
 
 
+def memo_step(aut: ArtifactAutomaton, plans: dict, frontier: frozenset, edge: CFAEdge,
+              bindings: dict) -> tuple:
+    """:func:`step_frontier` through a memo: ``plans`` maps (frontier,
+    id(edge)) to the :func:`plan_step` of that step, so each step is planned
+    once per memo and only the plan's guards run on the post-state, given
+    by its bindings (``ConcreteDataState._bindings``).  Edges are keyed by
+    identity, because hashing one walks its operation; the caller keeps the
+    program, and so its edges, alive as long as the memo."""
+    plan = plans.get((frontier, id(edge)))
+    if plan is None:
+        plan = plans[frontier, id(edge)] = plan_step(aut, frontier, edge)
+    frontier, entered = plan
+    return (frontier, entered) if frontier is not None else entered.run(bindings)
+
+
 # ---------------------------------------------------------------------------
 # Matching
 
@@ -609,7 +629,7 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
     if initial is None:
         raise ParseError("no state marked init")
     try:
-        return make_automaton(name, kind, tuple(states), initial, finals, transitions, invariants)
+        return make_automaton(name, kind, states, initial, finals, transitions, invariants)
     except ValueError as err:
         raise ParseError(str(err)) from None
 

@@ -14,7 +14,7 @@ import re
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .automata import (INPUT_TEMPLATE_TEXT, ArtifactAutomaton, AutomatonKind, EdgePattern,
-                       Transition, make_automaton, plan_step)
+                       Transition, make_automaton, memo_step)
 from .errors import UnboundTemplate, UndefinedVariable
 from .lang import EMPTY_STATE, CFAEdge, ControlFlowAutomaton
 from .predicates import (CHI, TRUE, Comparison, Const, Interval, evaluate, mentions_template,
@@ -154,17 +154,13 @@ def non_blocking_rule(aut: ArtifactAutomaton) -> Optional[Callable]:
         return None
     watched = frozenset(q for q in aut.states
                         if q not in aut.finals and aut.otherwise_at(q) is None)
-    plans: dict = {}  # (state, id(edge)) -> the plan of stepping {state} (automata.plan_step)
+    alone = {q: frozenset((q,)) for q in watched}  # the frontier stepped for each state
+    plans: dict = {}  # the rule's memo (automata.memo_step)
 
     def blocked(frontier: frozenset, steps) -> Optional[NonBlocking]:
         for q in sorted(frontier & watched):
             for edge, post in steps:
-                plan = plans.get((q, id(edge)))
-                if plan is None:
-                    plan = plans[q, id(edge)] = plan_step(aut, frozenset((q,)), edge)
-                succ, entered = plan
-                if succ is None:  # guards are left
-                    succ, _ = entered.run(post._bindings)
+                succ, _ = memo_step(aut, plans, alone[q], edge, post._bindings)
                 if not succ:
                     return NonBlocking(REFUTED, q, edge, dict(post))
         return None

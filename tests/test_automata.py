@@ -609,21 +609,6 @@ class TestLineCostParse:
                 parse_automaton(self.HEAD + line + "\n")
             assert str(exc.value) == f"unknown state flag {flag!r} at line 6"
 
-    def test_05_verify_witness_of_3004_steps_is_a_fixed_point(self):
-        """The witness ``verify`` writes for a count to 1000 (the benchmark's
-        deep-paths counterexample) reads back to its own text."""
-        program = parse_program("int c = input();\nint i = 0;\nint s = 5;\n"
-                                "while (i < 1000) {\n  s = s + 3 * i;\n  i++;\n}\n")
-        prop = parse_automaton(
-            "automaton first kind=property\nstate q0 init\nstate qe final\n"
-            'trans q0 -> qe on (*, "!(i < 1000)", *) assume c == 1\ntrans q0 -> q0 otherwise\n')
-        witness = verify(program, prop, AnalysisConfig(Interval(1, 2), 3100)).witness
-        assert witness.kind is AutomatonKind.VIOLATION_WITNESS
-        assert len(witness.transitions) == 3004
-        text = serialize_automaton(witness)
-        assert parse_automaton(text) == witness
-        assert serialize_automaton(parse_automaton(text)) == text
-
 
 def verdict_triple(v):
     return (v.k, v.accepted, v.covered)

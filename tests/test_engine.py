@@ -13,7 +13,6 @@ import pytest
 import corpus
 import generators
 import reference
-from coopverify import actors as actors_module
 from coopverify import automata as automata_module
 from coopverify import lang as lang_module
 from coopverify import product as product_module
@@ -843,18 +842,19 @@ class PlanLog(list):
 
 
 class TestExecStepMemo:
-    """A test execution steps its automaton by the explorer's rule: one plan
-    per (frontier, edge) of the run, and only the plan's guards on each
-    post-state; a violation witness's plans are not kept past their step."""
+    """A test execution steps its automaton through ``automata.memo_step``:
+    one plan per (frontier, edge) of the run, whatever the automaton's kind,
+    and only the plan's guards on each post-state."""
 
     NEVER = ("state q0 init\nstate qe final\n"
              'trans q0 -> qe on (*, "!(i < n)", *) assume i > 1000\ntrans q0 -> q0 otherwise\n')
 
     @pytest.fixture
     def stepped(self, monkeypatch):
-        """As ``TestStepMemo.stepped``, through the binding of ``actors``."""
+        """As ``TestStepMemo.stepped``, through the binding ``memo_step``
+        calls."""
         seen = PlanLog()
-        real_plan, real_run = actors_module.plan_step, automata_module.StepPlan.run
+        real_plan, real_run = automata_module.plan_step, automata_module.StepPlan.run
 
         def planning(aut, frontier, edge):
             seen.append(aut)
@@ -864,7 +864,7 @@ class TestExecStepMemo:
             seen.ran.append(plan.aut.name)
             return real_run(plan, bindings)
 
-        monkeypatch.setattr(actors_module, "plan_step", planning)
+        monkeypatch.setattr(automata_module, "plan_step", planning)
         monkeypatch.setattr(automata_module.StepPlan, "run", running)
         return seen
 
@@ -894,15 +894,16 @@ class TestExecStepMemo:
         assert stepped == [prop] * 4
         assert stepped.ran == ["last"] * 300
 
-    def test_03_violation_witness_plans_are_not_kept(self, stepped):
-        """The same automaton as a violation witness meets (q0, edge) 602
-        times before the exit; each executed step is planned anew, and the
-        verdict is the property's."""
+    def test_03_violation_witness_plans_are_kept(self, stepped):
+        """The same automaton as a violation witness is stepped as the
+        property is: its 603 steps build 5 plans, only the exit step runs
+        one, and the verdict is the property's."""
         program = parse_program(TestStepMemo.COUNT_TO)
         witness = parse_automaton(f"automaton never kind=violation-witness\n{self.NEVER}")
         report = exec_test(program, (300,), witness, 1000)
+        assert (report.status, report.trace.length) == ("completed", 603)
         assert report.violation_observed is False
-        assert stepped == [witness] * 603
+        assert stepped == [witness] * 5
         assert stepped.ran == ["never"]
 
     def test_04_a_new_frontier_gets_its_own_plans(self, stepped):
@@ -923,8 +924,7 @@ class TestExecStepMemo:
     def test_05_every_kind_agrees_with_the_reference_fold(self):
         """400 generated (program, automaton) pairs of every kind but the
         property (whose runs ``TestExecTest`` checks): the execution's
-        verdict is the reference's acceptance of its trace, whether the
-        plans are kept or not."""
+        verdict is the reference's acceptance of its trace."""
         rng = random.Random(3003)
         kinds = collections.Counter()
         for n in range(400):

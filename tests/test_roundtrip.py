@@ -96,11 +96,3 @@ def test_04_test_case_text_round_trips(values):
     values = tuple(values)
     assert cli.parse_test_text(cli._test_text(values)) == values
 
-
-@pinned
-@given(seeds, st.sampled_from(GENERATORS))
-def test_05_automaton_text_is_a_fixed_point(seed, generate):
-    """The text of a generated automaton reads back to the same text."""
-    rng = random.Random(seed)
-    text = serialize_automaton(generate(rng, generators.random_program(rng)))
-    assert serialize_automaton(parse_automaton(text)) == text
