@@ -100,29 +100,65 @@ class VerdictBundle(NamedTuple):
 # ---------------------------------------------------------------------------
 # Witness synthesis
 
-def violation_witness_from_path(path: ConcretePath) -> ArtifactAutomaton:
-    """A single-path violation witness mirroring one concrete path.
+def _chooses(edges: Sequence[CFAEdge]) -> bool:
+    """Whether a location with these out-edges chooses between runs: it has
+    two or more, unless they are one syntactic ``c`` / ``!(c)`` assume pair,
+    of which exactly one is enabled in every state."""
+    if len(edges) != 2:
+        return len(edges) > 2
+    a, b = (edge.op for edge in edges)
+    return not (type(a) is type(b) is Assume
+                and (a.condition == Not(b.condition) or b.condition == Not(a.condition)))
 
-    One state per path step; each transition consumes exactly the step's edge
-    and, on input edges, pins the read value (`x == v`), so replaying the
-    witness forces the same inputs.  Transitions over equal edges share one
-    pattern, looked up first by the identity of the edge.
+
+def violation_witness_from_path(program: ControlFlowAutomaton,
+                                path: ConcretePath) -> ArtifactAutomaton:
+    """A violation witness that pins the decisions of one concrete path.
+
+    A step is a decision when it reads an input, leaves a location that
+    chooses (:func:`_chooses`, asked once per location), or passes the
+    path's last edge after its last other decision.  Each decision is a
+    transition into a new state, an input pinned by ``x == v``, and the last
+    one enters the final state.  Between decisions a state loops, with no
+    ``otherwise``, on the distinct edges the path passed there, in the order
+    it first passed them.  A step that is no decision leaves a location with
+    at most one enabled edge, and no loop takes an edge that decides, so
+    program x witness admits exactly this path and enters the final state
+    only at its end, as far as the edges' patterns tell them apart.  The
+    witness has at most one transition per step.
     """
-    states = [f"w{i}" for i in range(path.length + 1)]
-    transitions = []
     patterns: dict = {}  # (match source, op text, match target) -> pattern
-    by_edge: dict = {}  # id of an edge the path holds -> its pattern
-    for i, step in enumerate(path.steps[1:]):
+    marks: dict = {}  # id of an edge the path holds -> (its pattern, whether it decides)
+    chooses: dict = {}  # location -> whether it chooses
+    steps = []
+    for step in path.steps[1:]:
         edge = step.incoming
-        pattern = by_edge.get(id(edge))
-        if pattern is None:
+        mark = marks.get(id(edge))
+        if mark is None:
+            decides = chooses.get(edge.source)
+            if decides is None:
+                decides = chooses[edge.source] = _chooses(program.edges_from(edge.source))
             fields = (edge.match_src, edge.op.text, edge.match_tgt)
-            pattern = by_edge[id(edge)] = patterns.setdefault(fields, EdgePattern(*fields))
+            mark = marks[id(edge)] = (patterns.setdefault(fields, EdgePattern(*fields)),
+                                      decides or type(edge.op) is InputOp)
+        steps.append((step, *mark))
+    last = max((i for i, (_, _, decides) in enumerate(steps) if decides), default=-1)
+    states = ["w0"]
+    transitions = []
+    loops: dict = {}  # id of a pattern -> the pattern: the loops of the last state
+    for i, (step, pattern, decides) in enumerate(steps):
+        if not decides and (i < last or pattern is not steps[-1][1]):
+            loops.setdefault(id(pattern), pattern)
+            continue
+        source = states[-1]
+        transitions.extend(Transition(source, source, loop) for loop in loops.values())
+        loops.clear()
+        op = step.incoming.op
         assumption = TRUE
-        if isinstance(edge.op, InputOp):
-            assumption = Comparison("==", Var(edge.op.target),
-                                    Const(step.state[edge.op.target]))
-        transitions.append(Transition(states[i], states[i + 1], pattern, assumption))
+        if type(op) is InputOp:
+            assumption = Comparison("==", Var(op.target), Const(step.state[op.target]))
+        states.append(f"w{len(states)}")
+        transitions.append(Transition(source, states[-1], pattern, assumption))
     return make_automaton("violation_witness", AutomatonKind.VIOLATION_WITNESS, states,
                           states[0], (states[-1],), transitions)
 
@@ -197,9 +233,9 @@ def verify(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
 
     Runs the search of :func:`check_fulfills` while recording the data
     states explored per location.  On violation the evidence path becomes a
-    single-path violation witness; on success the recorded states become
-    correctness-witness invariants.  One exploration decides the verdict
-    and yields the witness.
+    violation witness pinning its decisions; on success the recorded states
+    become correctness-witness invariants.  One exploration decides the
+    verdict and yields the witness.
     """
     require_valid_kind(prop, AutomatonKind.PROPERTY)
     observed: dict = defaultdict(list)
@@ -208,7 +244,7 @@ def verify(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     if judgment.verdict is Verdict.UNKNOWN:
         return VerdictBundle(Result.UNKNOWN, None, None, judgment)
     if judgment.evidence is not None:
-        result, witness = Result.FALSE, violation_witness_from_path(judgment.evidence)
+        result, witness = Result.FALSE, violation_witness_from_path(program, judgment.evidence)
     else:
         result, witness = Result.TRUE, correctness_witness_from_observations(program, prop, observed)
     return VerdictBundle(result, witness, None, judgment)
@@ -231,7 +267,7 @@ def validate_result(program: ControlFlowAutomaton, prop: ArtifactAutomaton,
     if witness.kind is AutomatonKind.VIOLATION_WITNESS:
         judgment = check_violation_witness(program, prop, witness, config)
         if judgment.verdict is Verdict.HOLDS:
-            rederived = violation_witness_from_path(judgment.evidence)
+            rederived = violation_witness_from_path(program, judgment.evidence)
             return VerdictBundle(Result.FALSE, rederived, None, judgment)
         return VerdictBundle(Result.UNKNOWN, None, None, judgment)
     if witness.kind is AutomatonKind.CORRECTNESS_WITNESS:

@@ -205,10 +205,13 @@ def check_violation_witness(program: ControlFlowAutomaton, prop: ArtifactAutomat
     """Some program path must be accepted by witness and property together.
 
     The witness steers exploration: prefixes it can no longer follow (empty
-    frontier, not yet accepted) are pruned.  A found path is definitive, so
-    it is reported as exhausted even if other prefixes were truncated;
-    ``violated`` (no such path) requires full exploration and carries no
-    evidence path, there being no single path that demonstrates absence.
+    frontier, not yet accepted) are pruned, so the search follows one path
+    where the witness pins that path's decisions (as those written by
+    :func:`coopverify.actors.violation_witness_from_path` do).  A found
+    path is definitive, so it is reported as exhausted even if other
+    prefixes were truncated; ``violated`` (no such path) requires full
+    exploration and carries no evidence path, there being no single path
+    that demonstrates absence.
     """
     require_valid_kind(prop, AutomatonKind.PROPERTY)
     require_valid_kind(witness, AutomatonKind.VIOLATION_WITNESS)

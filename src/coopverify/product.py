@@ -67,24 +67,25 @@ the bound.  Hence:
   only from unknown to a definite one.
 
 Most observers loop in place through ``otherwise`` on every edge they do
-not watch, and a witness follows the program's edges, so one exploration
-steps an automaton over the same (frontier, edge) many times.  Which
-transitions that step can take, their guards, the placeholder binding and
-the test case's rule on input edges depend on the edge alone, so the
+not watch, and a violation witness loops between the decisions it pins
+(see :func:`coopverify.actors.violation_witness_from_path`), so one
+exploration steps an automaton over the same (frontier, edge) many times.
+Which transitions that step can take, their guards, the placeholder binding
+and the test case's rule on input edges depend on the edge alone, so the
 explorer plans each step once per exploration
 (:func:`coopverify.automata.plan_step`) in that automaton's own memo,
-keyed on (frontier, edge), and then only runs the plan's guards on each
-post-state.  A plan with no guard left is the step's result itself; a
-correctness witness's step is one invariant evaluation.  Edges are keyed by
-identity, because hashing one walks its operation; that is sound because
-the program keeps its edges alive while the memos, which die with the
-exploration, exist.  A violation witness's memo is emptied before the
-successors of each configuration are stepped, which share a plan where
-they differ only in the value read: one written from a path meets each
-(state, edge) pair about once in the whole search, so storing its plans
-would only hold memory.  Kept for the whole search, they raise the heap
-peak of the benchmark's ``extract_test n=1000`` task from 2.35 to 3.31 MB
-(tracemalloc).  A test execution (:func:`coopverify.actors.exec_test`)
+keyed on (frontier, edge), kept whole for the exploration whatever the
+automaton's kind, and then only runs the plan's guards on each post-state.
+A plan with no guard left is the step's result itself; a correctness
+witness's step is one invariant evaluation.  Edges are keyed by identity,
+because hashing one walks its operation; that is sound because the program
+keeps its edges alive while the memos, which die with the exploration,
+exist.  Checking the decision witness of the benchmark's deep-paths
+``extract_test n=1000`` task plans 7 witness steps along its 3,004-step
+path.  Emptied for each configuration's successors, as it was while a
+witness spelled out every step, the witness's memo plans 3,004, and the
+task takes about 1.6 times as long at the same tracemalloc heap peak
+(0.87 MB; CPython 3.11).  A test execution (:func:`coopverify.actors.exec_test`)
 and a property's non-blocking rule step through the same memoised step as
 a call, :func:`coopverify.automata.memo_step`, each with one memo kept
 whole; the explorer inlines it, because the call made its tasks of the
@@ -98,7 +99,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
-from .automata import ArtifactAutomaton, AutomatonKind, initial_frontier, plan_step
+from .automata import ArtifactAutomaton, initial_frontier, plan_step
 from .lang import (EMPTY_STATE, ConcreteDataState, ConcretePath, ControlFlowAutomaton, PathStep,
                    op_writes, successors)
 from .predicates import Interval
@@ -264,12 +265,11 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     exploration.  A skipped prefix is taken to steer as the key's earlier
     visit did, so a visitor's answer must depend on the key alone; the visit
     itself still carries the whole data state.  Each automaton plans a step
-    once per (frontier, edge) in its own memo and runs the plan on every
-    post-state; a violation witness's memo is emptied for each
-    configuration's successors (see the module docstring).  Each pushed
-    ``PathStep`` is built through ``tuple.__new__`` (see
-    :class:`coopverify.lang.PathStep`).  Returns whether any configuration
-    was truncated by the step bound.
+    once per (frontier, edge) in its own memo, kept for the whole
+    exploration, and runs the plan on every post-state (see the module
+    docstring).  Each pushed ``PathStep`` is built through
+    ``tuple.__new__`` (see :class:`coopverify.lang.PathStep`).  Returns
+    whether any configuration was truncated by the step bound.
     """
     live = program.live_variables
     meeting = program.meeting_locations
@@ -295,7 +295,6 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     pairs = [initial_frontier(a, EMPTY_STATE) for a in automata]
     # per automaton, its memo: (frontier, id(edge)) -> the plan of that step
     observers = [(a, {}) for a in automata]
-    fleeting = [plans for a, plans in observers if a.kind is AutomatonKind.VIOLATION_WITNESS]
     trail: list = []  # the steps of the prefix reaching the current configuration
     stack = [(0, PathStep(EMPTY_STATE, program.initial, None),
               tuple(fr for fr, _ in pairs), tuple(en for _, en in pairs))]
@@ -325,8 +324,6 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
             return saw_truncation
         if action is PRUNE or truncated:
             continue
-        for plans in fleeting:
-            plans.clear()
         for edge, post in reversed(succ):
             edge_id = id(edge)
             next_frontiers = []

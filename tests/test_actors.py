@@ -53,7 +53,8 @@ from coopverify.actors import (
     reduce_with_origin,
 )
 from coopverify.automata import EdgePattern, Transition, make_automaton
-from coopverify.lang import EMPTY_STATE, ConcretePath, InputOp, PathStep
+from coopverify.lang import (EMPTY_STATE, CFAEdge, ConcretePath, InputOp, PathStep, assume_op,
+                             make_cfa)
 from coopverify.predicates import TRUE
 from reference import (
     all_runs,
@@ -70,23 +71,22 @@ from reference import (
 
 
 class TestVerify:
-    def test_01_violation_produces_single_path_witness(self, p_prime, cfg4):
+    def test_01_violation_produces_decision_witness(self, p_prime, cfg4):
         bundle = verify(p_prime, corpus.prop(), cfg4)
         assert bundle.result is Result.FALSE
         assert bundle.condition is None
         witness = bundle.witness
         assert witness.kind is AutomatonKind.VIOLATION_WITNESS
-        assert sorted(witness.states) == [f"w{i}" for i in range(7)]
+        assert sorted(witness.states) == ["w0", "w1", "w2"]
         assert witness.initial == "w0"
-        assert witness.finals == frozenset({"w6"})
-        # The chain retraces the smallest violating run of p': x = 1, one
-        # loop iteration that never increments b, then the exit branch.
-        patterns = [
-            (t.pattern.source, t.pattern.target)
-            for i in range(6)
-            for t in witness.explicit_from(f"w{i}")
-        ]
-        assert patterns == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 3), (3, 6)]
+        assert witness.finals == frozenset({"w2"})
+        # The witness pins the decisions of the smallest violating run of p':
+        # the input x = 1, then a loop on the edges of one loop round that
+        # never increments b, then the exit branch into the final state.
+        moves = [(t.source, t.target, t.pattern.source, t.pattern.target)
+                 for t in witness.transitions]
+        assert moves == [("w0", "w1", 0, 1), ("w1", "w1", 1, 2), ("w1", "w1", 2, 3),
+                         ("w1", "w1", 3, 4), ("w1", "w1", 4, 3), ("w1", "w2", 3, 6)]
         first = witness.explicit_from("w0")[0]
         assert pred_text(first.assumption) == "x == 1"
         assert bundle.judgment.verdict is Verdict.VIOLATED
@@ -1201,3 +1201,106 @@ def _judged(program, prop, witness, config) -> Verdict:
     if witness.kind is AutomatonKind.VIOLATION_WITNESS:
         return check_violation_witness(program, prop, witness, config).verdict
     return check_correctness_witness(program, prop, witness, config).verdict
+
+
+def decision_witness_faults(program, prop, config):
+    """The checks of :class:`TestDecisionWitness` that the witness of a
+    false verdict of ``verify`` fails, by letter; None for another verdict.
+
+    (a) validating the witness read back from its text confirms false with
+    the same evidence and re-derives the same text; (b) ``extract_test``
+    gives the evidence's inputs; (c) program x witness alone visits, with a
+    non-empty frontier, only prefixes of the evidence, and enters the final
+    state only at its end; (d) the witness has no more transitions than the
+    evidence has steps."""
+    bundle = verify(program, prop, config)
+    if bundle.result is not Result.FALSE:
+        return None
+    evidence, witness = bundle.judgment.evidence, bundle.witness
+    text = serialize_automaton(witness)
+    faults = set()
+    echoed = validate_result(program, prop, parse_automaton(text), config)
+    if (echoed.result is not Result.FALSE or echoed.judgment.evidence != evidence
+            or serialize_automaton(echoed.witness) != text):
+        faults.add("a")
+    if extract_test(program, prop, witness, config) != evidence.inputs():
+        faults.add("b")
+    entered = []
+
+    def visit(v):
+        if not v.frontiers[0]:
+            return engine_module.PRUNE
+        if v.path != ConcretePath(evidence.steps[:v.depth + 1]):
+            faults.add("c")
+        if v.final_entries[0]:
+            entered.append(v.depth)
+        return engine_module.CONTINUE
+
+    engine_module.run_product(program, (witness,), config, visit)
+    if entered != [evidence.length]:
+        faults.add("c")
+    if len(witness.transitions) > evidence.length:
+        faults.add("d")
+    return faults
+
+
+class TestDecisionWitness:
+    """verify's violation witness pins a path's decisions: input values,
+    steps out of locations that choose, and the last edge."""
+
+    # 4 steps cut 187 of the 400 searches short; 60 cut only one, which an
+    # added choice keeps in its loop
+    BOUNDS = (4, 60)
+
+    @staticmethod
+    def draws(count=400):
+        """Generated programs and properties, every fifth program with
+        ``assume true`` choices beside its branches."""
+        for seed in range(count):
+            rng = random.Random(seed)
+            program = generators.random_program(rng)
+            if seed % 5 == 0:
+                program = generators.add_choices(rng, program)
+            yield seed, program, generators.random_property(rng, program)
+
+    def test_01_witnesses_admit_exactly_their_evidence(self):
+        """Over 400 generated programs at two step bounds, every false
+        verdict's witness passes checks (a) to (d) of
+        :func:`decision_witness_faults`."""
+        failed = []
+        rows = collections.Counter()
+        for seed, program, prop in self.draws():
+            for bound in self.BOUNDS:
+                config = AnalysisConfig(Interval(-2, 2), bound)
+                faults = decision_witness_faults(program, prop, config)
+                if faults is not None:
+                    rows[bound, seed % 5 == 0] += 1
+                    if faults:
+                        failed.append((seed, bound, sorted(faults)))
+        assert failed == []
+        # false verdicts at each bound, with and without added choices
+        assert min(rows.values()) >= 60
+
+    def test_02_each_decision_rule_is_needed(self):
+        """Two runs that only an exact witness confines: one leaves a
+        location with an ``assume true`` choice beside its branches once
+        each way, the other passes its last edge twice after reading an
+        input that the property tests.  Without choices, without the last
+        edge's decisions or without the pin, check (c) fails."""
+        branching = parse_program("int c = 0;\nwhile (c < 3) {\n  if (c < 0) {\n    c--;\n"
+                                  "  } else {\n    c++;\n  }\n}\n")
+        choosing = make_cfa(branching.locations, branching.initial,
+                            (*branching.edges, CFAEdge(2, assume_op(TRUE), 3)),
+                            branching.variables)
+        counting = parse_program("int x = input();\nint a = 0;\nwhile (a < 2) {\n  a++;\n}\n")
+        config = AnalysisConfig(Interval(-1, 1), 40)
+        for program, observed, guard, decisions in (
+                (choosing, "c--", "c == 0", ["!(c < 0)", "true", "c--"]),
+                (counting, "a++", "a == 2 && x == 0", ["int x = input()", "a++", "a++"])):
+            prop = parse_automaton("automaton back kind=property\nstate q0 init\nstate qe final\n"
+                                   f'trans q0 -> qe on (*, "{observed}", *) assume {guard}\n'
+                                   "trans q0 -> q0 otherwise\n")
+            assert decision_witness_faults(program, prop, config) == set()
+            witness = verify(program, prop, config).witness
+            assert [t.pattern.op_text for t in witness.transitions
+                    if t.source != t.target] == decisions

@@ -272,6 +272,38 @@ class TestExecTestCommand:
         assert run_cli(capsys, "verify", *flags[:4])[0] == 65
 
 
+class TestDeepWitnessRoundTrip:
+    """A violation witness of a 3,004-step run through the commands: it
+    pins the input and the loop exit, so its text is a few lines."""
+
+    PROGRAM = ("int c = input();\nint i = 0;\nint s = 5;\n"
+               "while (i < 1000) {\n  s = s + 3 * i;\n  i++;\n}\n")
+    PROPERTY = ("automaton first kind=property\nstate q0 init\nstate qe final\n"
+                'trans q0 -> qe on (*, "!(i < 1000)", *) assume c == -3\n'
+                "trans q0 -> q0 otherwise\n")
+
+    def test_01_verify_validate_extract_and_execute(self, capsys, tmp_path):
+        program, prop = tmp_path / "siblings.imp", tmp_path / "first.aut"
+        program.write_text(self.PROGRAM)
+        prop.write_text(self.PROPERTY)
+        files = ("--program", str(program), "--property", str(prop))
+        bounds = ("--input-min", "-3", "--input-max", "0", "--max-steps", "3014")
+        code, payload = run_json(capsys, "verify", *files, *bounds, "--out", str(tmp_path))
+        assert (code, payload["verdict"]) == (1, "false")
+        assert len(payload["details"]["judgment"]["evidence"]) == 3005
+        witness = tmp_path / "witness.aut"
+        assert len(witness.read_text().splitlines()) <= 12
+        with_witness = (*files, "--witness", str(witness), *bounds, "--out", str(tmp_path))
+        code, payload = run_json(capsys, "validate", *with_witness)
+        assert (code, payload["verdict"]) == (1, "false")
+        code, payload = run_json(capsys, "extract-test", *with_witness)
+        assert (code, payload["details"]["inputs"]) == (0, [-3])
+        code, payload = run_json(capsys, "exec-test", "--program", str(program),
+                                 "--property", str(prop), "--max-steps", "3014",
+                                 "--test", str(tmp_path / "extracted.test"))
+        assert (code, payload["verdict"]) == (1, "violation-observed")
+
+
 class TestGenTestsCommand:
     def test_01_writes_suite_files(self, capsys, tmp_path):
         code, payload = run_json(

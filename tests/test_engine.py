@@ -619,8 +619,7 @@ int e = 1;
 class TestStepMemo:
     """The explorer plans an automaton's step once per (automaton, frontier,
     edge) and exploration, and after that only runs the plan's guards on
-    each post-state; a violation witness's plans are kept only for one
-    configuration's successors."""
+    each post-state, whatever the automaton's kind."""
 
     @pytest.fixture
     def stepped(self, monkeypatch):
@@ -727,23 +726,24 @@ class TestStepMemo:
         assert len(stepped) == 5
         assert stepped.ran == ["never"] * 300
 
-    def test_03_path_witness_is_stepped_once_per_step(self, stepped):
-        """The memo never stores a violation witness's plans: checking the
-        603-step witness of the count to 300 plans its step once per
-        explored step, and only the input step, which pins n, runs a plan.
-        The property, which reads nothing, is planned once per edge and
-        never run."""
+    def test_03_decision_witness_is_planned_once_per_state_and_edge(self, stepped):
+        """The memo keeps a violation witness's plans too: the witness of
+        the 603-step count to 300 pins the input and the exit and loops on
+        the other three edges, and checking it plans one step per (state,
+        edge), one per program edge, and only the input step, which pins n,
+        runs a plan.  The property, which reads nothing, is planned once per
+        edge and never run."""
         program = parse_program(self.COUNT_TO)
         prop = parse_automaton(_edge_property("!(i < n)"))
         witness = verify(program, prop, self.ROUNDS).witness
         assert witness.kind is automata_module.AutomatonKind.VIOLATION_WITNESS
-        assert len(witness.transitions) == 603
+        assert len(witness.transitions) == 5
         stepped.clear()
         stepped.ran.clear()
         judgment = check_violation_witness(program, prop, witness, self.ROUNDS)
         assert judgment.verdict is Verdict.HOLDS
         assert judgment.evidence.length == 603
-        assert stepped.count(witness) == 603
+        assert stepped.count(witness) == len(program.edges)
         assert stepped.count(prop) == len(program.edges)
         assert stepped.ran == [witness.name]
 
@@ -806,8 +806,8 @@ class TestStepMemo:
         """An assumption, a target's invariant and an otherwise target's
         invariant that read an unbound variable raise the same text three
         ways: through a plan the explorer stored and ran on input 1 before
-        input 2 reached it, through a violation witness's step, which is not
-        stored, and through a test execution's step of the property."""
+        input 2 reached it, through a violation witness's plan, stored the
+        same way, and through a test execution's step of the property."""
         program = parse_program(self.UNBOUND_PROGRAM)
         body, text = self.UNBOUND_GUARDS[guard]
         config = AnalysisConfig(Interval(1, 2), 10)
@@ -822,9 +822,9 @@ class TestStepMemo:
             assert str(err.value) == text
             assert visited == [0, 1, 2, 3, 1]
             built.append(len(stepped))
-        # the property's plan over x = x - 5 served both inputs; the witness
-        # planned that step once per input, and its input step once for both
-        assert built[1] == built[0] + 1
+        # the plan over x = x - 5 served both inputs, the witness's as the
+        # property's
+        assert built[1] == built[0]
         # each exploration ran the failing step's guard on both inputs
         assert stepped.ran.count(guard) >= 4
         with pytest.raises(InvalidArtifact) as err:

@@ -276,12 +276,27 @@ class TestTestCaseShape:
 
 class TestTemplateWalk:
     def test_01_each_non_true_assumption_and_invariant_walked_once(self, monkeypatch):
-        """A 1,000-round violation witness has 2,004 transitions, all but
-        the input's assuming ``true``; the template check walks the one
-        other assumption and no ``true`` one."""
+        """A path-shaped violation witness of a 1,000-round run, one
+        transition per step, has 2,004 transitions, all but the input's
+        assuming ``true``; the template check walks the one other assumption
+        and no ``true`` one."""
         program = corpus.program_p_prime()
         bundle = verify(program, corpus.prop(), AnalysisConfig(Interval(1000, 1000), 3100))
         assert bundle.result is Result.FALSE
+        evidence = bundle.judgment.evidence
+        states = [f"w{i}" for i in range(evidence.length + 1)]
+        transitions = []
+        for i, step in enumerate(evidence.steps[1:]):
+            edge = step.incoming
+            assumption = TRUE
+            if isinstance(edge.op, InputOp):
+                assumption = Comparison("==", Var(edge.op.target),
+                                        Const(step.state[edge.op.target]))
+            transitions.append(automata.Transition(
+                states[i], states[i + 1],
+                EdgePattern(edge.match_src, edge.op.text, edge.match_tgt), assumption))
+        path_witness = automata.make_automaton("path_witness", AutomatonKind.VIOLATION_WITNESS,
+                                               states, states[0], (states[-1],), transitions)
         walked = []
         real = kinds.mentions_template
 
@@ -290,7 +305,7 @@ class TestTemplateWalk:
             return real(tree)
 
         monkeypatch.setattr(kinds, "mentions_template", counting)
-        for witness in (bundle.witness, parse_automaton(serialize_automaton(bundle.witness))):
+        for witness in (path_witness, parse_automaton(serialize_automaton(path_witness))):
             walked.clear()
             assert len(witness.transitions) == 2004
             assert validate_kind(witness, program).ok
