@@ -45,7 +45,7 @@ from .engine import (
     require_valid_kind,
 )
 from .errors import InvalidArtifact, NoViolatingPath
-from .kinds import KindReport, non_blocking_rule
+from .kinds import KindReport
 from .lang import (
     CFAEdge,
     ConcreteDataState,
@@ -73,6 +73,7 @@ from .predicates import (
     evaluate,
     substitute_template,
 )
+from .product import first_block
 
 
 class Result(Enum):
@@ -535,14 +536,14 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
     automaton is supplied the report also says whether it accepts the
     executed trace, i.e. whether the violation is observable.  An executed
     step that blocks a property before it accepts raises, as a judgment's
-    search does (:func:`coopverify.kinds.non_blocking_rule`); an automaton
-    of another kind is only run.
+    search does (the explorer's rule, :func:`coopverify.product.first_block`);
+    an automaton of another kind is only run.
 
     The automaton is stepped through one plan memo for the run
     (:func:`coopverify.automata.memo_step`), as the explorer of
     :mod:`coopverify.product` steps it: each step is planned once per
-    (frontier, edge) of the run and the plan's guards run on each
-    post-state.
+    (frontier, edge) of the run, for the step and the rule, and the
+    plan's guards run on each post-state.
     """
     inputs = list(test)
     consumed = 0
@@ -578,14 +579,13 @@ def exec_test(program: ControlFlowAutomaton, test: Sequence[int],
         status = STATUS_STEP_LIMIT
     violation = None
     if prop is not None:
-        blocked = non_blocking_rule(prop)
         frontier, entered = initial_frontier(prop, EMPTY_STATE)
         plans: dict = {}  # the run's memo (automata.memo_step)
         for post, _, edge in steps[1:]:
             if entered or not frontier:
                 break
-            if blocked is not None:
-                refuted = blocked(frontier, ((edge, post),))
+            if prop.watched:
+                refuted = first_block(prop, plans, frontier, ((edge, post),))
                 if refuted is not None:
                     raise _refusal(prop, KindReport(prop.kind, (), refuted))
             frontier, entered = memo_step(prop, plans, frontier, edge, post._bindings)

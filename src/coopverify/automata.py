@@ -22,9 +22,8 @@ any number of consumed edges:
 :func:`match_path` decides both by folding :func:`step_frontier` over the
 path, keeping the frontier of reachable automaton states per prefix.  A step
 is planned from its edge alone (:func:`plan_step`) and the plan run on the
-post-state; :func:`memo_step` keeps the plans, for a test execution and a
-property's non-blocking rule, and the explorer of :mod:`coopverify.product`
-keeps them by the same rule.
+post-state; :func:`memo_step` keeps the plans, for a test execution, and
+the explorer of :mod:`coopverify.product` keeps them by the same rule.
 """
 
 from __future__ import annotations
@@ -158,6 +157,9 @@ class ArtifactAutomaton:
     _reads: frozenset = field(init=False, repr=False, compare=False, default=None)
     # the reading transitions, computed on first use (see ``_transition_reads``)
     _read_sites: tuple = field(init=False, repr=False, compare=False, default=None)
+    # a property's states that are neither final nor have an otherwise
+    # transition, which its non-blocking rule watches; none for another kind
+    watched: frozenset = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         declared = set(self.states)
@@ -186,6 +188,9 @@ class ArtifactAutomaton:
                 otherwise[source] = t
         object.__setattr__(self, "_explicit", {q: tuple(ts) for q, ts in explicit.items()})
         object.__setattr__(self, "_otherwise", otherwise)
+        watched = (q for q in self.states if q not in self.finals and q not in otherwise)
+        object.__setattr__(self, "watched",
+                           frozenset(watched if self.kind is AutomatonKind.PROPERTY else ()))
 
     def invariant(self, state: str) -> Predicate:
         return self.invariants.get(state, TRUE)

@@ -29,7 +29,7 @@ from . import actors, engine, pipeline
 from .automata import ArtifactAutomaton, parse_automaton, serialize_automaton
 from .engine import AnalysisConfig
 from .errors import CoopVerifyError, NoViolatingPath, ParseError
-from .kinds import validate_kind
+from .kinds import REFUTED, validate_kind
 from .lang import ControlFlowAutomaton, parse_cfa, parse_program, serialize_cfa
 from .pipeline import Role
 from .predicates import Interval, _integer
@@ -341,6 +341,14 @@ def _cmd_check_kind(args) -> RunReport:
         ],
         "non_blocking": kind_report.non_blocking.status,
     })
+    refuted = kind_report.non_blocking
+    if refuted.status == REFUTED:
+        edge = refuted.edge
+        report.details["refutation"] = {
+            "state": refuted.state,
+            "edge": [edge.match_src, edge.op.text, edge.match_tgt],
+            "post_state": dict(sorted(refuted.counter_state.items())),
+        }
     report.text_lines.append(f"verdict: {verdict}\n{kind_report}")
     return report
 

@@ -23,11 +23,8 @@ longer accept (empty frontier, no final state entered), the test check once
 the test case stops covering it.  A hit needs that automaton to accept or
 cover, and an empty frontier stays empty, so no extension of a pruned prefix
 is a hit: pruning keeps the first hit and drops only truncations that hide
-none, which can change a verdict only from unknown to a definite one.  Each
-search refuses the property at the first configuration that blocks it, after
-the hit test and before pruning: a hit met first gives its verdict, on a real
-path; a block beyond a pruned configuration is not seen; and a judgment
-answered without a search refuses nothing.
+none, which can change a verdict only from unknown to a definite one.  A
+property that blocks is refused by the explorer (:mod:`coopverify.product`).
 
 Verdicts are relative to the analysis configuration (finite input domain,
 step bound); ``holds`` is only reported when no truncation could have hidden
@@ -42,11 +39,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .automata import ArtifactAutomaton, AutomatonKind, FinalEntry
 from .errors import InvalidArtifact
-from .kinds import KindReport, build_test_case_automaton, non_blocking_rule, structural_report
+from .kinds import KindReport, build_test_case_automaton, structural_report
 from .lang import ConcretePath, ControlFlowAutomaton
 # the explorer's names are engine's too: callers and the benchmark import them from here
 from .product import (CONTINUE, DEFAULT_CONFIG, DEFAULT_DOMAIN, DEFAULT_MAX_STEPS, PRUNE, STOP,
-                      AnalysisConfig, ProductVisit, VisitAction, run_product)
+                      AnalysisConfig, ProductVisit, PropertyBlocks, VisitAction, run_product)
 
 
 class Verdict(Enum):
@@ -120,13 +117,12 @@ def _search(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton]
             observed: Optional[dict] = None) -> Judgment:
     """The judgment of a search for the first configuration in depth-first
     order that satisfies ``hit``, its prefix the evidence (see
-    :func:`_verdict`).  A configuration that is not a hit and blocks
-    automaton 0, the property, raises as :func:`require_valid_kind` does.
+    :func:`_verdict`).  The explorer's refusal of automaton 0, the
+    property, raises as :func:`require_valid_kind` does.
     ``prune`` cuts a configuration's extensions; ``observed``, a
     ``defaultdict(list)``, collects each explored data state per location,
     where prefixes meet one per value of the live variables (see
     :func:`run_product`)."""
-    blocked = non_blocking_rule(automata[0])
     found: list = []
 
     def visit(v: ProductVisit) -> VisitAction:
@@ -135,14 +131,14 @@ def _search(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton]
         if hit(v):
             found.append(v.path)
             return STOP
-        if (blocked is not None and not v.truncated
-                and (refuted := blocked(v.frontiers[0], v.successors)) is not None):
-            raise _refusal(automata[0], KindReport(automata[0].kind, (), refuted))
         if prune is not None and prune(v):
             return PRUNE
         return CONTINUE
 
-    truncated = run_product(program, automata, config, visit)
+    try:
+        truncated = run_product(program, automata, config, visit)
+    except PropertyBlocks as block:
+        raise _refusal(automata[0], KindReport(automata[0].kind, (), block.report)) from None
     return _verdict(config, found[0] if found else None, truncated, universal=universal)
 
 
@@ -238,7 +234,7 @@ def check_condition_correct(program: ControlFlowAutomaton, prop: ArtifactAutomat
 def _goal_entries(goals: ArtifactAutomaton) -> frozenset:
     """Every final entry the goal automaton can record: one per transition
     into a final state, plus the initial state's when it is final (see
-    :func:`coopverify.automata.step_frontier` and ``initial_frontier``).
+    :func:`coopverify.automata.plan_step` and ``initial_frontier``).
     A search that has reached all of them can reach no further goal."""
     entries = {FinalEntry(t, t.target) for t in goals.transitions if t.target in goals.finals}
     if goals.initial in goals.finals:

@@ -4,53 +4,23 @@ Each kind narrows the general automaton shape: properties must never block
 the program, witnesses restrict invariants or assumptions, conditions must
 not leave their final (covered) states, and test cases are fixed chains
 produced from input sequences.  :func:`validate_kind` reports the findings
-of :func:`structural_report` and of a property's :func:`non_blocking_rule`,
-which each judgment's search applies too (see :mod:`coopverify.engine`).
+of :func:`structural_report` and of a property's non-blocking rule, which
+the explorer applies (:func:`coopverify.product.first_block`).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .automata import (INPUT_TEMPLATE_TEXT, ArtifactAutomaton, AutomatonKind, EdgePattern,
-                       Transition, make_automaton, memo_step)
+                       Transition, make_automaton)
 from .errors import UnboundTemplate, UndefinedVariable
-from .lang import EMPTY_STATE, CFAEdge, ControlFlowAutomaton
+from .lang import EMPTY_STATE, ControlFlowAutomaton
 from .predicates import (CHI, TRUE, Comparison, Const, Interval, evaluate, mentions_template,
                          pred_text)
-from .product import CONTINUE, DEFAULT_MAX_STEPS, STOP, AnalysisConfig, VisitAction, run_product
-
-BOUNDED_PROVED = "bounded-proved"
-REFUTED = "refuted"
-NOT_APPLICABLE = "not-applicable"
-
-
-class NonBlocking(NamedTuple):
-    """Outcome of the may-the-property-block-the-program analysis.
-
-    A run in a non-final state must take a transition on every program
-    step.  A state with an otherwise transition always does; the others are
-    watched on every explored configuration (:func:`non_blocking_rule`), and
-    the first reachable step one of them takes no transition on refutes,
-    with that step's post-state.  ``bounded-proved``: no configuration
-    reachable within the input interval and step bound blocks.  A block
-    beyond the bound is not seen; a judgment under those bounds is then
-    already ``unknown``.
-    """
-
-    status: str
-    state: Optional[str] = None
-    edge: Optional[CFAEdge] = None
-    counter_state: Optional[dict] = None
-
-    def __str__(self) -> str:
-        if self.status != REFUTED:
-            return self.status
-        bind = ", ".join(f"{k}={v}" for k, v in sorted(self.counter_state.items()))
-        return (f"refuted: state {self.state} blocks edge "
-                f"({self.edge.match_src}, {self.edge.op.text}, {self.edge.match_tgt}) "
-                f"on {{{bind}}}")
+from .product import (BOUNDED_PROVED, CONTINUE, DEFAULT_MAX_STEPS, NOT_APPLICABLE, REFUTED,
+                      AnalysisConfig, NonBlocking, PropertyBlocks, run_product)
 
 
 class KindViolation(NamedTuple):
@@ -140,32 +110,6 @@ def _trivial_invariant_violations(aut: ArtifactAutomaton) -> list:
                       f"state invariant must be trivial, found {pred_text(inv)}")
         for state, inv in sorted(aut.invariants.items())
     ]
-
-
-def non_blocking_rule(aut: ArtifactAutomaton) -> Optional[Callable]:
-    """The non-blocking rule of a property, None for another kind or when
-    no state is watched: given a frontier and the (edge, post-state) steps
-    taken from it, the refutation by the first watched state of the
-    frontier that takes no transition on one of the steps.  A search
-    applies it to automaton 0 on each untruncated configuration, whose
-    steps lie within the bound.  The rule serves one search, whose edges it
-    keys by identity."""
-    if aut.kind is not AutomatonKind.PROPERTY:
-        return None
-    watched = frozenset(q for q in aut.states
-                        if q not in aut.finals and aut.otherwise_at(q) is None)
-    alone = {q: frozenset((q,)) for q in watched}  # the frontier stepped for each state
-    plans: dict = {}  # the rule's memo (automata.memo_step)
-
-    def blocked(frontier: frozenset, steps) -> Optional[NonBlocking]:
-        for q in sorted(frontier & watched):
-            for edge, post in steps:
-                succ, _ = memo_step(aut, plans, alone[q], edge, post._bindings)
-                if not succ:
-                    return NonBlocking(REFUTED, q, edge, dict(post))
-        return None
-
-    return blocked if watched else None
 
 
 def _condition_violations(aut: ArtifactAutomaton) -> list:
@@ -274,10 +218,11 @@ def validate_kind(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
                   max_steps: int = DEFAULT_MAX_STEPS) -> KindReport:
     """Check the constraints of ``aut``'s declared kind, reporting findings.
 
-    A property that meets those of :func:`structural_report` is searched on
-    ``program`` within the value ``domain`` and ``max_steps`` until the first
-    refutation of :func:`non_blocking_rule`.  An unbound read there raises,
-    as :class:`InvalidArtifact` (see :func:`coopverify.automata.step_frontier`).
+    A property that meets those of :func:`structural_report` is explored
+    alone on ``program`` within the value ``domain`` and ``max_steps``, if
+    it has watched states, and the explorer's refusal is its refutation.  An
+    unbound read there raises, as :class:`InvalidArtifact` (see
+    :func:`coopverify.automata.plan_step`).
     """
     report = structural_report(aut)
     if aut.kind is not AutomatonKind.PROPERTY:
@@ -286,18 +231,12 @@ def validate_kind(aut: ArtifactAutomaton, program: ControlFlowAutomaton,
         raise ValueError("validating a property automaton requires a value domain")
     if report.violations:
         return report
-    blocked = non_blocking_rule(aut)
-    found = [NonBlocking(BOUNDED_PROVED)]
-
-    def visit(v) -> VisitAction:
-        if v.truncated or (refuted := blocked(v.frontiers[0], v.successors)) is None:
-            return CONTINUE
-        found[0] = refuted
-        return STOP
-
-    if blocked is not None:
-        run_product(program, (aut,), AnalysisConfig(domain, max_steps), visit)
-    return KindReport(report.kind, (), found[0])
+    if aut.watched:
+        try:
+            run_product(program, (aut,), AnalysisConfig(domain, max_steps), lambda v: CONTINUE)
+        except PropertyBlocks as block:
+            return KindReport(report.kind, (), block.report)
+    return KindReport(report.kind, (), NonBlocking(BOUNDED_PROVED))
 
 
 def build_test_case_automaton(values: Sequence[int]) -> ArtifactAutomaton:

@@ -5,8 +5,14 @@ state-frontier per observing automaton, plus the set of final states each
 automaton has entered so far (acceptance latches once entered, since
 acceptance is stable under path extension).  :func:`run_product` hands each
 explored configuration to a visitor, which steers the search; the judgments
-of :mod:`coopverify.engine` and the non-blocking check of
-:mod:`coopverify.kinds` are such visitors.
+of :mod:`coopverify.engine` are such visitors.
+
+The explorer refuses a first automaton that is a property and blocks the
+program (:func:`first_block`), on each untruncated configuration whose
+visit did not stop the search, after the visit and before pruning: a hit
+met first gives its verdict, on a real path; a block beyond a pruned
+configuration is not seen; and a judgment answered without a search
+refuses nothing.
 
 The explorer is a depth-first reachability search over product
 configurations, not over path prefixes.  A configuration (location, data
@@ -85,23 +91,23 @@ exist.  Checking the decision witness of the benchmark's deep-paths
 path.  Emptied for each configuration's successors, as it was while a
 witness spelled out every step, the witness's memo plans 3,004, and the
 task takes about 1.6 times as long at the same tracemalloc heap peak
-(0.87 MB; CPython 3.11).  A test execution (:func:`coopverify.actors.exec_test`)
-and a property's non-blocking rule step through the same memoised step as
-a call, :func:`coopverify.automata.memo_step`, each with one memo kept
-whole; the explorer inlines it, because the call made its tasks of the
-benchmark's deep-paths and input-fanout workloads 1-5% slower (median
-2%, in process).
+(0.87 MB; CPython 3.11).  The rule steps through the property's memo, and
+a test execution through :func:`coopverify.automata.memo_step` with one
+memo for its run, which the rule shares; the explorer inlines that call,
+because it made its tasks of the benchmark's deep-paths and input-fanout
+workloads 1-5% slower (median 2%, in process).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .automata import ArtifactAutomaton, initial_frontier, plan_step
-from .lang import (EMPTY_STATE, ConcreteDataState, ConcretePath, ControlFlowAutomaton, PathStep,
-                   op_writes, successors)
+from .errors import InvalidArtifact
+from .lang import (EMPTY_STATE, CFAEdge, ConcreteDataState, ConcretePath, ControlFlowAutomaton,
+                   PathStep, op_writes, successors)
 from .predicates import Interval
 
 DEFAULT_DOMAIN = Interval(-8, 8)
@@ -244,6 +250,63 @@ def _pair_liveness(program: ControlFlowAutomaton, aut: ArtifactAutomaton) -> dic
     return live
 
 
+BOUNDED_PROVED = "bounded-proved"
+REFUTED = "refuted"
+NOT_APPLICABLE = "not-applicable"
+
+
+class NonBlocking(NamedTuple):
+    """Outcome of the may-the-property-block-the-program analysis.
+
+    A run in a non-final state must take a transition on every program
+    step.  A state with an otherwise transition always does; the others are
+    watched on every explored configuration (:func:`first_block`), and
+    the first reachable step one of them takes no transition on refutes,
+    with that step's post-state.  ``bounded-proved``: no configuration
+    reachable within the input interval and step bound blocks.  A block
+    beyond the bound is not seen; a judgment under those bounds is then
+    already ``unknown``.
+    """
+
+    status: str
+    state: Optional[str] = None
+    edge: Optional[CFAEdge] = None
+    counter_state: Optional[dict] = None
+
+    def __str__(self) -> str:
+        if self.status != REFUTED:
+            return self.status
+        bind = ", ".join(f"{k}={v}" for k, v in sorted(self.counter_state.items()))
+        return (f"refuted: state {self.state} blocks edge "
+                f"({self.edge.match_src}, {self.edge.op.text}, {self.edge.match_tgt}) "
+                f"on {{{bind}}}")
+
+
+class PropertyBlocks(InvalidArtifact):
+    """The explorer's refusal of a property that blocks the program; its
+    ``report`` is the first block's :class:`NonBlocking`."""
+
+
+def first_block(aut: ArtifactAutomaton, plans: dict, frontier: frozenset,
+                steps) -> Optional[NonBlocking]:
+    """The non-blocking rule: each watched state of ``frontier`` (sorted) is
+    stepped alone over each (edge, post-state) of ``steps``, in order,
+    through the memo ``plans`` (see :func:`run_product`); the refutation by
+    the first that takes no transition, or None."""
+    for q in sorted(frontier & aut.watched):
+        alone = frozenset((q,))
+        for edge, post in steps:
+            plan = plans.get((alone, id(edge)))
+            if plan is None:
+                plan = plans[alone, id(edge)] = plan_step(aut, alone, edge)
+            taken, guards = plan
+            if taken is None:
+                taken, _ = guards.run(post._bindings)
+            if not taken:
+                return NonBlocking(REFUTED, q, edge, dict(post))
+    return None
+
+
 def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutomaton],
                 config: AnalysisConfig, visit: Visitor) -> bool:
     """Depth-first bounded exploration of program x automata.
@@ -268,12 +331,13 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     once per (frontier, edge) in its own memo, kept for the whole
     exploration, and runs the plan on every post-state (see the module
     docstring).  Each pushed ``PathStep`` is built through
-    ``tuple.__new__`` (see :class:`coopverify.lang.PathStep`).  Returns
-    whether any configuration was truncated by the step bound.
+    ``tuple.__new__`` (see :class:`coopverify.lang.PathStep`).  A blocking
+    property raises :class:`PropertyBlocks` (see the module docstring).
+    Returns whether any configuration was truncated by the step bound.
     """
     live = program.live_variables
     meeting = program.meeting_locations
-    watched = automata[0].reads if automata else frozenset()
+    first_reads = automata[0].reads if automata else frozenset()
     liveness = [(i, _pair_liveness(program, a)) for i, a in enumerate(automata) if i]
     liveness = [(i, reads) for i, reads in liveness if reads]  # those that read anything
     part_ids: dict = {}  # (location, frontiers, final entries) -> its part id
@@ -282,7 +346,7 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
 
     def names_of(location: int, frontiers: tuple) -> tuple:
         """The key names at ``location`` for these frontiers."""
-        names = live[location] | watched
+        names = live[location] | first_reads
         for i, reads in liveness:
             for state in frontiers[i]:
                 names = names.union(reads.get((location, state), ()))
@@ -295,6 +359,8 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
     pairs = [initial_frontier(a, EMPTY_STATE) for a in automata]
     # per automaton, its memo: (frontier, id(edge)) -> the plan of that step
     observers = [(a, {}) for a in automata]
+    # the property whose non-blocking rule every visit applies, and its memo
+    prop, prop_plans = observers[0] if automata and automata[0].watched else (None, None)
     trail: list = []  # the steps of the prefix reaching the current configuration
     stack = [(0, PathStep(EMPTY_STATE, program.initial, None),
               tuple(fr for fr, _ in pairs), tuple(en for _, en in pairs))]
@@ -322,6 +388,10 @@ def run_product(program: ControlFlowAutomaton, automata: Sequence[ArtifactAutoma
                                     succ, truncated, trail))
         if action is STOP:
             return saw_truncation
+        if prop is not None and not truncated:
+            refuted = first_block(prop, prop_plans, frontiers[0], succ)
+            if refuted is not None:
+                raise PropertyBlocks(f"property {prop.name}, non-blocking: {refuted}", refuted)
         if action is PRUNE or truncated:
             continue
         for edge, post in reversed(succ):

@@ -412,6 +412,19 @@ class TestCheckKindCommand:
         assert payload["verdict"] == "not-ok"
         assert [v["constraint"] for v in payload["details"]["violations"]] == ["initial-invariant"]
 
+    def test_08_json_keeps_the_refutation(self, capsys, tmp_path):
+        """The JSON details name the block that the text prints: state, edge
+        and post-state; a property that does not block has no refutation."""
+        code, payload = run_json(capsys, "check-kind", *blind_spot(tmp_path))
+        assert code == 1
+        assert payload["details"]["non_blocking"] == "refuted"
+        assert payload["details"]["refutation"] == {
+            "state": "q0", "edge": [2, "a = a * 2", 3], "post_state": {"a": 10}}
+        code, payload = run_json(capsys, "check-kind", "--program", sample("p.imp"),
+                                 "--property", sample("prop.aut"))
+        assert code == 0
+        assert "refutation" not in payload["details"]
+
 
 class TestParseCommand:
     def test_01_echoes_canonical_program(self, capsys):

@@ -31,8 +31,8 @@ from coopverify.engine import (
     check_violation_witness,
     run_product,
 )
-from coopverify.errors import InvalidArtifact
-from coopverify.kinds import build_test_case_automaton
+from coopverify.errors import CoopVerifyError, InvalidArtifact
+from coopverify.kinds import build_test_case_automaton, validate_kind
 from coopverify.lang import enumerate_paths, parse_program
 from coopverify.predicates import Interval
 from reference import (
@@ -316,6 +316,21 @@ class TestKindEnforcement:
         text = corpus.sample_text("cond.aut") + 'trans q1 -> q1 on (1, "int a = 0", 2)\n'
         with pytest.raises(InvalidArtifact):
             check_condition_correct(p, corpus.prop(), parse_automaton(text), CFG4)
+
+    def test_04_a_pruned_configuration_still_refuses_its_block(self):
+        """The witness pins a = 1 and dies on every other input, so the
+        configuration with a = 5 is pruned; its step over the doubling edge
+        still blocks the blind-spot property at a = 10, and the property is
+        refused rather than the witness judged."""
+        witness = parse_automaton(
+            "automaton pin1 kind=violation-witness\nstate w0 init\nstate w1\n"
+            "state wf final\ntrans w0 -> w0 on (0, *, 1)\n"
+            "trans w0 -> w1 on (1, *, 2) assume a == 1\ntrans w1 -> wf on (2, *, 3)\n")
+        with pytest.raises(InvalidArtifact) as err:
+            check_violation_witness(parse_program(corpus.BLIND_SPOT_PROGRAM),
+                                    parse_automaton(corpus.BLIND_SPOT_PROPERTY), witness)
+        assert str(err.value).endswith(
+            "refuted: state q0 blocks edge (2, a = a * 2, 3) on {a=10}")
 
 
 class TestJudgmentReports:
@@ -791,7 +806,8 @@ class TestStepMemo:
             "variable 'b' is not bound in the data state"),
         "invariant": (
             "state q0 init\nstate q1 inv: x != -3 || a > 0\n"
-            'trans q0 -> q1 on (*, "x = x - 5", *)\ntrans q0 -> q0 otherwise\n',
+            'trans q0 -> q1 on (*, "x = x - 5", *)\ntrans q0 -> q0 otherwise\n'
+            "trans q1 -> q1 otherwise\n",
             'automaton invariant, state q0, transition q0 -> q1 on (*, "x = x - 5", *), '
             "edge (1, x = x - 5, 2): variable 'a' is not bound in the data state"),
         "otherwise": (
@@ -940,6 +956,68 @@ class TestExecStepMemo:
             assert report.violation_observed == naive_match_path(aut, report.trace).accepted
             kinds[aut.kind, report.violation_observed] += 1
         assert len(kinds) == 8, kinds  # correctness witnesses and test cases never accept
+
+
+class TestNonBlockingRuleMemo:
+    """The explorer applies a property's non-blocking rule through the
+    property's own plan memo, and a test execution through its run's memo:
+    each (frontier, edge) is planned once, whichever of the rule and the
+    step needs it first."""
+
+    BLIND_SPOT = AnalysisConfig(Interval(-8, 8), 500)
+    REFUTED = "refuted: state q0 blocks edge (2, a = a * 2, 3) on {a=10}"
+
+    @pytest.fixture
+    def stepped(self, monkeypatch):
+        """As ``TestStepMemo.stepped``, through both ``plan_step`` bindings,
+        the explorer's and ``memo_step``'s."""
+        seen = PlanLog()
+        real_run = automata_module.StepPlan.run
+        for module in (product_module, automata_module):
+            def planning(aut, frontier, edge, real_plan=module.plan_step):
+                seen.append(aut)
+                return real_plan(aut, frontier, edge)
+
+            monkeypatch.setattr(module, "plan_step", planning)
+
+        def running(plan, bindings):
+            seen.ran.append(plan.aut.name)
+            return real_run(plan, bindings)
+
+        monkeypatch.setattr(automata_module.StepPlan, "run", running)
+        return seen
+
+    @staticmethod
+    def _verify(program, prop) -> str:
+        with pytest.raises(InvalidArtifact) as err:
+            verify(program, prop, TestNonBlockingRuleMemo.BLIND_SPOT)
+        return str(err.value.report.non_blocking)
+
+    @pytest.mark.parametrize("search, outcome, ran", [
+        (_verify, REFUTED, 89),
+        (lambda program, prop: str(validate_kind(prop, program, Interval(-8, 8)).non_blocking),
+         REFUTED, 89),
+        (lambda program, prop: exec_test(program, (4,), prop).violation_observed, False, 8),
+    ], ids=["verify", "validate_kind", "exec_test"])
+    def test_01_each_watched_step_is_planned_once(self, stepped, search, outcome, ran):
+        """The blind-spot property's frontier is {q0} until its block, so
+        the rule steps the frontiers the explorer or the run steps: 4 plans
+        for the 4 program edges, not 4 more in a memo of the rule's own.
+        Each plan still runs once for the rule and once for the step."""
+        program = parse_program(corpus.BLIND_SPOT_PROGRAM)
+        prop = parse_automaton(corpus.BLIND_SPOT_PROPERTY)
+        assert search(program, prop) == outcome
+        assert stepped == [prop] * 4
+        assert stepped.ran == [prop.name] * ran
+
+    def test_02_the_explorer_refuses_a_blocking_property(self):
+        """A visitor that only continues still meets the refusal: every
+        product whose automaton 0 is a property applies the rule."""
+        program = parse_program(corpus.BLIND_SPOT_PROGRAM)
+        prop = parse_automaton(corpus.BLIND_SPOT_PROPERTY)
+        with pytest.raises(CoopVerifyError) as err:
+            run_product(program, (prop,), self.BLIND_SPOT, lambda v: VisitAction.CONTINUE)
+        assert "state q0 blocks edge (2, a = a * 2, 3) on {a=10}" in str(err.value)
 
 
 class TestDeadVariables:
