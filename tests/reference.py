@@ -33,6 +33,7 @@ from coopverify.lang import (
     ConcreteDataState,
     ConcretePath,
     ControlFlowAutomaton,
+    EnumerationResult,
     InputOp,
     Operation,
     PathStep,
@@ -160,15 +161,21 @@ def reference_use_before_def(cfa: ControlFlowAutomaton) -> Optional[tuple]:
 _ENUMERATIONS: dict = {}
 
 
-def enumerated(program: ControlFlowAutomaton, config: AnalysisConfig):
+def enumerated(program: ControlFlowAutomaton, config: AnalysisConfig, cut: bool = False):
     """``enumerate_paths`` of ``program`` within ``config``, enumerated once
     per test: the oracle checks several judgments on one program, each at
-    the same domain and step bound."""
-    key = (id(program), config.input_domain, config.max_steps)
+    the same domain and step bound.  With ``cut``, the paths also take in
+    every prefix the step bound cut (see :func:`budgeted_paths`)."""
+    key = (id(program), config.input_domain, config.max_steps, cut)
     result = _ENUMERATIONS.get(key)
     if result is None:
-        result = _ENUMERATIONS[key] = enumerate_paths(program, config.input_domain,
-                                                      config.max_steps)
+        if cut:
+            paths = budgeted_paths(program, config.input_domain, config.max_steps,
+                                   ORACLE_BUDGET, cut=True)
+            result = EnumerationResult(paths, enumerated(program, config).truncated)
+        else:
+            result = enumerate_paths(program, config.input_domain, config.max_steps)
+        _ENUMERATIONS[key] = result
         weakref.finalize(program, _ENUMERATIONS.pop, key, None)
     return result
 
@@ -177,11 +184,13 @@ def forget_enumerations() -> None:
     _ENUMERATIONS.clear()
 
 
-def budgeted_paths(program: ControlFlowAutomaton, domain, max_steps: int, budget: int) -> tuple:
+def budgeted_paths(program: ControlFlowAutomaton, domain, max_steps: int, budget: int,
+                   cut: bool = False) -> tuple:
     """The paths of ``enumerate_paths(program, domain, max_steps)``, in its
     order, or :class:`OracleBudgetExceeded` once the enumeration has taken
     more than ``budget`` steps: on a branching program the paths within a
-    wide step bound outgrow any memory long before they end."""
+    wide step bound outgrow any memory long before they end.  With ``cut``,
+    each prefix of ``max_steps`` steps that could go on is kept too."""
     paths = []
     trail: list = []
     stack = [(0, PathStep(EMPTY_STATE, program.initial, None))]
@@ -193,7 +202,7 @@ def budgeted_paths(program: ControlFlowAutomaton, domain, max_steps: int, budget
         del trail[depth:]
         trail.append(step)
         succs = successors(program, step.state, step.location, domain)
-        if not succs:
+        if not succs or (cut and depth >= max_steps):
             paths.append(ConcretePath(tuple(trail)))
         elif depth < max_steps:
             stack.extend((depth + 1, PathStep(post, edge.target, edge))
@@ -379,21 +388,25 @@ class OracleBudgetExceeded(CoopVerifyError):
 def brute_force_oracle(program: ControlFlowAutomaton,
                        automata: Sequence[ArtifactAutomaton],
                        modes: Sequence[str],
-                       config: AnalysisConfig = DEFAULT_CONFIG) -> frozenset:
+                       config: AnalysisConfig = DEFAULT_CONFIG, cut: bool = False) -> frozenset:
     """All complete program paths satisfying the per-automaton requirement.
 
     Enumerates every path outright (once per program, domain and step bound
     in a test: :func:`enumerated`), then decides each automaton's
     requirement (``accept`` or ``cover``) with :func:`naive_match_path`.
     The five judgments of ``coopverify.engine`` are tested against it.
+    A step bound that cuts a path raises :class:`OracleBudgetExceeded`,
+    unless ``cut`` is set: then each prefix the bound cut is a path too,
+    and the paths kept with ``accept`` are the hits within the bound, which
+    the explorer must find whether or not it truncates.
     """
     if len(automata) != len(modes):
         raise ValueError("one mode per automaton required")
     for mode in modes:
         if mode not in ("accept", "cover"):
             raise ValueError(f"unknown mode {mode!r}")
-    result = enumerated(program, config)
-    if result.truncated:
+    result = enumerated(program, config, cut)
+    if result.truncated and not cut:
         raise OracleBudgetExceeded("path enumeration was truncated by the step bound")
     total_steps = sum(path.length for path in result.paths)
     if total_steps > ORACLE_BUDGET:

@@ -428,6 +428,83 @@ class TestJudgmentProperties:
                             expected.add(FinalEntry(transition, state))
             assert covered == frozenset(expected)
 
+    @staticmethod
+    def _reexplores_after_truncation(program, prop, config) -> bool:
+        """Whether the property's search explores a configuration again, at
+        a smaller depth, after some configuration was truncated.  Where
+        prefixes meet, the search keys a configuration on the variables live
+        at its location and those the property reads (see ``run_product``)."""
+        depths: dict = {}
+        found = cut = False
+
+        def visit(v):
+            nonlocal found, cut
+            if v.location in program.meeting_locations:
+                state = dict(v.state)
+                names = sorted(program.live_variables[v.location] | prop.reads)
+                key = (v.location, tuple(state.get(name) for name in names), v.frontiers,
+                       v.final_entries)
+                found |= cut and depths.get(key, v.depth) > v.depth
+                depths[key] = v.depth
+            cut |= v.truncated
+            return VisitAction.CONTINUE
+
+        run_product(program, (prop,), config, visit)
+        return found
+
+    def test_06_engine_agrees_with_oracle_at_truncating_bounds(self):
+        """300 generated programs, every fifth with choices, at step bounds
+        that truncate: by test_04's rules on the hits within the bound (the
+        oracle's paths with each prefix the bound cut), check_fulfills,
+        check_violation_witness and check_condition_correct find a hit
+        exactly where one exists; without one, an unknown (and with it a
+        judgment that is not exhausted) appears only where the oracle's
+        enumeration was truncated.  A violated universal judgment is not
+        exhausted only there either.  Some draws truncate, and some search
+        explores a configuration again at a smaller depth after a
+        truncation, where a skip would lose the hits beneath it: an
+        explorer that never does misses four hits of this draw."""
+        rng = random.Random(10)
+        domain = Interval(-1, 1)
+        truncated_searches = reexplored = 0
+        for n in range(300):
+            program = generators.random_program(rng)
+            if n % 5 == 4:
+                program = generators.add_choices(rng, program)
+            prop = generators.random_property(rng, program, holds=n % 2 == 1 and n % 5 != 4,
+                                              domain=domain)
+            witness = generators.random_violation_witness(rng, program)
+            cond = generators.random_condition(rng, program, rich=n % 3 == 0)
+            for bound in (3, 5, 8, 60):
+                config = AnalysisConfig(domain, bound)
+                cut = reference.enumerated(program, config).truncated
+                judgments = [
+                    (check_fulfills(program, prop, config), True,
+                     brute_force_oracle(program, [prop], ["accept"], config, cut=True)),
+                    (check_violation_witness(program, prop, witness, config), False,
+                     brute_force_oracle(program, [prop, witness], ["accept", "accept"], config,
+                                        cut=True)),
+                    (check_condition_correct(program, prop, cond, config), True,
+                     brute_force_oracle(program, [prop, cond], ["accept", "accept"], config,
+                                        cut=True)),
+                ]
+                for judgment, universal, hits in judgments:
+                    truncated_searches += not judgment.exhausted
+                    if hits:
+                        assert judgment.verdict is (Verdict.VIOLATED if universal
+                                                    else Verdict.HOLDS)
+                        assert judgment.exhausted or (universal and cut)
+                    elif judgment.verdict is Verdict.UNKNOWN:
+                        assert cut and not judgment.exhausted
+                    else:
+                        assert judgment.verdict is (Verdict.HOLDS if universal
+                                                    else Verdict.VIOLATED)
+                        assert judgment.exhausted
+                if cut:
+                    reexplored += self._reexplores_after_truncation(program, prop, config)
+        assert truncated_searches > 0
+        assert reexplored > 0
+
 
 def _edge_property(op_text: str) -> str:
     return ("automaton on_edge kind=property\nstate q0 init\nstate qe final\n"
@@ -629,6 +706,49 @@ int e = 1;
         ((a, b),) = ends
         assert a.length == b.length == 3004
         assert all(a.steps[k] is b.steps[k] for k in range(len(a.steps)))
+
+    # the benchmark's max family at k = 3: the then-branch m = v is one step
+    # longer than the else-branch, so the loop head and the join are reached
+    # again at smaller depths after deeper prefixes got there first
+    MAX_K3 = ("int i = 0;\nint m = -5;\nint v = 0;\nwhile (i < 3) {\n  v = input();\n"
+              "  if (v > m) {\n    m = v;\n  }\n  i++;\n}\n")
+    MAX_PROPERTY = ("automaton fanout_bound kind=property\nstate q0 init\nstate qe final\n"
+                    'trans q0 -> qe on (*, "!(i < 3)", *) assume m < v\n'
+                    "trans q0 -> q0 otherwise\n")
+    ROUNDS_GOALS = ("automaton loop_rounds kind=test-goal\nstate g0 init\n"
+                    + "".join(f"state g{j} final\n" for j in range(1, 5))
+                    + "".join(f'trans g{j} -> g{j + 1} on (*, "i < 3", *)\n' for j in range(4))
+                    + "".join(f"trans g{j} -> g{j} otherwise\n" for j in range(5)))
+
+    def test_12_untruncated_search_visits_each_key_once(self):
+        """While the step bound cuts nothing, a configuration reached again
+        at a smaller depth is not explored again: a counting visitor sees
+        each (location, state, frontiers, final entries) once, on the max
+        family alone, with its property, with its loop-round goals, and on
+        LONG_THEN_SHORT, whose join the shorter prefix reaches second."""
+        max_k3 = parse_program(self.MAX_K3)
+        long_then_short = parse_program(self.LONG_THEN_SHORT)
+        searches = [
+            (max_k3, (), AnalysisConfig(Interval(-3, 3), 500)),
+            (max_k3, (parse_automaton(self.MAX_PROPERTY),), AnalysisConfig(Interval(-3, 3), 500)),
+            (max_k3, (parse_automaton(self.ROUNDS_GOALS),), AnalysisConfig(Interval(-3, 3), 500)),
+            (long_then_short, (parse_automaton(_edge_property("int e = 1")),),
+             AnalysisConfig(Interval(0, 1), 50)),
+        ]
+        for program, automata, config in searches:
+            keys = []
+            depths = []
+
+            def counting_visit(v, keys=keys, depths=depths):
+                keys.append((v.location, v.state, v.frontiers, v.final_entries))
+                depths.append(v.depth)
+                return VisitAction.CONTINUE
+
+            assert run_product(program, automata, config, counting_visit) is False
+            assert len(keys) == len(set(keys))
+        # LONG_THEN_SHORT's join, location 6, is explored once, by the
+        # longer prefix, which the depth-first order takes first
+        assert [d for (location, *_), d in zip(keys, depths) if location == 6] == [5]
 
 
 class TestStepMemo:
