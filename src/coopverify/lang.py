@@ -166,6 +166,8 @@ class ControlFlowAutomaton:
     # attribute read on the object.
     _meeting: frozenset = field(init=False, repr=False, compare=False, default=None)
     _live: dict = field(init=False, repr=False, compare=False, default=None)
+    # location -> its step plan (see step_plan), built when first stepped
+    _plans: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.initial not in self.locations:
@@ -176,9 +178,36 @@ class ControlFlowAutomaton:
                 raise ValueError(f"edge {edge} uses an undeclared location")
             adjacency.setdefault(edge.source, []).append(edge)
         object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(self, "_plans", {})
 
     def edges_from(self, location: int) -> list:
         return self._adjacency.get(location, [])
+
+    def step_plan(self, location: int) -> tuple:
+        """The entries :func:`successors` runs at ``location``, built from
+        ``edges_from(location)`` on first use and kept.
+
+        Each operation is one entry, in edge order, told apart by its type
+        here: ``(Assignment, edge, target, expression)``, ``(Assume, edge,
+        condition, None)``, ``(InputOp, edge, target, None)``.  Two edges
+        that are one syntactic ``c`` / ``!(c)`` assume pair, in either
+        order, are the location's single entry ``(_BRANCH, c, edge of c,
+        edge of !(c))``: exactly one of them is enabled in every state.  So
+        the location chooses between runs exactly when its plan has two or
+        more entries.
+        """
+        plan = self._plans.get(location)
+        if plan is None:
+            edges = self.edges_from(location)
+            plan = tuple(_entry(edge) for edge in edges)
+            if len(edges) == 2 and type(edges[0].op) is type(edges[1].op) is Assume:
+                a, b = edges
+                if b.op.condition == Not(a.op.condition):
+                    plan = ((_BRANCH, a.op.condition, a, b),)
+                elif a.op.condition == Not(b.op.condition):
+                    plan = ((_BRANCH, b.op.condition, b, a),)
+            self._plans[location] = plan
+        return plan
 
     @property
     def meeting_locations(self) -> frozenset:
@@ -223,6 +252,23 @@ class ControlFlowAutomaton:
                         changed = True
             object.__setattr__(self, "_live", live)
         return self._live
+
+
+_BRANCH = "branch"  # the kind of a step plan's entry for a c / !(c) assume pair
+
+
+def _entry(edge: CFAEdge) -> tuple:
+    """The step plan's entry for one edge (see ``step_plan``); an object of
+    another type raises when a step reaches its entry."""
+    op = edge.op
+    kind = type(op)
+    if kind is Assignment:
+        return kind, edge, op.target, op.expr
+    if kind is Assume:
+        return kind, edge, op.condition, None
+    if kind is InputOp:
+        return kind, edge, op.target, None
+    return kind, edge, op, None
 
 
 def make_cfa(locations: Iterable[int], initial: int, edges: Sequence[CFAEdge],
@@ -336,28 +382,43 @@ class ConcretePath:
 
 def successors(cfa: ControlFlowAutomaton, state: ConcreteDataState, location: int,
                domain: Interval) -> list:
-    """Enabled (edge, post-state) pairs, input values in ascending order.
+    """Enabled (edge, post-state) pairs, in edge order, input values in
+    ascending order.
 
     An assume edge is enabled where its condition holds and keeps the
     state, an assignment binds its target to the expression's value, and
     an input edge is enabled once per domain value, bound to its target.
-    Each operation is told apart once, by its type, and evaluated on the
-    state's bindings, so that every variable read is a dict read."""
+    The step runs the location's plan (:meth:`ControlFlowAutomaton.step_plan`),
+    whose operations were told apart by type when it was built, on the
+    state's bindings, so that every variable read is a dict read.  A
+    ``c`` / ``!(c)`` assume pair is one entry: ``c`` is evaluated once and
+    the one enabled edge is listed."""
+    plan = cfa._plans.get(location)
+    if plan is None:
+        plan = cfa.step_plan(location)
     result = []
     bindings = state._bindings
-    for edge in cfa.edges_from(location):
-        op = edge.op
-        kind = type(op)
-        if kind is Assume:
-            if evaluate(op.condition, bindings):
-                result.append((edge, state))
-        elif kind is Assignment:
-            result.append((edge, state.bind(op.target, eval_expr(op.expr, bindings))))
-        elif kind is InputOp:
+    for kind, a, b, c in plan:
+        if kind is _BRANCH:  # a the condition, b its edge, c the complement's
+            result.append((b if evaluate(a, bindings) else c, state))
+        elif kind is Assignment:  # a the edge, b the target, c the expression
+            new = dict(bindings)
+            new[b] = eval_expr(c, bindings)
+            post = object.__new__(ConcreteDataState)  # as ConcreteDataState.bind builds it
+            post._bindings = new
+            result.append((a, post))
+        elif kind is Assume:  # a the edge, b the condition
+            if evaluate(b, bindings):
+                result.append((a, state))
+        elif kind is InputOp:  # a the edge, b the target
             for value in domain:
-                result.append((edge, state.bind(op.target, value)))
+                new = dict(bindings)
+                new[b] = value
+                post = object.__new__(ConcreteDataState)
+                post._bindings = new
+                result.append((a, post))
         else:
-            raise TypeError(f"not an operation: {op!r}")
+            raise TypeError(f"not an operation: {b!r}")
     return result
 
 

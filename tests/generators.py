@@ -10,6 +10,7 @@ which keeps them kind-valid and keeps assumption evaluation total.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from coopverify.automata import (
@@ -42,6 +43,8 @@ from coopverify.predicates import (
     Not,
     Or,
     Var,
+    evaluate,
+    parse_predicate,
 )
 from reference import budgeted_paths, definitely_assigned
 
@@ -172,6 +175,55 @@ def random_program_source(rng: random.Random) -> str:
 
 def random_program(rng: random.Random) -> ControlFlowAutomaton:
     return parse_program(random_program_source(rng))
+
+
+def long_then_short_join(rng: random.Random, domain: Interval = Interval(-2, 2)) -> tuple:
+    """A program whose two branches join with one value of ``a``, the only
+    variable read after the join, and a property that observes the first
+    edge after the join under a guard on ``a``, most often one that holds.
+
+    The branch that the smallest inputs of ``domain`` take, which
+    depth-first order explores first, is two to four steps longer than the
+    other, which some other inputs take.  The condition reads inputs that
+    nothing reads after the join, so both prefixes reach one product
+    configuration there, the longer one first: a bound that cuts it short of
+    the observation may leave the shorter one within reach of it.
+    """
+    inputs = ["x"] if rng.random() < 0.5 else ["x", "y"]
+    lines = [f"int {v} = input();" for v in inputs]
+    lines.append(f"int a = {rng.choice(['0', inputs[-1]])};")
+    while True:
+        condition = _condition_text(rng, inputs)
+        pred = parse_predicate(condition)
+        taken = {evaluate(pred, dict(zip(inputs, values)))
+                 for values in itertools.product(domain, repeat=len(inputs))}
+        if len(taken) == 2:
+            break
+    short = rng.randint(0, 1)
+    lengths = [short + rng.randint(2, 4), short]
+    if not evaluate(pred, dict.fromkeys(inputs, domain.lo)):
+        lengths.reverse()
+    fillers = ("a++;", "a--;", f"a = {inputs[-1]} + 1;", "a = a - x;")
+    value = rng.randint(-2, 2)
+    lines.append(f"if ({condition}) {{")
+    lines.extend(f"  {rng.choice(fillers)}" for _ in range(lengths[0]))
+    lines += [f"  a = {value};", "} else {"]
+    lines.extend(f"  {rng.choice(fillers)}" for _ in range(lengths[1]))
+    lines += [f"  a = {value};", "}"]
+    step = rng.randint(0, 2)
+    observed = f"a = a + {step}"
+    lines.append(observed + ";")
+    if rng.random() < 0.5:
+        lines.append("a++;")
+    program = parse_program("\n".join(lines) + "\n")
+    edge = next(e for e in program.edges if e.op.text == observed)
+    guard = TRUE
+    if rng.random() < 0.6:
+        guard = Comparison(rng.choice(_CMP_OPS), Var("a"),
+                           Const(value + step + rng.choice((-1, 0, 0, 1))))
+    prop = make_automaton("join_property", AutomatonKind.PROPERTY, ["q0", "qe"], "q0", ("qe",),
+                          [_otherwise("q0"), Transition("q0", "qe", _edge_pattern(edge), guard)])
+    return program, prop
 
 
 def drop_assumes(rng: random.Random, program: ControlFlowAutomaton) -> ControlFlowAutomaton:

@@ -8,9 +8,10 @@ operation at a time by :func:`strongest_post`, and automaton runs are
 enumerated one by one with :func:`reference_taken`, which reads the step's
 contract off the ``coopverify.automata`` docstring and evaluates on the
 tree-walking ``corpus.reference_evaluate``.  The layers of
-:func:`reference_layers` take the program's steps from
-``coopverify.lang.successors``, as that enumeration does, and step each
-automaton the same way.  A differential test would confirm itself if its
+:func:`reference_layers` and the paths of :func:`budgeted_paths` take the
+program's steps from :func:`reference_successors`, on
+:func:`strongest_post`, not from ``coopverify.lang.successors``, and
+step each automaton the same way.  A differential test would confirm itself if its
 oracle ran on the engine, so ``test_engine.py::TestOracle`` pins that this
 module imports none of it.
 """
@@ -40,7 +41,6 @@ from coopverify.lang import (
     enumerate_paths,
     op_reads,
     op_writes,
-    successors,
 )
 from coopverify.predicates import TRUE, pred_text
 
@@ -70,6 +70,24 @@ def strongest_post(state: ConcreteDataState, op: Operation,
     if isinstance(op, Assume):
         return state if reference_evaluate(op.condition, state) else BLOCKED
     raise TypeError(f"not an operation: {op!r}")
+
+
+def reference_successors(cfa: ControlFlowAutomaton, state: ConcreteDataState, location: int,
+                         domain) -> list:
+    """The enabled (edge, post-state) pairs of ``lang.successors``' contract,
+    by :func:`strongest_post`: each edge of ``cfa.edges_from(location)`` in
+    order, an input edge once per domain value from ``domain.lo`` up, any
+    other edge where its operation applies."""
+    result = []
+    for edge in cfa.edges_from(location):
+        if isinstance(edge.op, InputOp):
+            result.extend((edge, strongest_post(state, edge.op, value))
+                          for value in range(domain.lo, domain.hi + 1))
+        else:
+            post = strongest_post(state, edge.op)
+            if post is not BLOCKED:
+                result.append((edge, post))
+    return result
 
 
 def replay_path(cfa: ControlFlowAutomaton, path: ConcretePath) -> bool:
@@ -201,7 +219,7 @@ def budgeted_paths(program: ControlFlowAutomaton, domain, max_steps: int, budget
         depth, step = stack.pop()
         del trail[depth:]
         trail.append(step)
-        succs = successors(program, step.state, step.location, domain)
+        succs = reference_successors(program, step.state, step.location, domain)
         if not succs or (cut and depth >= max_steps):
             paths.append(ConcretePath(tuple(trail)))
         elif depth < max_steps:
@@ -289,7 +307,8 @@ def reference_layers(program: ControlFlowAutomaton, automata: Sequence[ArtifactA
             if moves is None:
                 moves = expansions[location, state] = [
                     (edge, post, {})
-                    for edge, post in successors(program, state, location, config.input_domain)]
+                    for edge, post in reference_successors(program, state, location,
+                                                           config.input_domain)]
             for edge, post, steps in moves:
                 stepped = []
                 for i, fr in enumerate(frontiers):

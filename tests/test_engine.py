@@ -462,17 +462,23 @@ class TestJudgmentProperties:
         enumeration was truncated.  A violated universal judgment is not
         exhausted only there either.  Some draws truncate, and some search
         explores a configuration again at a smaller depth after a
-        truncation, where a skip would lose the hits beneath it: an
-        explorer that never does misses four hits of this draw."""
+        truncation, where a skip would lose the hits beneath it.  Every
+        tenth program is a long-then-short join, where that happens by
+        construction: an explorer that never explores again misses nine
+        hits of this draw, and six or more of the draw of each seed from 1
+        to 11."""
         rng = random.Random(10)
         domain = Interval(-1, 1)
         truncated_searches = reexplored = 0
         for n in range(300):
-            program = generators.random_program(rng)
-            if n % 5 == 4:
-                program = generators.add_choices(rng, program)
-            prop = generators.random_property(rng, program, holds=n % 2 == 1 and n % 5 != 4,
-                                              domain=domain)
+            if n % 10 == 2:
+                program, prop = generators.long_then_short_join(rng, domain)
+            else:
+                program = generators.random_program(rng)
+                if n % 5 == 4:
+                    program = generators.add_choices(rng, program)
+                prop = generators.random_property(rng, program,
+                                                  holds=n % 2 == 1 and n % 5 != 4, domain=domain)
             witness = generators.random_violation_witness(rng, program)
             cond = generators.random_condition(rng, program, rich=n % 3 == 0)
             for bound in (3, 5, 8, 60):

@@ -30,8 +30,8 @@ from coopverify.lang import (
     successors,
 )
 from coopverify.predicates import Interval, parse_predicate
-from reference import (BLOCKED, definitely_assigned, reference_use_before_def, replay_path,
-                       strongest_post)
+from reference import (BLOCKED, definitely_assigned, reference_successors,
+                       reference_use_before_def, replay_path, strongest_post)
 
 
 def edge_between(cfa, source, target):
@@ -211,6 +211,63 @@ class TestSuccessors:
         state = ConcreteDataState({"a": 0, "b": 0, "x": 0})
         succ = successors(p, state, 3, Interval(-2, 2))
         assert [edge.target for edge, _ in succ] == [6]
+
+    # (edges as for cfa_of, data states at location 0): c / !(c) pairs in
+    # both orders, assumes that are no pair, a pair reading an unbound
+    # variable, and input locations
+    HAND_WRITTEN = (
+        ([(0, "x > 0", 1), (0, "!(x > 0)", 2)], ({"x": 1}, {"x": 0})),
+        ([(0, "!(x > 0)", 1), (0, "x > 0", 2)], ({"x": 1}, {"x": 0})),
+        ([(0, "!(x > 0)", 1), (0, "!(!(x > 0))", 2)], ({"x": 1}, {"x": 0})),
+        ([(0, "x > 0", 1), (0, "true", 2)], ({"x": 1}, {"x": 0})),
+        ([(0, "x > 0", 1), (0, "x > 0", 2)], ({"x": 1}, {"x": 0})),
+        ([(0, "x > 0", 1), (0, "!(x >= 0)", 2)], ({"x": 1}, {"x": 0}, {"x": -1})),
+        ([(0, "y > 0", 1), (0, "!(y > 0)", 2)], ({"x": 1},)),
+        ([(0, "!(y > 0)", 1), (0, "y > 0", 2)], ({"x": 1},)),
+        ([(0, "x = input()", 1)], ({}, {"x": 5})),
+        ([(0, "x = input()", 1), (0, "x > 0", 2), (0, "y = input()", 2)], ({"x": 1}, {"x": 0})),
+    )
+
+    def test_03_agrees_with_the_reference_step(self):
+        """At every (location, state) that 300 generated programs, every
+        fifth with choices, reach within 60 steps, in each program and in
+        its copy with the edges listed in reverse (where a loop or an if
+        lists ``!(c)`` before ``c``), and on the hand-written cases,
+        ``successors`` lists the edges, in the order and with the
+        post-states, that the tree-walking reference step lists, or raises
+        what it raises."""
+        domain = Interval(-2, 2)
+
+        def outcome(step, cfa, state, location):
+            try:
+                return [(id(edge), post) for edge, post in step(cfa, state, location, domain)]
+            except Exception as err:
+                return type(err), str(err)
+
+        points = []
+        for edges, states in self.HAND_WRITTEN:
+            points += [(cfa_of(edges), ConcreteDataState(s), 0) for s in states]
+        rng = random.Random(7)
+        for n in range(300):
+            program = generators.random_program(rng)
+            if n % 5 == 4:
+                program = generators.add_choices(rng, program)
+            layer = seen = {(program.initial, EMPTY_STATE)}
+            for _ in range(60):
+                layer = {(edge.target, post) for location, state in layer
+                         for edge, post in reference_successors(program, state, location, domain)}
+                layer -= seen
+                seen = seen | layer
+            reversed_program = make_cfa(program.locations, program.initial, program.edges[::-1],
+                                        program.variables)
+            points += [(cfa, state, location) for cfa in (program, reversed_program)
+                       for location, state in seen]
+        raised = 0
+        for cfa, state, location in points:
+            expected = outcome(reference_successors, cfa, state, location)
+            assert outcome(successors, cfa, state, location) == expected
+            raised += type(expected) is tuple
+        assert raised == 2
 
 
 class TestEnumeratePaths:

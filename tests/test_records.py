@@ -27,10 +27,10 @@ from coopverify.product import AnalysisConfig
 
 # Every dataclass of the package, with the reason it is not a named tuple.
 DATACLASSES = {
-    "lang.Assignment": "successors() reads its fields on every step",
-    "lang.Assume": "successors() reads its fields on every step",
-    "lang.InputOp": "successors() reads its fields on every step",
-    "lang.CFAEdge": "successors() reads its fields on every step",
+    "lang.Assignment": "exec_test() reads its fields on every step, successors() when planning",
+    "lang.Assume": "exec_test() reads its fields on every step, successors() when planning",
+    "lang.InputOp": "exec_test() reads its fields on every step, successors() when planning",
+    "lang.CFAEdge": "run_product() and exec_test() read its fields on every step",
     "automata.EdgePattern": "derives fields (field(init=False))",
     "automata.ArtifactAutomaton": "derives fields (field(init=False))",
     "lang.ControlFlowAutomaton": "derives fields (field(init=False))",

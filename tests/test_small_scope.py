@@ -27,9 +27,10 @@ from coopverify.engine import (AnalysisConfig, Verdict, check_condition_correct,
 from coopverify.errors import UseBeforeDef
 from coopverify.kinds import build_test_case_automaton
 from coopverify.lang import (EMPTY_STATE, CFAEdge, InputOp, assignment_op, assume_op,
-                             check_defined_before_use, input_op, make_cfa, successors)
+                             check_defined_before_use, input_op, make_cfa)
 from coopverify.predicates import TRUE, BinExpr, Comparison, Const, Interval, Not, Var
-from reference import reference_layers, reference_start, reference_step, replay_path
+from reference import (reference_layers, reference_start, reference_step, reference_successors,
+                       replay_path)
 
 X, Y = Var("x"), Var("y")
 POSITIVE = Comparison(">", X, Const(0))
@@ -141,7 +142,7 @@ class Reference:
         of exactly ``config.max_steps`` steps can be extended."""
         layers = self.of(automata, config)
         found = any(hit(c) for layer in layers for c in layer)
-        cut = any(successors(self.program, state, location, config.input_domain)
+        cut = any(reference_successors(self.program, state, location, config.input_domain)
                   for location, state, _, _ in layers[-1])
         return found, cut
 
@@ -184,7 +185,7 @@ def _uncovered(program, cond, config) -> tuple:
             continue
         uncovered.add(items)
         if len(items) < config.max_steps:
-            for edge, post in successors(program, state, location, config.input_domain):
+            for edge, post in reference_successors(program, state, location, config.input_domain):
                 after, new = reference_step(cond, frontier, edge, post)
                 stack.append((items + (_read(edge, post),), edge.target, post, after, new))
     return uncovered, entering
@@ -201,7 +202,7 @@ def _residual(reduction, config) -> tuple:
     stack = [((), residual.initial, EMPTY_STATE)]
     while stack:
         items, location, state = stack.pop()
-        succ = successors(residual, state, location, config.input_domain)
+        succ = reference_successors(residual, state, location, config.input_domain)
         if location in mids:
             mapped.add(items[:-1])
             if not succ:
@@ -257,7 +258,7 @@ def check_small(program, props, goals, conds) -> None:
             if bound == max(BOUNDS):  # the walks at a smaller bound are a part of these
                 check_reduce(program, cond, config)
         def ends(c) -> bool:
-            return not successors(program, c[1], c[0], config.input_domain)
+            return not reference_successors(program, c[1], c[0], config.input_domain)
 
         def covered_goal(c) -> bool:
             return bool(c[2][1]) and bool(c[3][0]) and ends(c)
