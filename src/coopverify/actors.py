@@ -403,11 +403,18 @@ def reduce(program: ControlFlowAutomaton, cond: ArtifactAutomaton) -> ControlFlo
 
 def _input_condition_disjuncts(cond: ArtifactAutomaton, input_edge: CFAEdge) -> list:
     """Assumptions under which the input condition accepts right after the
-    first input edge."""
+    first input edge: the guard of each matching explicit transition into a
+    final state and, where the initial state's otherwise transition enters
+    one, that no matching explicit transition fires."""
     out = []
+    guards = []
     for target, guard in _instantiated(cond, cond.initial, input_edge):
+        guards.append(guard)
         if target in cond.finals and guard not in out:
             out.append(guard)
+    otherwise = cond.otherwise_at(cond.initial)
+    if otherwise is not None and otherwise.target in cond.finals:
+        out.append(Not(disjoin(guards)) if guards else TRUE)
     return out
 
 

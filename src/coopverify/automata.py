@@ -111,13 +111,10 @@ class Transition(NamedTuple):
     exactly for an ``otherwise`` transition) and the assumption it makes on
     the post-state.
 
-    A named tuple, not a frozen dataclass: a path witness holds one per path
-    step, and a frozen dataclass sets each field through
-    ``object.__setattr__``; a named tuple takes about a third of the time to
-    build (CPython 3.11).  Its fields cost more to read than a plain tuple's,
-    so the automaton step unpacks it, at a plain tuple's cost.  It equals the
-    tuple of its fields.  Its hash leaves out the assumption, which would walk
-    the whole tree; equal transitions still hash alike."""
+    A named tuple, not a frozen dataclass: the automaton step unpacks it at
+    a plain tuple's cost, where a dataclass would be read field by field.
+    It equals the tuple of its fields.  Its hash leaves out the assumption,
+    which would walk the whole tree; equal transitions still hash alike."""
 
     source: str
     target: str
@@ -177,11 +174,7 @@ class ArtifactAutomaton:
             if source not in declared or target not in declared:
                 raise ValueError(f"transition {t} uses an undeclared state")
             if not loops:
-                gathered = explicit.get(source)
-                if gathered is None:
-                    explicit[source] = [t]
-                else:
-                    gathered.append(t)
+                explicit.setdefault(source, []).append(t)
             elif source in otherwise:
                 raise DuplicateOtherwise(f"state {source!r} has two otherwise transitions")
             else:
@@ -497,33 +490,12 @@ def covers(aut: ArtifactAutomaton, path: ConcretePath) -> bool:
 # ---------------------------------------------------------------------------
 # Text format
 
-# what follows "on" in an explicit transition: source, operation text,
-# target and the assumption, if any
-_TAIL = (r"\(\s*(\*|-?\d+)\s*,\s*(\*|\"[^\"]*\")\s*,\s*(\*|-?\d+)\s*\)"
-         r"\s*(?:assume\s+(.+))?$")
-_TAIL_RE = re.compile(_TAIL)
-_TRANS_RE = re.compile(r"^trans\s+(\S+)\s*->\s*(\S+)\s+on\s+" + _TAIL)
+_TRANS_RE = re.compile(
+    r"^trans\s+(\S+)\s*->\s*(\S+)\s+on\s+\(\s*(\*|-?\d+)\s*,\s*(\*|\"[^\"]*\")\s*,"
+    r"\s*(\*|-?\d+)\s*\)\s*(?:assume\s+(.+))?$"
+)
 _OTHERWISE_RE = re.compile(r"^trans\s+(\S+)\s*->\s*(\S+)\s+otherwise\s*$")
 _HEADER_RE = re.compile(r"^automaton\s+(\S+)\s+kind=(\S+)\s*$")
-
-
-def _explicit_parts(fields: tuple, lineno: int, raw: str, patterns: dict) -> tuple:
-    """(pattern, assumption, False): the rest of an explicit transition
-    after its states, from the groups of :data:`_TAIL_RE`; equal patterns
-    are shared through ``patterns``."""
-    src_text, op_field, tgt_text, assume_text = fields
-    key = (src_text, op_field, tgt_text)
-    pattern = patterns.get(key) or patterns.setdefault(key, EdgePattern(
-        None if src_text == "*" else _integer(src_text, lineno),
-        None if op_field == "*" else op_field[1:-1],
-        None if tgt_text == "*" else _integer(tgt_text, lineno)))
-    assumption = TRUE
-    if assume_text is not None:
-        try:
-            assumption = parse_predicate(assume_text)
-        except ParseError as err:
-            raise err.within("bad assumption", lineno, raw, assume_text) from None
-    return pattern, assumption, False
 
 
 def parse_automaton(source: str) -> ArtifactAutomaton:
@@ -536,13 +508,8 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
         trans <from> -> <to> on (<src>|*, "<op-text>"|*, <tgt>|*) [assume <pred>]
         trans <q> -> <q> otherwise
 
-    A path witness repeats a few edge texts over thousands of lines, so a
-    line costs about one split: a state line without invariant is split
-    once, and a ``trans`` line written as the serialiser writes it reuses
-    the pattern and assumption of an earlier line with the same text after
-    ``on``; only a new text, or another spacing, is matched against the
-    regular expression.  A text is remembered only once it parsed, so every
-    refusal is raised on its own line.
+    Transitions written with the same (source, operation, target) share one
+    :class:`EdgePattern`, as a goal automaton's do.
     """
     name = None
     kind = None
@@ -551,7 +518,6 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
     invariants: dict = {}
     transitions: list = []
     patterns: dict = {}  # (src, "op", tgt) fields of trans lines -> their shared pattern
-    tails: dict = {}  # the text after "on" of a trans line -> its _explicit_parts
     initial = None
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
@@ -570,22 +536,16 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
                     f"unknown automaton kind {m.group(2)!r} (known: {known})", lineno
                 ) from None
             continue
-        words = line.split(None, 5)
-        if words[0] == "state" and line[5:6] == " ":  # line.startswith("state ")
-            inv_at = line.find(" inv:", 6)
-            inv_text = None
-            if inv_at >= 0:
-                words = line[:inv_at].split()
-                inv_text = line[inv_at + 5:]
-                if len(words) < 2:
-                    raise ParseError("state line needs a state id", lineno)
-            elif len(words) == 6:  # more flags than the first split took apart
-                words = line.split()
-            state_id = words[1]
+        if line.startswith("state "):
+            rest, inv_mark, inv_text = line[len("state "):].partition(" inv:")
+            words = rest.split()
+            if not words:
+                raise ParseError("state line needs a state id", lineno)
+            state_id = words[0]
             if state_id in states:
                 raise ParseError(f"state {state_id!r} declared twice", lineno)
             states[state_id] = None
-            for flag in words[2:]:
+            for flag in words[1:]:
                 if flag == "init":
                     if initial is not None:
                         raise ParseError("two states marked init", lineno)
@@ -594,29 +554,13 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
                     finals.append(state_id)
                 else:
                     raise ParseError(f"unknown state flag {flag!r}", lineno)
-            if inv_text is not None:
+            if inv_mark:
                 try:
                     invariants[state_id] = parse_predicate(inv_text)
                 except ParseError as err:
                     raise err.within("bad invariant", lineno, raw, inv_text) from None
             continue
-        # "trans <from> -> <to> on <tail>" as the serialiser writes it matches
-        # _TRANS_RE exactly when its tail matches _TAIL_RE, with <from> and
-        # <to> as the first groups (neither can reach past a space), so only
-        # the tail is matched, and only the first time it is met
-        if len(words) == 6 and words[0] == "trans" and words[2] == "->" and words[4] == "on":
-            tail = words[5]
-            parts = tails.get(tail)
-            if parts is None:
-                m = _TAIL_RE.match(tail)
-                if m:
-                    parts = tails[tail] = _explicit_parts(m.groups(), lineno, raw, patterns)
-            if parts is not None:
-                # through tuple.__new__, as the explorer builds a PathStep
-                transitions.append(tuple.__new__(Transition, (words[1], words[3]) + parts))
-                continue
-        # no line matches both patterns, and explicit lines in the
-        # serialiser's spacing are parsed above, so otherwise is tried first
+        # no line matches both patterns
         m = _OTHERWISE_RE.match(line)
         if m:
             if m.group(1) != m.group(2):
@@ -625,8 +569,18 @@ def parse_automaton(source: str) -> ArtifactAutomaton:
             continue
         m = _TRANS_RE.match(line)
         if m:
-            parts = _explicit_parts(m.group(3, 4, 5, 6), lineno, raw, patterns)
-            transitions.append(tuple.__new__(Transition, m.group(1, 2) + parts))
+            src_text, op_field, tgt_text = fields = m.group(3, 4, 5)
+            pattern = patterns.get(fields) or patterns.setdefault(fields, EdgePattern(
+                None if src_text == "*" else _integer(src_text, lineno),
+                None if op_field == "*" else op_field[1:-1],
+                None if tgt_text == "*" else _integer(tgt_text, lineno)))
+            assumption = TRUE
+            if m.group(6) is not None:
+                try:
+                    assumption = parse_predicate(m.group(6))
+                except ParseError as err:
+                    raise err.within("bad assumption", lineno, raw, m.group(6)) from None
+            transitions.append(Transition(m.group(1), m.group(2), pattern, assumption))
             continue
         raise ParseError(f"unrecognized line {line!r}", lineno)
     if name is None:

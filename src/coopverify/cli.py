@@ -28,7 +28,7 @@ from typing import Optional
 from . import actors, engine, pipeline
 from .automata import ArtifactAutomaton, parse_automaton, serialize_automaton
 from .engine import AnalysisConfig
-from .errors import CoopVerifyError, NoViolatingPath, ParseError
+from .errors import CoopVerifyError, NoViolatingPath
 from .kinds import REFUTED, validate_kind
 from .lang import ControlFlowAutomaton, parse_cfa, parse_program, serialize_cfa
 from .pipeline import Role

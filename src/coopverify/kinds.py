@@ -59,26 +59,21 @@ _CHI_WORD = re.compile(r"\bchi\b")
 def _template_violations(aut: ArtifactAutomaton) -> list:
     """The placeholder may only appear in assumptions guarded by an
     input-template pattern; invariants and other op texts must not use it.
-
-    A ``true`` assumption is not walked, and each distinct pattern's text is
-    searched once: the transitions of a long witness share a few patterns."""
+    A ``true`` assumption is not walked."""
     out = []
     for state, inv in sorted(aut.invariants.items()):
         if mentions_template(inv):
             out.append(KindViolation(
                 "template-use", state,
                 "state invariant uses the input placeholder"))
-    explicit = [t for t in aut.transitions if not t.otherwise]
-    chi_in_text = {p for p in {t.pattern for t in explicit}
-                   if p.op_text is not None and not p.is_input_template
-                   and _CHI_WORD.search(p.op_text)}
-    for t in explicit:
-        if (t.assumption is not TRUE and mentions_template(t.assumption)
-                and not t.pattern.is_input_template):
+    for t in aut.transitions:
+        if t.otherwise or t.pattern.is_input_template:
+            continue
+        if t.assumption is not TRUE and mentions_template(t.assumption):
             out.append(KindViolation(
                 "template-use", str(t),
                 "assumption uses the input placeholder without an input-template pattern"))
-        if t.pattern in chi_in_text:
+        if t.pattern.op_text is not None and _CHI_WORD.search(t.pattern.op_text):
             out.append(KindViolation(
                 "template-use", str(t),
                 "pattern text uses the reserved word chi but is not the input template"))

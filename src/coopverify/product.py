@@ -230,8 +230,8 @@ def _pair_liveness(program: ControlFlowAutomaton, aut: ArtifactAutomaton) -> dic
     the reading transitions, matching transitions to edges only as the
     worklist needs them; an otherwise transition is taken to match every
     edge, which can only add variables.  With no read surviving its edge's
-    writes, as for path-shaped witnesses and test cases, the result is empty
-    and nothing else is built.
+    writes, as for test cases, the result is empty and nothing else is
+    built.
     """
     live: dict = {}
     work: list = []

@@ -438,13 +438,29 @@ class TestConditionalVerify:
         (move,) = bundle.condition.explicit_from("c0")
         assert pred_text(move.assumption) == "x <= 0 || x == 3"
 
-    def test_10_no_disjunct_gives_no_output_condition(self, p, cfg4):
+    def test_10_otherwise_coverage_gives_a_universal_output_condition(self, p, cfg4):
         """The condition covers the input edge through its otherwise
-        transition alone: the residual reads no input and the condition has
-        no accepting guard, so no output condition is left to build."""
+        transition alone: the residual reads no input, and the output
+        condition accepts every input."""
         bundle = conditional_verify(p, corpus.prop(), covering_by_otherwise(), cfg4)
         assert bundle.result is Result.TRUE and bundle.judgment.exhausted
-        assert bundle.condition is None
+        (move,) = bundle.condition.explicit_from("c0")
+        assert move.assumption == TRUE
+
+    def test_11_guarded_otherwise_coverage_keeps_every_input(self, p, cfg4):
+        """The otherwise transition covers the inputs the explicit guard
+        leaves, so the output condition keeps both and accepts every input
+        of the domain, soundly."""
+        bundle = conditional_verify(p, corpus.prop(), covering_by_otherwise("x > 0"), cfg4)
+        assert bundle.result is Result.TRUE
+        (move,) = bundle.condition.explicit_from("c0")
+        assert pred_text(move.assumption) == "x > 0 || !(x > 0)"
+        judgment = check_condition_correct(p, corpus.prop(), bundle.condition, cfg4)
+        assert judgment.verdict is Verdict.HOLDS and judgment.exhausted
+        paths = enumerate_paths(p, cfg4.input_domain, cfg4.max_steps).paths
+        domain = cfg4.input_domain
+        assert {path.inputs() for path in paths} == {(v,) for v in range(domain.lo, domain.hi + 1)}
+        assert all(accepts(bundle.condition, path) for path in paths)
 
 
 class TestExtractTest:

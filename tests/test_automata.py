@@ -517,7 +517,7 @@ class TestAutFormat:
         assert "state 'q0' declared twice" in str(exc.value)
 
     def test_12_long_chain_round_trips(self):
-        """A witness as long as the deep-paths ones parses back to itself."""
+        """A chain of 3,003 transitions parses back to itself."""
         states = [f"w{i}" for i in range(3004)]
         transitions = [Transition(a, b, EdgePattern(i % 3, "x++", i % 3 + 1))
                        for i, (a, b) in enumerate(zip(states, states[1:]))]
@@ -549,9 +549,9 @@ class TestAutFormat:
 
 
 class TestLineCostParse:
-    """A ``trans`` line whose text after ``on`` an earlier line had shares
-    that line's pattern and assumption; a refusal is still raised on its
-    own line, with the text the regular expression's parse gives."""
+    """``trans`` lines with the same (source, operation, target) share one
+    pattern; each line is parsed on its own, so a refusal after repeated
+    lines is raised on its own line, whatever its spacing."""
 
     HEAD = ("automaton w kind=violation-witness\nstate w0 init\nstate w1\nstate w2\n"
             "state w3 final\n")
@@ -563,7 +563,6 @@ class TestLineCostParse:
                               + 'trans w2 -> w3 on (0, "x++", 1)\n')
         first, second, third = aut.transitions
         assert first.pattern is second.pattern is third.pattern
-        assert first.assumption is second.assumption
         assert third.assumption == TRUE
         assert type(second) is Transition
         assert second == Transition("w1", "w2", EdgePattern(0, "x++", 1),

@@ -108,10 +108,9 @@ def test_03_path_step_is_an_immutable_record():
 
 
 def test_04_transition_is_an_immutable_record():
-    """A path witness holds one ``Transition`` per step; it keeps the
-    constructor, the field names and defaults, immutability, value equality,
-    a hash that leaves out the assumption, and the repr and text of each
-    form of transition."""
+    """A ``Transition`` keeps the constructor, the field names and
+    defaults, immutability, value equality, a hash that leaves out the
+    assumption, and the repr and text of each form of transition."""
     empty = inspect.Parameter.empty
     assert [(p.name, p.default) for p in inspect.signature(Transition).parameters.values()] == [
         ("source", empty), ("target", empty), ("pattern", empty), ("assumption", TRUE),

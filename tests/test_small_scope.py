@@ -7,17 +7,26 @@ fixed family, over inputs {0, 1} at step bounds 2 and 6.  A slip in the
 explorer's keys or step memos that needs a rare program shape shows here,
 where random draws may miss it (Jackson, "Software Abstractions", 2006, on
 the small-scope hypothesis).  Programs with a fourth edge are left out:
-with them the gate takes minutes, not seconds.
+with them the gate takes minutes, not seconds.  Each program with an
+``x > 0`` / ``!(x > 0)`` pair at one location is also checked with its
+edge list reversed, so that the pair is listed in both orders.
 
 The reference (``reference.reference_layers``) computes, per prefix
 length, the product configurations over whole data states; it shares no
 key, order or memo with the explorer.  Within the step bound the explorer
 must find a hit exactly when some prefix within the bound is one, and may
 report truncation only where some prefix of the full length is extendable.
+``verify``'s evidence is the first hit of a second reference walk, depth
+first in the explorer's order (each location's edges in order, input
+values ascending).  That walk skips a configuration where the explorer's
+rule does, over keys it computes from the alphabet's effects: without the
+skips its first hit would often be a longer prefix that passes a
+configuration met before.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 from coopverify.actors import Result, generate_tests, reduce_with_origin, validate_result, verify
@@ -28,7 +37,8 @@ from coopverify.errors import UseBeforeDef
 from coopverify.kinds import build_test_case_automaton
 from coopverify.lang import (EMPTY_STATE, CFAEdge, InputOp, assignment_op, assume_op,
                              check_defined_before_use, input_op, make_cfa)
-from coopverify.predicates import TRUE, BinExpr, Comparison, Const, Interval, Not, Var
+from coopverify.predicates import (TRUE, BinExpr, Comparison, Const, Interval, Not, Var,
+                                   variables_of)
 from reference import (reference_layers, reference_start, reference_step, reference_successors,
                        replay_path)
 
@@ -38,6 +48,10 @@ ALPHABET = (input_op("x"), assignment_op("x", BinExpr("+", X, Const(1))), assign
             assume_op(POSITIVE), assume_op(Not(POSITIVE)))
 DOMAIN = Interval(0, 1)
 BOUNDS = (2, 6)
+# the variables each operation of the alphabet reads and writes
+EFFECTS = dict(zip(ALPHABET, ((frozenset(), frozenset("x")), (frozenset("x"), frozenset("x")),
+                              (frozenset("x"), frozenset("y")), (frozenset("x"), frozenset()),
+                              (frozenset("x"), frozenset()))))
 
 
 def small_programs(max_locations: int = 3, max_edges: int = 3) -> list:
@@ -72,6 +86,15 @@ def small_programs(max_locations: int = 3, max_edges: int = 3) -> list:
                     continue
                 programs.append(program)
     return programs
+
+
+def reversed_pairs(programs) -> list:
+    """Each of ``programs`` with an ``x > 0`` / ``!(x > 0)`` pair at one
+    location, with its edge list reversed, so that its step lists
+    ``!(x > 0)`` first (:func:`small_programs` lists it second)."""
+    pair = {ALPHABET[3], ALPHABET[4]}
+    return [make_cfa(p.locations, p.initial, p.edges[::-1], p.variables) for p in programs
+            if any(pair <= {e.op for e in p.edges_from(q)} for q in p.locations)]
 
 
 def _pattern(op) -> EdgePattern:
@@ -145,6 +168,53 @@ class Reference:
         cut = any(reference_successors(self.program, state, location, config.input_domain)
                   for location, state, _, _ in layers[-1])
         return found, cut
+
+    def first_hit(self, prop, config):
+        """The (edge, post-state) steps of the first prefix within the bound
+        that ``prop`` accepts, in the explorer's depth-first order (the
+        successors of :func:`reference_successors` in their order); None
+        when no prefix is one.  The walk skips what the explorer skips (see
+        ``product.run_product``): at a meeting location, a configuration
+        whose key was walked before, unless something was cut and it was
+        walked deeper.  Its keys hold the values of the variables the
+        program may still read (from :data:`EFFECTS`) and those ``prop``
+        reads."""
+        program = self.program
+        incoming = collections.Counter(e.target for e in program.edges)
+        meeting = {program.initial} | {e.target for e in program.edges
+                                       if incoming[e.target] > 1 or type(e.op) is InputOp}
+        live = {location: frozenset() for location in program.locations}
+        changed = True
+        while changed:
+            changed = False
+            for e in program.edges:
+                reads, writes = EFFECTS[e.op]
+                new = live[e.source] | reads | (live[e.target] - writes)
+                changed = changed or new != live[e.source]
+                live[e.source] = new
+        prop_reads = frozenset().union(*(variables_of(t.assumption) for t in prop.transitions))
+        frontier, entries = reference_start(prop, EMPTY_STATE)
+        stack = [((), program.initial, EMPTY_STATE, frontier, entries)]
+        walked: dict = {}
+        cut = False
+        while stack:
+            steps, location, state, frontier, entries = stack.pop()
+            depth = len(steps)
+            if location in meeting:
+                names = sorted(live[location] | prop_reads)
+                key = (location, frontier, entries, *(state[v] if v in state else None for v in names))
+                if key in walked and (walked[key] <= depth or not cut):
+                    continue
+                walked[key] = depth
+            succ = reference_successors(program, state, location, config.input_domain)
+            cut = cut or bool(succ) and depth >= config.max_steps
+            if entries:
+                return steps
+            if depth < config.max_steps:
+                for edge, post in reversed(succ):
+                    after, new = reference_step(prop, frontier, edge, post)
+                    stack.append((steps + ((edge, post),), edge.target, post, after, entries | new))
+        return None
 
     def agree(self, judgment, automata, config, hit, universal: bool) -> None:
         """``judgment`` is exact on hits and reports truncation only where a
@@ -233,6 +303,11 @@ def _reached(layers, ends) -> frozenset:
     return frozenset().union(*(c[3][0] for layer in layers for c in layer if ends(c)))
 
 
+def _steps(path):
+    """A path's (edge, post-state) steps, None for no path."""
+    return None if path is None else tuple((s.incoming, s.state) for s in path.steps[1:])
+
+
 def check_small(program, props, goals, conds) -> None:
     ref = Reference(program)
     for bound in sorted(BOUNDS, reverse=True):
@@ -241,6 +316,7 @@ def check_small(program, props, goals, conds) -> None:
             bundle = verify(program, prop, config)
             assert check_fulfills(program, prop, config) == bundle.judgment
             ref.agree(bundle.judgment, (prop,), config, _accepted, universal=True)
+            assert _steps(bundle.judgment.evidence) == ref.first_hit(prop, config)
             if bundle.result is Result.UNKNOWN:
                 continue
             checked = validate_result(program, prop, bundle.witness, config)
@@ -274,16 +350,19 @@ def check_small(program, props, goals, conds) -> None:
 
 
 def test_every_small_program_agrees_with_the_reference():
-    """230 programs and 4 properties: 920 (program, property) pairs, each
-    at both bounds, with ``check_fulfills``, ``verify``, ``validate_result``
-    of its witness and the correctness- or violation-witness check of that
+    """230 programs, and the 9 of them with a ``x > 0`` / ``!(x > 0)`` pair
+    reversed, and 4 properties: 956 (program, property) pairs, each at both
+    bounds, with ``check_fulfills``, ``verify``, ``validate_result`` of its
+    witness and the correctness- or violation-witness check of that
     witness.  Each program also meets 4 goal automata (``generate_tests``,
     and ``check_test_covers`` of every test it makes) and 4 conditions
     (``check_condition_correct`` with the first property, and ``reduce``)."""
     programs = small_programs()
+    flipped = reversed_pairs(programs)
     props = small_automata(AutomatonKind.PROPERTY)
     goals = small_automata(AutomatonKind.TEST_GOAL)
     conds = small_automata(AutomatonKind.CONDITION)
-    assert (len(programs), len(props), len(goals), len(conds)) == (230, 4, 4, 4)
-    for program in programs:
+    assert (len(programs), len(flipped), len(props), len(goals), len(conds)) == \
+        (230, 9, 4, 4, 4)
+    for program in programs + flipped:
         check_small(program, props, goals, conds)
